@@ -75,6 +75,16 @@ class _Span:
         return False
 
 
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _budget_from(args, inst=None):
     opts = dict(inst.options) if inst is not None else {}
     max_pairs = args.budget_pairs if args.budget_pairs else opts.get("max_pairs")
@@ -396,10 +406,12 @@ def _build_parser():
         sp.add_argument("--machine", action="store_true", help="key = value output")
         sp.add_argument("--timings", action="store_true", help="emit timing.* keys")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
-        sp.add_argument("--deg-bound", type=int, default=None, dest="deg_bound")
+        sp.add_argument("--deg-bound", type=_non_negative_int, default=None, dest="deg_bound")
         sp.add_argument("--jobs", type=int, default=1, help="reserved; checks run sequentially")
-        sp.add_argument("--budget-pairs", type=int, default=None, dest="budget_pairs")
-        sp.add_argument("--budget-sat", type=int, default=None, dest="budget_sat")
+        sp.add_argument(
+            "--budget-pairs", type=_non_negative_int, default=None, dest="budget_pairs"
+        )
+        sp.add_argument("--budget-sat", type=_non_negative_int, default=None, dest="budget_sat")
 
     sp = sub.add_parser("verify-cremona", help="verify a supplied Cremona inverse")
     common(sp)

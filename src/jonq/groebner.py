@@ -1,11 +1,19 @@
 """Buchberger-based ideal arithmetic.
 
 Normal forms, membership, intersection, colon, saturation, elimination,
-lifting, and dimension/graded-piece computations.  The engine works on
+lifting, and dimension/graded-piece computations.  Generators are
 integer-primitive term lists keyed by additive order keys (see
-`jonq.orders`), with Gebauer-Moeller pair pruning and normal selection
-(lcm degree, sugar tie-break).  Reduced bases are unique per (ideal,
-order), generators stored integer-primitive with positive lead.
+`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
+by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
+tie-break).  Reduced bases are unique per (ideal, order).
+
+All division runs on one engine, `jonq.ring._Accumulator`: a dict from
+packed order key to coefficient plus a max-heap of its keys, after
+Monagan and Pearce (CASC 2007).  A reduction step pops the lead term and
+adds the reducer's tail, cached on the basis element as packed offsets
+from its lead, so one step costs the reducer's length times O(log n),
+not the length of the whole remainder.  S-polynomials are built in the
+same accumulator, from the two cached tails.
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ from math import gcd as int_gcd
 from jonq import kernel
 from jonq.errors import BudgetExceeded, MembershipError, StructuralError
 from jonq.orders import Block, DegRevLex, MonomialOrder
-from jonq.ring import Polynomial, VariableSet, monomials_of_degree, poly_divmod
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    _Accumulator,
+    _divide,
+    _with_wide_keys,
+    monomials_of_degree,
+)
 
 
 @dataclass
@@ -45,7 +60,9 @@ _NO_BUDGET = Budget()
 
 
 class _GBPoly:
-    __slots__ = ("terms", "lm_okey", "lm_exps", "lm_mask", "lc", "sugar")
+    __slots__ = (
+        "terms", "lm_okey", "lm_exps", "lm_mask", "lc", "sugar", "_tail", "_tail_bits",
+    )
 
     def __init__(self, terms, order, sugar=None):
         self.terms = terms
@@ -53,6 +70,14 @@ class _GBPoly:
         self.lm_exps = order.exponents(self.lm_okey)
         self.lm_mask = _mask(self.lm_exps)
         self.sugar = sugar if sugar is not None else sum(self.lm_exps)
+        self._tail_bits = None
+
+    def tail(self, packing):
+        """The tail as packed offsets from the lead, cached per field width."""
+        if self._tail_bits != packing.bits:
+            self._tail = packing.offsets(self.terms)
+            self._tail_bits = packing.bits
+        return self._tail
 
 
 def _mask(exps):
@@ -102,47 +127,62 @@ def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=Fal
     The invariant is reduced_terms == scale * normal_form(input) with
     `scale` a positive rational, so dividing out `scale` recovers the
     exact normal form.  `early_nonzero` aborts on the first irreducible
-    lead (enough for membership tests).
+    lead (enough for membership tests).  The terms go into a packed-key
+    accumulator (`_reduce_acc` does the steps); keys start in 16-bit
+    fields, and the whole reduction reruns with wider fields if a key
+    outgrows them.
+    """
+    if not terms:
+        return [], Fraction(1)
+    return _with_wide_keys(
+        lambda packing: _reduce_acc(
+            _Accumulator(packing, terms), elems, lead_data, order, early_nonzero
+        ),
+        len(terms[0][0]),
+    )
+
+
+def _reduce_acc(acc, elems, lead_data, order, early_nonzero=False):
+    """`_reduce` on the terms held by an accumulator, which it consumes.
+
+    Fraction-free: before lead c*m is cancelled by a reducer g with lead
+    coefficient lc, everything is multiplied by lc/gcd(c, lc), and the
+    product is kept in `scale`'s numerator.  Every 64 steps the integer
+    content of the whole remainder goes into its denominator.  The
+    reducer is the one `kernel.find_reducer` picks for the lead, so the
+    step sequence, and with it every output term and scale, is fixed by
+    the input alone.
     """
     out = []
-    cur = terms
-    i = 0
     num, den = 1, 1
     steps = 0
     exponents = order.exponents
     find = kernel.find_reducer
-    merge = kernel.merge_linear
-    while i < len(cur):
-        okey, c = cur[i]
+    packing = acc.packing
+    while acc:
+        k, okey, c = acc.pop_lead()
         exps = exponents(okey)
         j = find(exps, _mask(exps), lead_data)
         if j < 0:
             if early_nonzero:
                 return [(okey, c)], Fraction(num, den)
             out.append((okey, c))
-            i += 1
             continue
         g = elems[j]
-        shift = tuple(a - b for a, b in zip(okey, g.lm_okey))
         gamma = int_gcd(c, g.lc)
         a = g.lc // gamma
-        b = c // gamma
-        cur = merge(cur, i + 1, a, None, g.terms, 1, -b, shift)
-        i = 0
         if a != 1:
             num *= a
+            acc.scale(a)
             if out:
-                out = [(k, a * v) for k, v in out]
+                out = [(key, a * v) for key, v in out]
+        acc.add_shifted(k, okey, g.tail(packing), -(c // gamma))
         steps += 1
-        if steps % 64 == 0 and cur:
-            content = 0
-            for _, v in out:
-                content = int_gcd(content, v)
-            for _, v in cur:
-                content = int_gcd(content, v)
+        if steps % 64 == 0 and acc:
+            content = int_gcd(*(v for _, v in out), *acc.values())
             if content > 1:
-                out = [(k, v // content) for k, v in out]
-                cur = [(k, v // content) for k, v in cur]
+                out = [(key, v // content) for key, v in out]
+                acc.divide(content)
                 den *= content
     if not out:
         return [], Fraction(num, den)
@@ -152,7 +192,7 @@ def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=Fal
         if content == 1:
             break
     if content > 1:
-        out = [(k, v // content) for k, v in out]
+        out = [(key, v // content) for key, v in out]
         den *= content
     return out, Fraction(num, den)
 
@@ -160,22 +200,6 @@ def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=Fal
 def _lead_data(elems):
     order_idx = sorted(range(len(elems)), key=lambda k: elems[k].lm_okey)
     return [(elems[k].lm_mask, elems[k].lm_exps, k) for k in order_idx]
-
-
-def _spoly(f, g, order):
-    lcm_exps = tuple(max(a, b) for a, b in zip(f.lm_exps, g.lm_exps))
-    lcm_okey = order.key(lcm_exps)
-    uf = tuple(a - b for a, b in zip(lcm_okey, f.lm_okey))
-    ug = tuple(a - b for a, b in zip(lcm_okey, g.lm_okey))
-    gamma = int_gcd(f.lc, g.lc)
-    a = g.lc // gamma
-    b = f.lc // gamma
-    terms = kernel.merge_linear(f.terms, 1, a, uf, g.terms, 1, -b, ug)
-    deg_lcm = sum(lcm_exps)
-    sugar = max(
-        f.sugar + deg_lcm - sum(f.lm_exps), g.sugar + deg_lcm - sum(g.lm_exps)
-    )
-    return terms, sugar
 
 
 def _pair_entry(G, i, j, order):
@@ -189,7 +213,25 @@ def _pair_entry(G, i, j, order):
 
 
 def _buchberger_core(inputs, order, budget, seed=None):
-    """Run Buchberger; `seed` is an existing basis whose mutual pairs are done."""
+    """Run Buchberger; `seed` is an existing basis whose mutual pairs are done.
+
+    A run that outgrows its key fields starts over with wider ones and
+    with the S-pair budget as it found it.
+    """
+    leads = [terms[0][0] for terms in inputs if terms]
+    leads += [e.lm_okey for e in seed or ()]
+    if not leads:
+        return []
+    used = budget.pairs_used
+
+    def run(packing):
+        budget.pairs_used = used
+        return _buchberger_packed(inputs, order, budget, seed, packing)
+
+    return _with_wide_keys(run, len(leads[0]))
+
+
+def _buchberger_packed(inputs, order, budget, seed, packing):
     G: list[_GBPoly] = list(seed) if seed else []
     heap: list = []
     alive: set = set()
@@ -243,21 +285,26 @@ def _buchberger_core(inputs, order, budget, seed=None):
     prepared.sort(key=lambda e: (sum(e.lm_exps), e.lm_okey))
     for h in prepared:
         lead = _lead_data(G)
-        r, _ = _reduce(h.terms, G, lead, order, budget)
+        r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead, order)
         if r:
             update(_GBPoly(_normalize_terms(r), order, h.sugar))
     while heap:
-        entry = heapq.heappop(heap)
-        i, j = entry[3], entry[4]
+        _, sugar, lcm_okey, i, j = heapq.heappop(heap)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
         budget.charge_pair()
-        sterms, sugar = _spoly(G[i], G[j], order)
-        if not sterms:
+        # S(f, g) = a*(lcm/lm f)*tail(f) - b*(lcm/lm g)*tail(g); the leads cancel
+        f, g = G[i], G[j]
+        gamma = int_gcd(f.lc, g.lc)
+        acc = _Accumulator(packing)
+        shift = packing.pack(lcm_okey)
+        acc.add_shifted(shift, lcm_okey, f.tail(packing), g.lc // gamma)
+        acc.add_shifted(shift, lcm_okey, g.tail(packing), -(f.lc // gamma))
+        if not acc:
             continue
         lead = _lead_data(G)
-        r, _ = _reduce(sterms, G, lead, order, budget)
+        r, _ = _reduce_acc(acc, G, lead, order)
         if r:
             update(_GBPoly(_normalize_terms(r), order, sugar))
     return G
@@ -595,37 +642,8 @@ def eliminate(I, drop_names, budget=None):
 
 def _track_reduce(p, basis, order):
     """Divide p by tracked basis; returns (remainder, quotients)."""
-    quots = [Polynomial.zero(p.ring) for _ in basis]
-    rem_terms = dict(p.items())
-    out = {}
-    ring = p.ring
-    lead_cache = [(b[0].lead_term(order)) for b in basis]
-    while rem_terms:
-        m = max(rem_terms, key=order.key)
-        c = rem_terms.pop(m)
-        hit = -1
-        for idx, (lm, lc) in enumerate(lead_cache):
-            if all(a >= b for a, b in zip(m, lm)):
-                hit = idx
-                break
-        if hit < 0:
-            out[m] = c
-            continue
-        lm, lc = lead_cache[hit]
-        u = tuple(a - b for a, b in zip(m, lm))
-        qc = Fraction(c, 1) / lc
-        mono = Polynomial.monomial(ring, u, qc)
-        quots[hit] = quots[hit] + mono
-        for mm, cc in basis[hit][0].items():
-            if mm == lm:
-                continue
-            key = tuple(a + b for a, b in zip(u, mm))
-            s = rem_terms.get(key, 0) - qc * cc
-            if s:
-                rem_terms[key] = s
-            else:
-                rem_terms.pop(key, None)
-    return Polynomial(ring, out), quots
+    quots, rem = _divide(p, [b[0] for b in basis], order)
+    return Polynomial(p.ring, rem), [Polynomial(p.ring, q) for q in quots]
 
 
 def lift(p, gens, budget=None):

@@ -2,10 +2,10 @@
 
 Lines are `key: value`; `#` starts a comment; blank lines are ignored.
 Keys: ring (variable names, comma/space separated), cremona and
-cremona_inverse (comma-separated coordinate forms), f, g, and numeric
-`option.*` entries.  The inverse is written in the automatic target
-variables y0..yn.  The degree relation deg(g) = deg(cremona) + deg(f) is
-validated at load time.
+cremona_inverse (comma-separated coordinate forms), f, g, and
+`option.*` entries (non-negative integers).  The inverse is written in
+the automatic target variables y0..yn.  The degree relation
+deg(g) = deg(cremona) + deg(f) is validated at load time.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ def parse_instance(text):
                 raise ParseError(
                     f"option {name!r} needs an integer", lines[key], 1
                 ) from None
+            if options[name] < 0:
+                raise ParseError(
+                    f"option {name!r} must not be negative", lines[key], 1
+                )
         elif key not in {"ring", "cremona", "cremona_inverse", "f", "g"}:
             raise ParseError(f"unknown key {key!r}", lines[key], 1)
 

@@ -4,12 +4,16 @@ Polynomials are immutable maps {exponent tuple -> nonzero coefficient}
 attached to a :class:`VariableSet`.  Coefficients are Python ints or
 `fractions.Fraction`; nothing is ever floating point.  The text grammar
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
-used by the CLI and the golden tests.
+used by the CLI and the golden tests.  Division (`_divide`) runs
+on `_Accumulator`, the packed-key heap that the Groebner engine shares.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
@@ -513,7 +517,183 @@ def _mul_term_maps(a, b, nvars):
     return {unpack(k): c for k, c in prod.items()}
 
 
+# -- packed keys and the sparse accumulator --------------------------------
+
+
+class _KeyOverflow(Exception):
+    """A key field left the range of the current packing; widen and retry."""
+
+
+class _Packing:
+    """Additive order keys packed into one int.
+
+    Each key component takes a field of `bits` bits, most significant
+    first, stored offset-binary (component + 2**(bits-1)).  Comparing two
+    packed ints then compares the keys, and adding the packed difference
+    of two keys shifts a key.  `pack` accepts only keys whose components
+    are at most `limit` = 2**(bits-3) in size; a key shifted by the
+    difference of two such keys stays below 3*limit < 2**(bits-1), inside
+    its field.  So shifts never carry into the next field: any key that
+    would break the bound raises `_KeyOverflow` before it is used.
+    """
+
+    __slots__ = ("bits", "limit", "pack", "unpack")
+
+    def __init__(self, nfields, bits):
+        self.bits = bits
+        self.limit = limit = 1 << (bits - 3)
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        shifts = [bits * i for i in reversed(range(nfields))]
+        weights = [1 << s for s in shifts]
+        base = half * sum(weights)
+
+        def pack(key):
+            if max(map(abs, key)) > limit:
+                raise _KeyOverflow
+            return sum(map(operator.mul, key, weights)) + base
+
+        def unpack(packed):
+            return tuple([(packed >> s & mask) - half for s in shifts])
+
+        self.pack = pack
+        self.unpack = unpack
+
+    def offsets(self, terms):
+        """A term list's tail as (packed offset from its lead, coefficient)."""
+        pack = self.pack
+        lead = pack(terms[0][0])
+        return [(pack(key) - lead, c) for key, c in terms[1:]]
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(nfields, bits):
+    return _Packing(nfields, bits)
+
+
+def _with_wide_keys(run, nfields):
+    """run(packing), from 16-bit fields up, doubling on `_KeyOverflow`."""
+    bits = 16
+    while True:
+        try:
+            return run(_packing(nfields, bits))
+        except _KeyOverflow:
+            bits *= 2
+
+
+class _Accumulator:
+    """A polynomial under division: packed key -> coefficient.
+
+    A max-heap (of negated keys) orders the live keys.  A key whose
+    coefficient cancels leaves the dict but stays in the heap, and
+    `pop_lead` skips it (lazy deletion), so adding a term costs O(log n)
+    however many terms are live.
+    """
+
+    __slots__ = ("packing", "coeffs", "heap")
+
+    def __init__(self, packing, terms=()):
+        """`terms`: a list of (order key, coefficient), distinct keys."""
+        self.packing = packing
+        pack = packing.pack
+        self.coeffs = {pack(key): c for key, c in terms}
+        self.heap = [-k for k in self.coeffs]
+        heapq.heapify(self.heap)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def pop_lead(self):
+        """Remove the largest live term; returns (packed key, key, coefficient)."""
+        coeffs = self.coeffs
+        heap = self.heap
+        while True:
+            k = -heapq.heappop(heap)
+            c = coeffs.pop(k, None)
+            if c is not None:
+                return k, self.packing.unpack(k), c
+
+    def add_shifted(self, packed, key, tail, mult):
+        """Add mult * x^(key - lead) * tail, `tail` from `_Packing.offsets`.
+
+        `packed` is `key` packed: the monomial the tail's lead moves to.
+        """
+        if max(map(abs, key)) > self.packing.limit:
+            raise _KeyOverflow
+        coeffs = self.coeffs
+        heap = self.heap
+        get = coeffs.get
+        push = heapq.heappush
+        for off, c in tail:
+            k = packed + off
+            v = get(k)
+            if v is None:
+                coeffs[k] = mult * c
+                push(heap, -k)
+            else:
+                v += mult * c
+                if v:
+                    coeffs[k] = v
+                else:
+                    del coeffs[k]
+
+    def values(self):
+        return self.coeffs.values()
+
+    def scale(self, a):
+        coeffs = self.coeffs
+        for k in coeffs:
+            coeffs[k] *= a
+
+    def divide(self, a):
+        """Exact division of every coefficient by the integer `a`."""
+        coeffs = self.coeffs
+        for k in coeffs:
+            coeffs[k] //= a
+
+
 # -- division, gcd ---------------------------------------------------------
+
+
+def _divide(p, divisors, order, exact=False):
+    """Divide p by a list of polynomials; returns (quotients, remainder).
+
+    Both come back as exponent maps.  Each lead of the running remainder
+    goes to the first divisor whose lead divides it, and to the remainder
+    if there is none.  With `exact`, the first such irreducible lead ends
+    the division, so the remainder is empty exactly when the divisors
+    divide p without one.
+    """
+    key = order.key
+    dterms = [
+        sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
+        for d in divisors
+    ]
+    leads = [(order.exponents(t[0][0]), t[0][1]) for t in dterms]
+    pterms = [(key(m), c) for m, c in p._terms.items()]
+
+    def run(packing):
+        tails = [packing.offsets(t) for t in dterms]
+        rem = _Accumulator(packing, pterms)
+        quots = [{} for _ in dterms]
+        out = {}
+        while rem:
+            k, okey, c = rem.pop_lead()
+            m = order.exponents(okey)
+            for hit, (lm, lc) in enumerate(leads):
+                if all(a >= b for a, b in zip(m, lm)):
+                    break
+            else:
+                out[m] = c
+                if exact:
+                    break
+                continue
+            qc = Fraction(c, 1) / lc
+            quots[hit][tuple(a - b for a, b in zip(m, lm))] = qc
+            rem.add_shifted(k, okey, tails[hit], -qc)
+        return quots, out
+
+    return _with_wide_keys(run, len(dterms[0][0][0]))
 
 
 def divide_exact(p, d):
@@ -525,59 +705,10 @@ def divide_exact(p, d):
         raise DivisibilityError("division by the zero polynomial")
     if p.is_zero():
         return p
-    order = DegRevLex(len(p.ring))
-    dm, dc = d.lead_term(order)
-    dterms = d.sorted_terms(order)
-    rem = dict(p._terms)
-    qterms = {}
-    while rem:
-        m = max(rem, key=order.key)
-        c = rem[m]
-        u = tuple(a - b for a, b in zip(m, dm))
-        if any(e < 0 for e in u):
-            raise DivisibilityError(f"({d}) does not divide ({p}) exactly")
-        qc = Fraction(c, 1) / dc
-        qterms[u] = qterms.get(u, 0) + qc
-        for mm, cc in dterms:
-            key = tuple(a + b for a, b in zip(u, mm))
-            s = rem.get(key, 0) - qc * cc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Polynomial(p.ring, qterms)
-
-
-def poly_divmod(p, d, order=None):
-    """Single-divisor division: p = q*d + r with no r-term divisible by lm(d)."""
-    p._check_ring(d)
-    if d.is_zero():
-        raise DivisibilityError("division by the zero polynomial")
-    order = order or DegRevLex(len(p.ring))
-    dm, dc = d.lead_term(order)
-    dterms = d.sorted_terms(order)
-    rem = dict(p._terms)
-    qterms = {}
-    rterms = {}
-    while rem:
-        m = max(rem, key=order.key)
-        c = rem.pop(m)
-        u = tuple(a - b for a, b in zip(m, dm))
-        if any(e < 0 for e in u):
-            rterms[m] = c
-            continue
-        qc = Fraction(c, 1) / dc
-        qterms[u] = qterms.get(u, 0) + qc
-        for mm, cc in dterms:
-            if mm == dm:
-                continue
-            key = tuple(a + b for a, b in zip(u, mm))
-            s = rem.get(key, 0) - qc * cc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Polynomial(p.ring, qterms), Polynomial(p.ring, rterms)
+    (q,), rem = _divide(p, [d], DegRevLex(len(p.ring)), exact=True)
+    if rem:
+        raise DivisibilityError(f"({d}) does not divide ({p}) exactly")
+    return Polynomial(p.ring, q)
 
 
 def poly_gcd(p, q):

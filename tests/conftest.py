@@ -1,5 +1,13 @@
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sysconfig
+
 import pytest
 
+import jonq
 from jonq.birational import RationalMapData, identity_map, verify_cremona
 from jonq.implicitize import JonquieresData
 from jonq.fixtures import load_fixture
@@ -54,3 +62,36 @@ def nzd_instance(involution, R3):
 @pytest.fixture(scope="session")
 def space_instance():
     return load_fixture("space").jonquieres()
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel_path(tmp_path_factory):
+    """`_kernel_c` compiled by gcc from the committed `_kernel_c.c`.
+
+    The extension goes into a pytest temporary directory, never into the
+    source tree.  Skips only where no C compiler or Python headers exist.
+    """
+    include = sysconfig.get_paths()["include"]
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or Python headers for the compiled kernel")
+    source = os.path.join(os.path.dirname(jonq.__file__), "_kernel_c.c")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = str(tmp_path_factory.mktemp("kernel") / f"_kernel_c{suffix}")
+    flags = ["-O3", "-fwrapv", "-DNDEBUG", "-fPIC", "-shared", f"-I{include}"]
+    proc = subprocess.run(
+        [compiler, *flags, source, "-o", target], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return target
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(compiled_kernel_path):
+    """The compiled kernel module, loaded from `compiled_kernel_path`."""
+    name = "jonq._kernel_c"
+    loader = importlib.machinery.ExtensionFileLoader(name, compiled_kernel_path)
+    spec = importlib.util.spec_from_file_location(name, compiled_kernel_path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module

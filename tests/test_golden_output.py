@@ -1,0 +1,40 @@
+"""Golden `--machine` output of the paper pipeline on the fixtures.
+
+Each digest is the sha256 of the full `--machine` report, recorded before
+the heap-based division engine replaced the merge-based loops.  Any
+change to a basis, a normal form, a verdict or the report format shows
+up here, whichever kernel backend is loaded.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from jonq.cli import main
+from jonq.fixtures import fixture_path
+
+GOLDEN = {
+    ("identity", ("implicitize", "--oracle")): "4b318ca4c414b4973a5ac72b7aebff084507bc4cb1a403fed2342d1e682d4d24",
+    ("identity", ("analyze",)): "5827cb2bc42bf10f4fc89b800b182fe9db4e7ce1a295fb344b1345546745b6f3",
+    ("identity", ("rees",)): "510a98516d6128347cd74b00f756c54c1032c424838ef5ddad2a51165af6b031",
+    ("plane", ("implicitize", "--oracle")): "c0fd0c52a593c610a7e04b44eac556529ba116f6e6b52b70e0e726afe4323061",
+    ("plane", ("analyze",)): "6cb8d3bc6d1120867b5b2e8f67f306546d9f73e77db66b084aac620db5eea099",
+    ("plane", ("rees",)): "0f1b946e4e1bb31d5214c21e3cf65403d07812937bd0cc8d0eea28c2c9b04f3d",
+    ("space", ("implicitize", "--oracle")): "c1bb6ff2a1692de400c2966d242502b4292a77c7e2121628d9432312af717532",
+    ("space", ("analyze",)): "97c2d6920483c1780f3d21fa9a9c55b223133165a4e6aabe06ea66d5724eb537",
+    ("space", ("rees",)): "8e7eaebc6ef4c7f9e6fcf3fd8b172d8e4159459af0e5757499e271db7250e8c6",
+    ("nzd", ("implicitize", "--oracle")): "4a48787babb7f34a9cf539b0ed4554c486b470134ce9342ba4f15feca56f2d8d",
+    ("nzd", ("analyze",)): "ac9199ca903eba690f3cdb47351c3d360b663d8cf84296843b260b6deeab33cd",
+    ("nzd", ("rees",)): "b3ada257be6a6c1d9dd3ec0b1927a402282126b53db81b7cf6b45aed80701fc5",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(GOLDEN))
+def test_machine_output_unchanged(name, command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command[0], fixture_path(name), *command[1:], "--machine"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[name, command]

@@ -5,7 +5,7 @@ import pytest
 
 from jonq.cli import main
 from jonq.errors import ParseError
-from jonq.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
+from jonq.fixtures import FIXTURE_NAMES, fixture_path, fixture_text, load_fixture
 from jonq.instance import parse_instance
 from jonq.report import Report, parse_report, skipped, verdict
 
@@ -60,6 +60,14 @@ class TestInstanceParsing:
         )
         inst = parse_instance(text)
         assert inst.options["seed"] == 9
+
+    @pytest.mark.parametrize("name", ["seed", "deg_bound", "max_pairs", "sat_cap"])
+    def test_negative_option_rejected(self, name):
+        text = "ring: x0, x1\ncremona: x0, x1\ncremona_inverse: y0, y1\n"
+        with pytest.raises(ParseError) as err:
+            parse_instance(text + f"option.{name}: -1\n")
+        assert name in str(err.value)
+        assert err.value.line == 4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
@@ -220,3 +228,27 @@ class TestCli:
         assert data["saturation.forward_equal"] == "holds"
         assert data["saturation.backward_equal"] == "holds"
         assert data["monoid.composition_order"] == "cremona_then_monoid"
+
+    def test_negative_instance_option_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "negative.jonq"
+        bad.write_text(fixture_text("plane") + "option.max_pairs: -1\n")
+        code = main(["implicitize", str(bad), "--machine"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "input error" in captured.err and "max_pairs" in captured.err
+        assert "budget exceeded" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-sat", "--deg-bound"])
+    def test_negative_budget_flag_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["implicitize", fixture_path("plane"), flag, "-1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_non_integer_budget_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["implicitize", fixture_path("plane"), "--deg-bound", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--deg-bound" in err
+        assert "not an integer: 'abc'" in err

@@ -1,15 +1,9 @@
 """Order-key laws and parity between the pure and compiled kernels."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq import _kernel as pure
 from jonq.orders import Block, DegRevLex, Lex, Weighted
-
-try:
-    from jonq import _kernel_c as compiled
-except ImportError:
-    compiled = None
 
 exps4 = st.tuples(*(st.integers(0, 6) for _ in range(4)))
 
@@ -71,8 +65,7 @@ def _random_terms(rng, n, count, order):
     return sorted(seen.items(), reverse=True)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
-def test_backend_parity_merge_and_mul():
+def test_backend_parity_merge_and_mul(compiled_kernel):
     import random
 
     rng = random.Random(5)
@@ -83,16 +76,15 @@ def test_backend_parity_merge_and_mul():
         sa = tuple(rng.randrange(0, 3) for _ in range(5))
         sb = tuple(rng.randrange(0, 3) for _ in range(5))
         ca, cb = rng.randrange(1, 5), -rng.randrange(1, 5)
-        got = compiled.merge_linear(a, 0, ca, sa, b, 0, cb, sb)
+        got = compiled_kernel.merge_linear(a, 0, ca, sa, b, 0, cb, sb)
         want = pure.merge_linear(a, 0, ca, sa, b, 0, cb, sb)
         assert got == want
         ap = [(sum(m) * 64 + i, c) for i, (m, c) in enumerate(a)]
         bp = [(sum(m) * 64 + i, c) for i, (m, c) in enumerate(b)]
-        assert compiled.mul_packed(ap, bp) == pure.mul_packed(ap, bp)
+        assert compiled_kernel.mul_packed(ap, bp) == pure.mul_packed(ap, bp)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
-def test_backend_parity_find_reducer():
+def test_backend_parity_find_reducer(compiled_kernel):
     import random
 
     rng = random.Random(9)
@@ -104,18 +96,23 @@ def test_backend_parity_find_reducer():
             lm = tuple(rng.randrange(0, 4) for _ in range(4))
             lmask = sum(1 << i for i, e in enumerate(lm) if e)
             leads.append((lmask, lm, idx))
-        assert compiled.find_reducer(exps, mask, leads) == pure.find_reducer(
+        assert compiled_kernel.find_reducer(exps, mask, leads) == pure.find_reducer(
             exps, mask, leads
         )
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
-def test_groebner_identical_across_backends(monkeypatch):
+def test_groebner_identical_across_backends(compiled_kernel_path):
     """The reduced basis must be bit-identical under both kernels."""
     import subprocess
     import sys
 
     script = (
+        "import importlib.machinery, importlib.util, sys\n"
+        "name = 'jonq._kernel_c'\n"
+        f"loader = importlib.machinery.ExtensionFileLoader(name, {compiled_kernel_path!r})\n"
+        "spec = importlib.util.spec_from_loader(name, loader)\n"
+        "sys.modules[name] = importlib.util.module_from_spec(spec)\n"
+        "loader.exec_module(sys.modules[name])\n"
         "from jonq.ring import VariableSet, parse_polynomial\n"
         "from jonq.groebner import buchberger\n"
         "from jonq.kernel import BACKEND\n"
