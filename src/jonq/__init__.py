@@ -29,7 +29,6 @@ from jonq.groebner import (
 from jonq.implicitize import (
     ImplicitMonoid,
     JonquieresData,
-    classify_case,
     eulerian_equation,
     implicitize,
     inclusion_case_equivalence,

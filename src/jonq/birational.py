@@ -64,10 +64,6 @@ class RationalMapData:
         )
 
 
-def rational_map(source, target, coords):
-    return RationalMapData(source, target, tuple(coords))
-
-
 @dataclass(frozen=True)
 class VerifiedCremona:
     """A Cremona map with a verified inverse and both inversion factors.

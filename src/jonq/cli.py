@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     jonq verify-cremona|implicitize|analyze|rees|selftest <file>
-         [--oracle] [--seed S] [--deg-bound B] [--jobs N]
+         [--oracle] [--seed S] [--deg-bound B]
          [--budget-pairs P] [--budget-sat K] [--machine] [--timings]
 
 Exit codes: 0 every verdict holds or is skipped; 1 some verdict fails;
@@ -21,7 +21,6 @@ from jonq.errors import BudgetExceeded, HypothesisViolation, JonqError, ParseErr
 from jonq.groebner import Budget, IdealHandle, colon, dim_and_codim, ideal_equal, multiply_ideal
 from jonq.implicitize import (
     JonquieresData,
-    classify_case,
     implicitize,
     inclusion_case_equivalence,
     nzd_case,
@@ -87,8 +86,8 @@ def _non_negative_int(text):
 
 def _budget_from(args, inst=None):
     opts = dict(inst.options) if inst is not None else {}
-    max_pairs = args.budget_pairs if args.budget_pairs else opts.get("max_pairs")
-    sat_cap = args.budget_sat if args.budget_sat else opts.get("sat_cap", 32)
+    max_pairs = args.budget_pairs if args.budget_pairs is not None else opts.get("max_pairs")
+    sat_cap = args.budget_sat if args.budget_sat is not None else opts.get("sat_cap", 32)
     deg_bound = args.deg_bound if args.deg_bound else opts.get("deg_bound")
     return Budget(max_pairs=max_pairs, sat_cap=sat_cap, deg_bound=deg_bound)
 
@@ -131,7 +130,7 @@ def cmd_implicitize(args):
     rep.set("implicit.F_delta", mon.F_delta)
     rep.set("implicit.F_delta_minus_1", mon.F_delta_minus_1)
     rep.set("implicit.stripped_gcd", mon.stripped_gcd)
-    deg = predicted_degree(P, mon, budget)
+    deg = predicted_degree(P, mon)
     rep.set("degree.actual", deg.deg_F)
     rep.set("degree.via_deg_g", deg.via_deg_g)
     rep.set("degree.via_deg_f", deg.via_deg_f)
@@ -141,12 +140,12 @@ def cmd_implicitize(args):
     if deg.window is not None:
         rep.set("degree.window", f"[{deg.window[0]}, {deg.window[1]}]")
         rep.set_verdict("degree.window_holds", bool(deg.window_holds))
-    with timer("classify"):
-        tag = classify_case(P, budget)
-    rep.set("case.kind", tag.kind)
-    rep.set("case.conductor", "; ".join(str(c) for c in tag.conductor.gens) or "0")
+    with timer("conductor"):
+        data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
+    rep.set("case.kind", data.kind)
+    rep.set("case.conductor", "; ".join(str(c) for c in data.ideal.gens) or "0")
     with timer("syzygetic"):
-        syz = syzygetic_polynomials(P, mon, budget=budget)
+        syz = syzygetic_polynomials(P, mon, data)
     rep.set("syzygetic.count", len(syz))
     for j, s in enumerate(syz):
         rep.set(f"syzygetic.{j}.conductor_gen", s.conductor_gen)
@@ -156,14 +155,14 @@ def cmd_implicitize(args):
     rep.set_verdict(
         "syzygetic.all_divisible_by_F", True
     )  # divide_exact inside syzygetic_polynomials would have raised
-    incl = inclusion_case_equivalence(P, budget)
+    incl = inclusion_case_equivalence(P, mon, data)
     if incl.applicable:
         rep.set_verdict("inclusion_equivalence.biconditional", bool(incl.equivalent))
         rep.set("inclusion_equivalence.g_in_I", "yes" if incl.side_inclusion else "no")
     else:
         rep.set_skipped("inclusion_equivalence.biconditional", "gcd(f(g'), g(g')) != 1")
-    if tag.kind == "non_zero_divisor":
-        nz = nzd_case(P, mon, budget)
+    if data.kind == "non_zero_divisor":
+        nz = nzd_case(P, mon, data)
         rep.set_verdict("nzd.equivalence_agrees", nz.agree)
         rep.set("nzd.principal_match", "yes" if nz.principal_match else "no")
         rep.set("nzd.coprime_gcd", "yes" if nz.coprime_gcd else "no")
@@ -217,6 +216,7 @@ def cmd_analyze(args):
     dim_I, codim_I = dim_and_codim(I, budget)
     rep.set("ideal.I.dim", dim_I)
     rep.set("ideal.I.codim", codim_I)
+    reg = None
     if dim_I <= 1:
         with timer("regularity"):
             reg = regularity_dim1(I, d, seed=args.seed, budget=budget)
@@ -232,7 +232,7 @@ def cmd_analyze(args):
     else:
         rep.set_skipped("regularity.I.reg", f"dim(R/I) = {dim_I} > 1")
     with timer("bounds"):
-        checks = regularity_bound_checks(P, budget)
+        checks = regularity_bound_checks(P, I, data, reg, budget)
     for c in checks:
         if c.status == "skipped":
             rep.set(f"bounds.{c.name}", skipped(c.reason))
@@ -250,14 +250,15 @@ def cmd_rees(args):
     mon = implicitize(P, budget)
     try:
         with timer("downgraded"):
-            pres, dg = downgraded_rees_ideal(P, mon, budget=budget)
+            data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
+            pres, dg = downgraded_rees_ideal(P, mon, data, budget)
         rep.set("downgraded.generators", len(pres.generators))
         rep.set_verdict("downgraded.contained_in_rees", dg.contained_in_rees)
         rep.set("downgraded.codim", dg.codim)
         rep.set_verdict("downgraded.codim_matches", dg.codim_matches)
         rep.set_verdict("downgraded.fully_downgraded_divisible", dg.all_divisible_by_F)
         with timer("factors"):
-            facs = extraneous_factors(P, mon, dg, budget)
+            facs = extraneous_factors(P, mon, dg)
         for j, (_, f) in enumerate(facs):
             rep.set(f"downgraded.factor.{j}", f)
     except BudgetExceeded as exc:
@@ -277,7 +278,7 @@ def cmd_rees(args):
         M = None
     if M is not None:
         with timer("saturation"):
-            sat = saturation_identities(P, M, mon, budget)
+            sat = saturation_identities(P, M, budget)
         if sat.status == "skipped":
             rep.set_skipped("saturation.identities", sat.reason)
         else:
@@ -327,7 +328,8 @@ def _selftest_instance(family, rng):
 
 def cmd_selftest(args):
     rng = random.Random(args.seed)
-    budget = Budget(max_pairs=args.budget_pairs, sat_cap=args.budget_sat or 32)
+    sat_cap = args.budget_sat if args.budget_sat is not None else 32
+    budget = Budget(max_pairs=args.budget_pairs, sat_cap=sat_cap)
     rep = Report("selftest")
     rep.set("seed", args.seed)
     rep.set("count", args.count)
@@ -339,14 +341,15 @@ def cmd_selftest(args):
         try:
             P = _selftest_instance(family, rng)
             mon = implicitize(P, budget)
-            deg = predicted_degree(P, mon, budget)
+            deg = predicted_degree(P, mon)
             ok_deg = deg.deg_F == deg.via_deg_g == deg.via_deg_f
             ok_window = deg.window_holds is not False
             ok_monoid = (
                 mon.F.degree_in((mon.F.ring.index(P.last_var),)) == 1
                 and poly_gcd(mon.F_delta, mon.F_delta_minus_1).is_constant()
             )
-            syz = syzygetic_polynomials(P, mon, budget=budget)
+            data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
+            syz = syzygetic_polynomials(P, mon, data)
             ok_syz = all(
                 s.polynomial.is_zero()
                 or (s.polynomial.total_degree() == mon.delta + s.extraneous_factor.total_degree())
@@ -407,7 +410,6 @@ def _build_parser():
         sp.add_argument("--timings", action="store_true", help="emit timing.* keys")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
         sp.add_argument("--deg-bound", type=_non_negative_int, default=None, dest="deg_bound")
-        sp.add_argument("--jobs", type=int, default=1, help="reserved; checks run sequentially")
         sp.add_argument(
             "--budget-pairs", type=_non_negative_int, default=None, dest="budget_pairs"
         )

@@ -233,6 +233,7 @@ def _buchberger_core(inputs, order, budget, seed=None):
 
 def _buchberger_packed(inputs, order, budget, seed, packing):
     G: list[_GBPoly] = list(seed) if seed else []
+    lead = _lead_data(G)  # rebuilt only when G grows
     heap: list = []
     alive: set = set()
 
@@ -241,8 +242,10 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
 
     def update(h):
         # Gebauer-Moeller: prune old pairs, build a minimal new pair set.
+        nonlocal lead
         k = len(G)
         G.append(h)
+        lead = _lead_data(G)
         lmh = h.lm_exps
         new_lcm = {}
         for i in range(k):
@@ -284,7 +287,6 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
             prepared.append(_GBPoly(terms, order))
     prepared.sort(key=lambda e: (sum(e.lm_exps), e.lm_okey))
     for h in prepared:
-        lead = _lead_data(G)
         r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead, order)
         if r:
             update(_GBPoly(_normalize_terms(r), order, h.sugar))
@@ -303,7 +305,6 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
         acc.add_shifted(shift, lcm_okey, g.tail(packing), -(f.lc // gamma))
         if not acc:
             continue
-        lead = _lead_data(G)
         r, _ = _reduce_acc(acc, G, lead, order)
         if r:
             update(_GBPoly(_normalize_terms(r), order, sugar))
@@ -336,13 +337,12 @@ def _reduced_basis(G, order, budget):
 class GroebnerBasis:
     """A reduced Groebner basis; generators are primitive with positive lead."""
 
-    __slots__ = ("generators", "order", "reduced", "ring", "_elems", "_lead")
+    __slots__ = ("generators", "order", "ring", "_elems", "_lead")
 
     def __init__(self, generators, order, ring, elems):
         self.generators = tuple(generators)
         self.order = order
         self.ring = ring
-        self.reduced = True
         self._elems = elems
         self._lead = _lead_data(elems)
 
@@ -485,10 +485,6 @@ def ideal_equal(I, J, budget=None):
     if I.is_zero_ideal() or J.is_zero_ideal():
         return I.is_zero_ideal() and J.is_zero_ideal()
     return I.gb(budget=budget).generators == J.gb(budget=budget).generators
-
-
-def unit_ideal(ring):
-    return IdealHandle(ring, (Polynomial.constant(ring, 1),))
 
 
 def is_unit_ideal(I, budget=None):

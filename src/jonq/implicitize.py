@@ -1,8 +1,9 @@
 """The implicitization core.
 
 de Jonquieres parametrizations, the closed-form monoid equation, degree
-predictions, case classification, syzygetic polynomials, the Eulerian
-equation of a polar Cremona map, and the independent elimination oracle.
+predictions, the syzygetic polynomials and case equivalences (read from
+`jonq.syzygies.conductor_data`), the Eulerian equation of a polar Cremona
+map, and the independent elimination oracle.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from dataclasses import dataclass
 
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import (
-    IdealHandle,
-    buchberger,
-    colon,
-    eliminate,
-    ideal_equal,
-    is_unit_ideal,
-    normal_form,
-)
+from jonq.groebner import IdealHandle, buchberger, eliminate, normal_form
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
@@ -72,9 +65,6 @@ class JonquieresData:
         """The parametrizing forms (g_0 f, ..., g_n f, g)."""
         return tuple(gi * self.f for gi in self.cremona.forward.coords) + (self.g,)
 
-    def as_map(self):
-        return RationalMapData(self.source, self.monoid_ring, self.coordinates())
-
     def base_ideal_I(self):
         return IdealHandle(self.source, self.cremona.forward.coords)
 
@@ -97,13 +87,7 @@ class ImplicitMonoid:
         return self.F.total_degree()
 
 
-@dataclass(frozen=True)
-class CaseTag:
-    kind: str  # inclusion | non_zero_divisor | general
-    conductor: IdealHandle
-
-
-def _evaluations(P, budget=None):
+def _evaluations(P):
     ginv = list(P.cremona.inverse.coords)
     fg = P.f.substitute(ginv)
     gg = P.g.substitute(ginv)
@@ -147,10 +131,9 @@ class DegreeReport:
     via_target_factor_gcd: int | None
 
 
-def predicted_degree(P, monoid=None, budget=None):
+def predicted_degree(P, monoid):
     """Both degree expressions of the closed form, plus the coprime window."""
     fg, gg = _evaluations(P)
-    monoid = monoid or implicitize(P, budget)
     D = P.cremona.target_factor
     dprime = P.cremona.inverse_degree
     df = P.f.total_degree()
@@ -181,17 +164,6 @@ def predicted_degree(P, monoid=None, budget=None):
     )
 
 
-def classify_case(P, budget=None):
-    """inclusion (g in I), non_zero_divisor (I:g = I), or general."""
-    I = P.base_ideal_I()
-    cond = colon(I, P.g, budget=budget)
-    if is_unit_ideal(cond, budget):
-        return CaseTag("inclusion", cond)
-    if ideal_equal(cond, I, budget):
-        return CaseTag("non_zero_divisor", cond)
-    return CaseTag("general", cond)
-
-
 @dataclass(frozen=True)
 class SyzygeticPolynomial:
     conductor_gen: Polynomial  # c_j, over the source variables
@@ -200,23 +172,20 @@ class SyzygeticPolynomial:
     extraneous_factor: Polynomial  # polynomial / F
 
 
-def syzygetic_polynomials(P, monoid=None, conductor=None, budget=None):
+def syzygetic_polynomials(P, monoid, conductor):
     """One syzygetic polynomial per minimal conductor generator.
 
-    Each is sum h_ij(g') y_i - f(g') c_j(g') y_{n+1}; all are exact
-    multiples of F, and the quotients (extraneous factors) are returned.
+    `conductor` is the `conductor_data` of the base ideal and g.  Each is
+    sum h_ij(g') y_i - f(g') c_j(g') y_{n+1}; all are exact multiples of
+    F, and the quotients (extraneous factors) are returned.
     """
-    from jonq.syzygies import conductor_data
-
-    monoid = monoid or implicitize(P, budget)
-    data = conductor or conductor_data(P.base_ideal_I(), P.g, budget=budget)
     ginv = list(P.cremona.inverse.coords)
     mring = P.monoid_ring
     y_last = Polynomial.variable(mring, P.last_var)
     fg = P.f.substitute(ginv)
     out = []
-    for j, cj in enumerate(data.conductors):
-        col = [data.content.entries[i][j] for i in range(len(ginv))]
+    for j, cj in enumerate(conductor.conductors):
+        col = [conductor.content.entries[i][j] for i in range(len(ginv))]
         acc = Polynomial.zero(mring)
         for i, h in enumerate(col):
             if h.is_zero():
@@ -238,7 +207,7 @@ class InclusionReport:
     equivalent: bool | None
 
 
-def inclusion_case_equivalence(P, budget=None):
+def inclusion_case_equivalence(P, monoid, conductor):
     """The inclusion-case biconditional, evaluated from both ends.
 
     g lies in I if and only if deg F = deg(f)*deg(G^-1) + 1 and some
@@ -250,12 +219,11 @@ def inclusion_case_equivalence(P, budget=None):
     fg, gg = _evaluations(P)
     if not poly_gcd(fg, gg).is_constant():
         return InclusionReport(False, None, None, None)
-    monoid = implicitize(P, budget)
-    side_i = P.base_ideal_I().contains(P.g, budget)
+    side_i = conductor.kind == "inclusion"
     target_deg = P.f.total_degree() * P.cremona.inverse_degree + 1
     side_ii = False
     if monoid.delta == target_deg:
-        for syz in syzygetic_polynomials(P, monoid, budget=budget):
+        for syz in syzygetic_polynomials(P, monoid, conductor):
             if syz.polynomial.proportional_to(monoid.F):
                 side_ii = True
                 break
@@ -272,17 +240,15 @@ class NzdReport:
     degree_bound_holds: bool
 
 
-def nzd_case(P, monoid=None, budget=None):
+def nzd_case(P, monoid, conductor):
     """The three equivalent conditions of the non-zero-divisor case."""
-    tag = classify_case(P, budget)
-    if tag.kind != "non_zero_divisor":
+    if conductor.kind != "non_zero_divisor":
         raise HypothesisViolation(
             "g is not a non-zero-divisor on R/I (case classified as "
-            f"{tag.kind})"
+            f"{conductor.kind})"
         )
     fg, gg = _evaluations(P)
     D = P.cremona.target_factor
-    monoid = monoid or implicitize(P, budget)
     mring = P.monoid_ring
     y_last = Polynomial.variable(mring, P.last_var)
     cand = gg.map_ring(mring) - y_last * (fg * D).map_ring(mring)

@@ -20,7 +20,7 @@ from jonq.groebner import (
     ideal_equal,
     saturate,
 )
-from jonq.implicitize import implicitize, oracle_implicitize
+from jonq.implicitize import oracle_implicitize
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
@@ -189,16 +189,14 @@ class DowngradeReport:
     chains: tuple  # tuple of downgrade chains (tuples of Polynomial)
 
 
-def downgraded_rees_ideal(P, monoid=None, conductor=None, budget=None):
+def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     """Assemble D = (I_rees, all iterated downgrades) and verify its facts.
 
+    `conductor` is the `conductor_data` of the base ideal and g.
     Verifies: every generator lies in the Rees kernel of (If, g); the
     codimension is n+1; every fully downgraded element is a multiple of F.
     """
-    from jonq.syzygies import conductor_data
-
     budget = budget or Budget()
-    monoid = monoid or implicitize(P, budget)
     n = P.n
     xring = P.source
     ambient = xring.union(P.monoid_ring)
@@ -210,14 +208,13 @@ def downgraded_rees_ideal(P, monoid=None, conductor=None, budget=None):
         budget=budget,
     )
     gens = [g.map_ring(ambient) for g in cre.generators]
-    data = conductor or conductor_data(P.base_ideal_I(), P.g, budget=budget)
     H = [h.map_ring(ambient) for h in P.cremona.inverse.coords]
     y_last = Polynomial.variable(ambient, P.last_var)
     chains = []
-    for j, cj in enumerate(data.conductors):
+    for j, cj in enumerate(conductor.conductors):
         Q = Polynomial.zero(ambient)
         for i, nm in enumerate(P.cremona.target.names):
-            h = data.content.entries[i][j]
+            h = conductor.content.entries[i][j]
             if not h.is_zero():
                 Q = Q + h.map_ring(ambient) * Polynomial.variable(ambient, nm)
         Q = Q - (P.f * cj).map_ring(ambient) * y_last
@@ -263,12 +260,8 @@ def downgraded_rees_ideal(P, monoid=None, conductor=None, budget=None):
     return pres, report
 
 
-def extraneous_factors(P, monoid=None, report=None, budget=None):
+def extraneous_factors(P, monoid, report):
     """Quotients (fully downgraded element) / F, for inspection."""
-    budget = budget or Budget()
-    monoid = monoid or implicitize(P, budget)
-    if report is None:
-        _, report = downgraded_rees_ideal(P, monoid, budget=budget)
     out = []
     for q in report.fully_downgraded:
         restricted = q.restrict_to(P.monoid_ring)
@@ -299,7 +292,7 @@ class MonoidAssociationReport:
     composition_holds: bool
 
 
-def monoid_association(P, monoid=None, budget=None, check_oracle=True):
+def monoid_association(P, monoid, budget=None, check_oracle=True):
     """Build the standard monoid parametrization M sharing F, and verify.
 
     (a) M has the same implicit equation F (elimination oracle);
@@ -309,7 +302,6 @@ def monoid_association(P, monoid=None, budget=None, check_oracle=True):
     records whether the opposite (paper display) sign vanishes.
     """
     budget = budget or Budget()
-    monoid = monoid or implicitize(P, budget)
     xring = P.source
     h_delta = monoid.F_delta.rename(xring)
     h_dm1 = monoid.F_delta_minus_1.rename(xring)
@@ -377,17 +369,15 @@ class SaturationReport:
     reason: str = ""
 
 
-def saturation_identities(P, M=None, monoid=None, budget=None):
+def saturation_identities(P, M, budget=None):
     """Transported Rees ideals agree after saturating by C / D.
 
-    The transport substitutes the x variables (by g, resp. g'); the second
+    `M` is the monoid parametrization from `monoid_association`.  The
+    transport substitutes the x variables (by g, resp. g'); the second
     saturation uses D written in the x variables, which is what the
     inversion identity g_i(g'(x)) = x_i * D(x) produces.
     """
     budget = budget or Budget()
-    monoid = monoid or implicitize(P, budget)
-    if M is None:
-        M, _ = monoid_association(P, monoid, budget, check_oracle=False)
     xring = P.source
     try:
         I_F = rees_ideal(

@@ -170,13 +170,6 @@ class Polynomial:
     def is_constant(self):
         return all(not any(m) for m in self._terms)
 
-    def constant_value(self):
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise StructuralError("not a constant polynomial")
-        return next(iter(self._terms.values()))
-
     def total_degree(self):
         """Max total degree of a term; None for the zero polynomial."""
         if not self._terms:
@@ -226,10 +219,6 @@ class Polynomial:
                 if e:
                     mask |= 1 << i
         return mask
-
-    def variables_used(self):
-        mask = self.support_mask()
-        return tuple(n for i, n in enumerate(self.ring.names) if mask >> i & 1)
 
     def coefficient_of(self, mono):
         return self._terms.get(tuple(mono), 0)
@@ -462,12 +451,6 @@ class Polynomial:
         if lc < 0:
             p = -p
         return p
-
-    def monic(self, order=None):
-        if not self._terms:
-            return self
-        _, lc = self.lead_term(order)
-        return self * (Fraction(1, 1) / lc)
 
     def proportional_to(self, other):
         """True iff self = c*other for a nonzero rational c."""

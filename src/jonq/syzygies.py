@@ -8,8 +8,7 @@ algebra, up to a configurable bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
@@ -79,15 +78,17 @@ def graded_matrix_from_columns(ring, columns, row_twists, col_twists):
 
 @dataclass(frozen=True)
 class ConductorData:
-    """Minimal conductor generators c_j with their content lifts."""
+    """The conductor I:(g), its case, and minimal generators with content lifts."""
 
+    ideal: IdealHandle  # I : (g)
+    kind: str  # inclusion (g in I) | non_zero_divisor (I:g = I) | general
     conductors: tuple  # minimal generators of I : (g)
     degrees: tuple  # C_j
     content: GradedMatrix  # h_ij with c_j*g = sum_i h_ij g_i
 
 
 def conductor_data(I, g, budget=None):
-    """Conductor I:(g) with the content map columns.
+    """Conductor I:(g) with its case and the content map columns.
 
     When g lies in I the single conductor is 1; when I:(g) = I the
     conductors are the generators of I themselves and the content map is
@@ -100,57 +101,77 @@ def conductor_data(I, g, budget=None):
     gens = list(I.gens)
     dg = g.total_degree()
     if is_unit_ideal(cond, budget):
+        kind = "inclusion"
         conductors = [Polynomial.constant(ring, 1)]
     elif ideal_equal(cond, I, budget):
+        kind = "non_zero_divisor"
         conductors = gens
     else:
+        kind = "general"
         conductors = list(cond.gens)
+    zero = Polynomial.zero(ring)
     columns = []
-    for cj in conductors:
-        if ideal_equal(cond, I, budget) and cj in gens:
-            col = [
-                g if k == gens.index(cj) else Polynomial.zero(ring)
-                for k in range(len(gens))
-            ]
+    for j, cj in enumerate(conductors):
+        if kind == "non_zero_divisor":
+            columns.append([g if k == j else zero for k in range(len(gens))])
         else:
-            col = lift(cj * g, gens, budget=budget)
-        columns.append(col)
+            columns.append(lift(cj * g, gens, budget=budget))
     degrees = tuple(c.total_degree() for c in conductors)
     row_twists = tuple(gi.total_degree() for gi in gens)
     col_twists = tuple(C + dg for C in degrees)
     content = graded_matrix_from_columns(ring, columns, row_twists, col_twists)
-    return ConductorData(tuple(conductors), degrees, content)
+    return ConductorData(cond, kind, tuple(conductors), degrees, content)
 
 
 # -- linear-algebra syzygies -------------------------------------------------
 
 
-def _coeff_vector(p, basis_index, length):
-    v = [0] * length
-    for mono, c in p.items():
-        v[basis_index[mono]] += c
-    return v
+def _slots(gens, mu):
+    """(generator index, monomial m) for every degree-mu multiple m*g_i."""
+    n = len(gens[0].ring)
+    slots = []
+    for gi, g in enumerate(gens):
+        k = mu - g.total_degree()
+        if k >= 0:
+            slots.extend((gi, mono) for mono in monomials_of_degree(n, k))
+    return slots
 
 
-def syzygy_space_dim(gens, mu):
-    """dim of the degree-mu syzygies of `gens`, by exact linear algebra."""
-    ring = gens[0].ring
-    n = len(ring)
-    degs = [g.total_degree() for g in gens]
+def _shifted_vectors(col, k, index):
+    """Coefficient vectors of m*col for every monomial m of degree k.
+
+    `col` is a tuple of polynomials; `index` maps (entry position,
+    monomial) to a coordinate of the vectors.
+    """
+    ring = col[0].ring
+    for mono in monomials_of_degree(len(ring), k):
+        shift = Polynomial.monomial(ring, mono)
+        vec = [0] * len(index)
+        for gi, entry in enumerate(col):
+            if entry.is_zero():
+                continue
+            for m2, c2 in (entry * shift).items():
+                vec[index[(gi, m2)]] += c2
+        yield vec
+
+
+def _degree_syzygies(gens, mu):
+    """Slots and a kernel basis of the map (m*g_i) -> R_mu, both in slot order.
+
+    The kernel is empty when no generator has degree <= mu.
+    """
+    slots = _slots(gens, mu)
+    if not slots:
+        return slots, []
+    target = monomials_of_degree(len(gens[0].ring), mu)
+    index = {(0, m): r for r, m in enumerate(target)}
     cols = []
-    target = list(monomials_of_degree(n, mu))
-    index = {m: i for i, m in enumerate(target)}
-    for g, d in zip(gens, degs):
-        k = mu - d
-        if k < 0:
-            continue
-        for mono in monomials_of_degree(n, k):
-            prod = Polynomial.monomial(ring, mono) * g
-            cols.append(_coeff_vector(prod, index, len(target)))
-    if not cols:
-        return 0, 0
-    rows = [[col[r] for col in cols] for r in range(len(target))]
-    return len(kernel_basis(rows, len(cols))), len(cols)
+    for g in gens:
+        k = mu - g.total_degree()
+        if k >= 0:
+            cols.extend(_shifted_vectors((g,), k, index))
+    rows = [[col[r] for col in cols] for r in range(len(index))]
+    return slots, kernel_basis(rows, len(cols))
 
 
 def syzygy_basis(gens, bound, budget=None):
@@ -160,47 +181,20 @@ def syzygy_basis(gens, bound, budget=None):
     independent of monomial multiples of the generators found so far.
     """
     ring = gens[0].ring
-    n = len(ring)
     degs = [g.total_degree() for g in gens]
     for g in gens:
         if not g.is_homogeneous() or g.is_zero():
             raise StructuralError("syzygy_basis needs nonzero homogeneous forms")
     found = []  # (column tuple, degree)
-    start = min(degs)
-    for mu in range(start, bound + 1):
-        target = list(monomials_of_degree(n, mu))
-        index = {m: i for i, m in enumerate(target)}
-        slots = []  # (gen index, monomial)
-        cols = []
-        for gi, (g, d) in enumerate(zip(gens, degs)):
-            k = mu - d
-            if k < 0:
-                continue
-            for mono in monomials_of_degree(n, k):
-                slots.append((gi, mono))
-                prod = Polynomial.monomial(ring, mono) * g
-                cols.append(_coeff_vector(prod, index, len(target)))
-        if not cols:
-            continue
-        rows = [[col[r] for col in cols] for r in range(len(target))]
-        kern = kernel_basis(rows, len(cols))
+    for mu in range(min(degs), bound + 1):
+        slots, kern = _degree_syzygies(gens, mu)
         if not kern:
             continue
         # span of monomial multiples of the already-found columns
-        tracker = SpanTracker(len(cols))
-        slot_index = {}
-        for pos, (gi, mono) in enumerate(slots):
-            slot_index[(gi, mono)] = pos
+        slot_index = {sm: pos for pos, sm in enumerate(slots)}
+        tracker = SpanTracker(len(slots))
         for col, d0 in found:
-            for mono in monomials_of_degree(n, mu - d0):
-                vec = [0] * len(cols)
-                shift = Polynomial.monomial(ring, mono)
-                ok = True
-                for gi, entry in enumerate(col):
-                    if entry.is_zero():
-                        continue
-                    for m2, c2 in (entry * shift).items():
-                        vec[slot_index[(gi, m2)]] += c2
+            for vec in _shifted_vectors(col, mu - d0, slot_index):
                 tracker.add(vec)
         for vec in kern:
             if tracker.add(vec):
@@ -272,48 +266,25 @@ def verify_syzygy_generation(J_gens, psi, degree_bound=None, budget=None):
     kernel of the evaluation map, computed by exact linear algebra.
     """
     gens = list(J_gens)
-    ring = gens[0].ring
-    n = len(ring)
     if degree_bound is None:
         degree_bound = max(psi.col_twists) + 2 if psi.col_twists else 2
     report = []
-    ok = True
     first_bad = None
     start = min(g.total_degree() for g in gens)
     for mu in range(start, degree_bound + 1):
-        oracle_dim, ncols = syzygy_space_dim(gens, mu)
-        slots = []
-        degs = [g.total_degree() for g in gens]
-        for gi, d in enumerate(degs):
-            k = mu - d
-            if k < 0:
-                continue
-            for mono in monomials_of_degree(n, k):
-                slots.append((gi, mono))
+        slots, kern = _degree_syzygies(gens, mu)
         slot_index = {sm: i for i, sm in enumerate(slots)}
         tracker = SpanTracker(len(slots))
         for j in range(psi.ncols):
             k = mu - psi.col_twists[j]
-            if k < 0:
-                continue
-            col = psi.column(j)
-            for mono in monomials_of_degree(n, k):
-                shift = Polynomial.monomial(ring, mono)
-                vec = [0] * len(slots)
-                usable = True
-                for gi, entry in enumerate(col):
-                    if entry.is_zero():
-                        continue
-                    for m2, c2 in (entry * shift).items():
-                        vec[slot_index[(gi, m2)]] += c2
-                tracker.add(vec)
-        span_dim = tracker.rank
-        match = span_dim == oracle_dim
+            if k >= 0:
+                for vec in _shifted_vectors(psi.column(j), k, slot_index):
+                    tracker.add(vec)
+        match = tracker.rank == len(kern)
         if not match and first_bad is None:
             first_bad = mu
-            ok = False
-        report.append((mu, oracle_dim, span_dim, match))
-    return SyzygyVerification(degree_bound, tuple(report), ok, first_bad)
+        report.append((mu, len(kern), tracker.rank, match))
+    return SyzygyVerification(degree_bound, tuple(report), first_bad is None, first_bad)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -358,14 +329,18 @@ def regularity_oracle(I, budget=None):
     reg = max(end(Isat/I), stabilization onset of the Hilbert function of
     R/Isat); for an empty projective locus it is end(R/I).
     """
-    ring = I.ring
-    n = len(ring)
     if I.is_zero_ideal():
         raise StructuralError("regularity oracle needs a nonzero proper ideal")
     dim, _ = dim_and_codim(I, budget)
     if dim > 1:
         raise HypothesisViolation("regularity oracle requires dim(R/I) <= 1")
-    Isat, _ = saturate(I, _maximal_variable_ideal(ring), budget)
+    Isat, _ = saturate(I, _maximal_variable_ideal(I.ring), budget)
+    return _local_cohomology_reg(I, Isat, budget)
+
+
+def _local_cohomology_reg(I, Isat, budget):
+    """`regularity_oracle` given Isat, the saturation of I by the variables."""
+    n = len(I.ring)
     if is_unit_ideal(Isat, budget):
         # finite length: reg = last degree where I_mu != R_mu
         mu = 0
@@ -464,7 +439,7 @@ def regularity_dim1(I, d=None, seed=0, budget=None, max_retries=16):
     branch_link = n * (d - 1) - beg_link if beg_link is not None else None
     branches = [b for b in (branch_sat, branch_link) if b is not None]
     formula = max(branches) if branches else None
-    oracle = regularity_oracle(I, budget)
+    oracle = _local_cohomology_reg(I, Isat, budget)
     return RegularityReport(
         reg=oracle,
         formula_value=formula,
@@ -493,11 +468,14 @@ def _check(name, lhs, rhs, relation):
     return BoundCheck(name, "holds" if ok else "fails", lhs, rhs)
 
 
-def regularity_bound_checks(P, budget=None):
+def regularity_bound_checks(P, I, conductor, report, budget=None):
     """Evaluate the applicable regularity bounds and equalities exactly.
 
-    Regularities are computed with the local-cohomology oracle; checks
-    whose dimension preconditions fail are reported as skipped.
+    `I` is the base ideal of `P`, `conductor` its `conductor_data` with
+    `P.g`, and `report` the `regularity_dim1` report of `I` (None when
+    dim(R/I) > 1).  Regularities are computed with the local-cohomology
+    oracle; checks whose dimension preconditions fail are reported as
+    skipped.
     """
     budget = budget or Budget()
     ring = P.source
@@ -505,7 +483,6 @@ def regularity_bound_checks(P, budget=None):
     d = P.cremona.degree
     df = P.f.total_degree()
     dg = P.g.total_degree()
-    I = P.base_ideal_I()
     J = P.ideal_J()
     checks = []
 
@@ -525,16 +502,15 @@ def regularity_bound_checks(P, budget=None):
             checks.append(BoundCheck(name, "skipped", reason=reason))
         return checks
 
-    rep_I = regularity_dim1(I, d, budget=budget)
-    reg_I = rep_I.reg
+    reg_I = report.reg
     checks.append(
         _check("resolution_minimality_predicate", reg_I, d + df - 2, lambda a, b: a <= b)
     )
     checks.append(
         BoundCheck(
             "two_branch_formula_vs_oracle",
-            "holds" if rep_I.formula_matches_oracle else "fails",
-            rep_I.formula_value,
+            "holds" if report.formula_matches_oracle else "fails",
+            report.formula_value,
             reg_I,
         )
     )
@@ -553,9 +529,6 @@ def regularity_bound_checks(P, budget=None):
             )
         )
 
-    cond = colon(I, P.g, budget=budget)
-    nzd = ideal_equal(cond, I, budget)
-
     dim_J, _ = dim_and_codim(J, budget)
     reg_J = None
     if dim_J <= 1:
@@ -565,7 +538,7 @@ def regularity_bound_checks(P, budget=None):
                 "jonquieres_ideal_regularity_bound", reg_J, reg_I + df + dg - 1, lambda a, b: a <= b
             )
         )
-        if nzd:
+        if conductor.kind == "non_zero_divisor":
             checks.append(
                 _check(
                     "jonquieres_ideal_regularity_equality_nzd",
@@ -588,7 +561,7 @@ def regularity_bound_checks(P, budget=None):
         checks.append(BoundCheck("jonquieres_ideal_regularity_equality_nzd", "skipped", reason=reason))
 
     reg_cond = None
-    if is_unit_ideal(cond, budget):
+    if conductor.kind == "inclusion":
         checks.append(
             BoundCheck(
                 "conductor_regularity_bound",
@@ -597,9 +570,11 @@ def regularity_bound_checks(P, budget=None):
             )
         )
     else:
-        dim_c, _ = dim_and_codim(cond, budget)
-        if dim_c <= 1:
-            reg_cond = regularity_oracle(cond, budget)
+        dim_c, _ = dim_and_codim(conductor.ideal, budget)
+        if conductor.kind == "non_zero_divisor":
+            reg_cond = reg_I  # I:(g) = I
+        elif dim_c <= 1:
+            reg_cond = regularity_oracle(conductor.ideal, budget)
         if reg_I <= dg - 2:
             if reg_cond is not None:
                 checks.append(
@@ -652,7 +627,7 @@ def regularity_bound_checks(P, budget=None):
             )
     else:
         reason = "regularity of R/(If,g) or R/(I:g) unavailable at dim > 1"
-        if reg_J is not None and is_unit_ideal(cond, budget):
+        if reg_J is not None and conductor.kind == "inclusion":
             reason = "I:(g) is the unit ideal (g in I)"
         checks.append(BoundCheck("mapping_cone_regularity_bound", "skipped", reason=reason))
         checks.append(BoundCheck("mapping_cone_regularity_equality", "skipped", reason=reason))

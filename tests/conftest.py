@@ -11,7 +11,9 @@ import jonq
 from jonq.birational import RationalMapData, identity_map, verify_cremona
 from jonq.implicitize import JonquieresData
 from jonq.fixtures import load_fixture
+from jonq.groebner import dim_and_codim
 from jonq.ring import VariableSet, parse_polynomial
+from jonq.syzygies import conductor_data, regularity_bound_checks, regularity_dim1
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +64,19 @@ def nzd_instance(involution, R3):
 @pytest.fixture(scope="session")
 def space_instance():
     return load_fixture("space").jonquieres()
+
+
+@pytest.fixture(scope="session")
+def bound_checks():
+    """`regularity_bound_checks` of an instance, given what `analyze` derives first."""
+
+    def run(P):
+        I = P.base_ideal_I()
+        dim, _ = dim_and_codim(I)
+        report = regularity_dim1(I, P.cremona.degree) if dim <= 1 else None
+        return regularity_bound_checks(P, I, conductor_data(I, P.g), report)
+
+    return run
 
 
 @pytest.fixture(scope="session")

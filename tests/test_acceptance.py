@@ -20,7 +20,6 @@ from jonq.groebner import (
 )
 from jonq.implicitize import (
     JonquieresData,
-    classify_case,
     implicitize,
     oracle_implicitize,
     predicted_degree,
@@ -38,7 +37,6 @@ from jonq.ring import Polynomial, VariableSet, poly_gcd, random_form
 from jonq.syzygies import (
     conductor_data,
     mapping_cone_matrix,
-    regularity_bound_checks,
     syzygy_basis,
     verify_syzygy_generation,
 )
@@ -66,10 +64,11 @@ def test_criterion_1_space_example():
     cre = inst.verified_cremona()
     assert cre.target_factor.total_degree() == 5
     P = inst.jonquieres()
-    assert classify_case(P).kind == "inclusion"
+    data = conductor_data(P.base_ideal_I(), P.g)
+    assert data.kind == "inclusion"
     mon = implicitize(P)
     assert mon.delta == 2
-    syz = syzygetic_polynomials(P, mon)
+    syz = syzygetic_polynomials(P, mon, data)
     assert len(syz) == 1
     y3 = Polynomial.variable(P.monoid_ring, "y3")
     assert syz[0].polynomial.proportional_to(y3 * mon.F)
@@ -83,7 +82,7 @@ def test_criterion_2_plane_example():
     assert sorted(map(str, cond.gens)) == ["x0", "x1"]
     mon = implicitize(P)
     assert mon.delta == 4
-    syz = syzygetic_polynomials(P, mon)
+    syz = syzygetic_polynomials(P, mon, conductor_data(P.base_ideal_I(), P.g))
     assert len(syz) == 2
     for s in syz:
         assert s.polynomial.total_degree() == 5
@@ -191,10 +190,10 @@ def test_criterion_6_mapping_cone():
     _stamp("criterion 6 (mapping cone columns + degree-by-degree span match)", t0)
 
 
-def test_criterion_7_regularity():
+def test_criterion_7_regularity(bound_checks):
     t0 = time.perf_counter()
     plane = load_fixture("plane").jonquieres()
-    checks = {c.name: c for c in regularity_bound_checks(plane)}
+    checks = {c.name: c for c in bound_checks(plane)}
     bound = checks["cremona_base_regularity_bound"]
     assert bound.status == "holds" and bound.lhs == 1 and bound.rhs == 1
     inv = load_fixture("plane").verified_cremona()
@@ -207,7 +206,7 @@ def test_criterion_7_regularity():
         df = rng.choice((1, 2))
         f, g = _coprime_pair(ring, 2, df, rng)
         P = JonquieresData.build(inv, f, g)
-        checks = {c.name: c for c in regularity_bound_checks(P)}
+        checks = {c.name: c for c in bound_checks(P)}
         c3 = checks["jonquieres_ideal_regularity_bound"]
         c3e = checks["jonquieres_ideal_regularity_equality_nzd"]
         c4 = checks["conductor_regularity_bound"]
@@ -233,7 +232,7 @@ def test_criterion_8_rees_machinery():
     rng = random.Random(88_888)
     for P in fixtures:
         mon = implicitize(P)
-        pres, rep = downgraded_rees_ideal(P, mon)
+        pres, rep = downgraded_rees_ideal(P, mon, conductor_data(P.base_ideal_I(), P.g))
         assert rep.contained_in_rees
         assert rep.codim_matches, f"codim {rep.codim} != {rep.codim_expected}"
         assert rep.all_divisible_by_F
@@ -281,14 +280,14 @@ def test_criterion_9_monoid_association_and_saturation():
         M, ma = monoid_association(P, mon)
         assert ma.same_implicit_equation, f"{name}: (a) fails"
         assert ma.composition_holds and ma.composition_order is not None
-        sat = saturation_identities(P, M, mon)
+        sat = saturation_identities(P, M)
         assert sat.status == "holds", f"{name}: (c) {sat.status} {sat.reason}"
     # the P^3 fixture: (a) and (b) must run; (c) may be skipped(budget)
     P = load_fixture("space").jonquieres()
     mon = implicitize(P)
     M, ma = monoid_association(P, mon)
     assert ma.same_implicit_equation and ma.composition_holds
-    sat = saturation_identities(P, M, mon, budget=Budget(max_pairs=200_000))
+    sat = saturation_identities(P, M, budget=Budget(max_pairs=200_000))
     assert sat.status in ("holds", "skipped"), "P^3 (c) must hold or budget-skip"
     if sat.status == "skipped":
         assert "budget" in sat.reason

@@ -1,0 +1,82 @@
+"""Each derived object of an instance is computed once per command.
+
+Counting wrappers replace `saturate`, `colon`, `regularity_dim1`,
+`conductor_data` and `implicitize` in every `jonq.*` module that binds
+them; the commands then run through the CLI entry point.
+"""
+
+import sys
+
+import pytest
+
+from jonq.cli import main  # imports every layer module
+from jonq.fixtures import fixture_path, load_fixture
+from jonq.groebner import colon, saturate
+from jonq.implicitize import implicitize
+from jonq.syzygies import conductor_data, regularity_dim1
+
+COUNTED = {
+    "saturate": saturate,
+    "colon": colon,
+    "regularity_dim1": regularity_dim1,
+    "conductor_data": conductor_data,
+    "implicitize": implicitize,
+}
+
+
+def _counting(fn, log):
+    def counted(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """name -> positional arguments of every call made while the test runs."""
+    log = {name: [] for name in COUNTED}
+    for name, fn in COUNTED.items():
+        wrapper = _counting(fn, log[name])
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "jonq" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    return log
+
+
+def _counts(calls, fixture):
+    P = load_fixture(fixture).jonquieres()
+    base = P.cremona.forward.coords
+    return {
+        "saturate(I)": sum(1 for a in calls["saturate"] if a[0].gens == base),
+        "colon(I, g)": sum(
+            1 for a in calls["colon"] if a[0].gens == base and a[1] == P.g
+        ),
+        "regularity_dim1": len(calls["regularity_dim1"]),
+        "conductor_data": len(calls["conductor_data"]),
+        "implicitize": len(calls["implicitize"]),
+    }
+
+
+@pytest.mark.parametrize("fixture", ["plane", "nzd"])
+def test_analyze_derives_each_object_once(fixture, calls, capsys):
+    assert main(["analyze", fixture_path(fixture), "--machine"]) == 0
+    assert _counts(calls, fixture) == {
+        "saturate(I)": 1,
+        "colon(I, g)": 1,
+        "regularity_dim1": 1,
+        "conductor_data": 1,
+        "implicitize": 0,
+    }
+
+
+@pytest.mark.parametrize("fixture", ["plane", "nzd"])
+def test_implicitize_derives_each_object_once(fixture, calls, capsys):
+    assert main(["implicitize", fixture_path(fixture), "--oracle", "--machine"]) == 0
+    assert _counts(calls, fixture) == {
+        "saturate(I)": 0,
+        "colon(I, g)": 1,
+        "regularity_dim1": 0,
+        "conductor_data": 1,
+        "implicitize": 1,
+    }

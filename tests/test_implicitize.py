@@ -6,7 +6,6 @@ from jonq.birational import RationalMapData, verify_cremona
 from jonq.errors import HypothesisViolation
 from jonq.implicitize import (
     JonquieresData,
-    classify_case,
     eulerian_equation,
     implicitize,
     inclusion_case_equivalence,
@@ -17,6 +16,7 @@ from jonq.implicitize import (
     verify_inverse_representative,
 )
 from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
+from jonq.syzygies import conductor_data
 
 
 def yp(P, text):
@@ -72,8 +72,9 @@ class TestSpaceExample:
     def test_quadric_and_factor(self, space_instance):
         mon = implicitize(space_instance)
         assert mon.delta == 2
-        assert classify_case(space_instance).kind == "inclusion"
-        syz = syzygetic_polynomials(space_instance, mon)
+        data = conductor_data(space_instance.base_ideal_I(), space_instance.g)
+        assert data.kind == "inclusion"
+        syz = syzygetic_polynomials(space_instance, mon, data)
         assert len(syz) == 1
         # the unique syzygetic polynomial is -y3 * F
         y3 = Polynomial.variable(space_instance.monoid_ring, "y3")
@@ -124,13 +125,14 @@ class TestPlaneExample:
         assert rep.window == (3, 6) and rep.window_holds
 
     def test_case_general(self, plane_instance):
-        tag = classify_case(plane_instance)
+        tag = conductor_data(plane_instance.base_ideal_I(), plane_instance.g)
         assert tag.kind == "general"
-        assert set(map(str, tag.conductor.gens)) == {"x0", "x1"}
+        assert set(map(str, tag.ideal.gens)) == {"x0", "x1"}
 
     def test_two_syzygetic_polynomials(self, plane_instance):
         mon = implicitize(plane_instance)
-        syz = syzygetic_polynomials(plane_instance, mon)
+        data = conductor_data(plane_instance.base_ideal_I(), plane_instance.g)
+        syz = syzygetic_polynomials(plane_instance, mon, data)
         assert len(syz) == 2
         for s in syz:
             assert s.polynomial.total_degree() == 5
@@ -146,11 +148,13 @@ class TestPlaneExample:
 
 class TestClassification:
     def test_nzd_detected(self, nzd_instance):
-        assert classify_case(nzd_instance).kind == "non_zero_divisor"
+        data = conductor_data(nzd_instance.base_ideal_I(), nzd_instance.g)
+        assert data.kind == "non_zero_divisor"
 
     def test_nzd_equivalence_all_true(self, nzd_instance):
         mon = implicitize(nzd_instance)
-        rep = nzd_case(nzd_instance, mon)
+        data = conductor_data(nzd_instance.base_ideal_I(), nzd_instance.g)
+        rep = nzd_case(nzd_instance, mon, data)
         assert rep.agree
         assert rep.principal_match and rep.coprime_gcd and rep.degree_match
         assert rep.degree_bound_holds
@@ -166,7 +170,11 @@ class TestClassification:
 
     def test_nzd_refuses_general_case(self, plane_instance):
         with pytest.raises(HypothesisViolation):
-            nzd_case(plane_instance)
+            nzd_case(
+                plane_instance,
+                implicitize(plane_instance),
+                conductor_data(plane_instance.base_ideal_I(), plane_instance.g),
+            )
 
     def test_randomized_nzd_equivalences(self, involution, R3):
         rng = random.Random(77)
@@ -177,9 +185,10 @@ class TestClassification:
             if not poly_gcd(f, g).is_constant():
                 continue
             P = JonquieresData.build(involution, f, g)
-            if classify_case(P).kind != "non_zero_divisor":
+            data = conductor_data(P.base_ideal_I(), P.g)
+            if data.kind != "non_zero_divisor":
                 continue
-            rep = nzd_case(P)
+            rep = nzd_case(P, implicitize(P), data)
             assert rep.agree
             done += 1
 
@@ -191,11 +200,17 @@ class TestInclusionEquivalence:
             parse_polynomial("x0 + x1", R3),
             parse_polynomial("x1^2 + x0*x2", R3),
         )
-        rep = inclusion_case_equivalence(P)
+        rep = inclusion_case_equivalence(
+            P, implicitize(P), conductor_data(P.base_ideal_I(), P.g)
+        )
         assert rep.applicable and rep.side_inclusion and rep.equivalent
 
     def test_space_example(self, space_instance):
-        rep = inclusion_case_equivalence(space_instance)
+        rep = inclusion_case_equivalence(
+            space_instance,
+            implicitize(space_instance),
+            conductor_data(space_instance.base_ideal_I(), space_instance.g),
+        )
         # the engine computes which branch applies; on this fixture the
         # evaluations share no factor, so the biconditional is asserted
         if rep.applicable:
@@ -213,7 +228,9 @@ class TestInclusionEquivalence:
             if not poly_gcd(f, g).is_constant():
                 continue
             P = JonquieresData.build(involution, f, g)
-            rep = inclusion_case_equivalence(P)
+            rep = inclusion_case_equivalence(
+                P, implicitize(P), conductor_data(P.base_ideal_I(), P.g)
+            )
             if not rep.applicable:
                 continue
             assert rep.side_inclusion is True

@@ -191,20 +191,21 @@ class TestCli:
         assert out1 == out2
 
     def test_budget_skip_reported(self, capsys):
-        code, out = run_cli(
-            [
-                "rees",
-                fixture_path("plane"),
-                "--machine",
-                "--budget-pairs",
-                "40",
-            ],
-            capsys,
-        )
-        data = parse_report(out)
-        assert code == 0
-        skipped_keys = [k for k, v in data.items() if v.startswith("skipped(budget")]
-        assert skipped_keys, "an exhausted budget must surface as skipped(budget...)"
+        for pairs in ("40", "0"):
+            code, out = run_cli(
+                [
+                    "rees",
+                    fixture_path("plane"),
+                    "--machine",
+                    "--budget-pairs",
+                    pairs,
+                ],
+                capsys,
+            )
+            data = parse_report(out)
+            assert code == 0
+            skipped_keys = [k for k, v in data.items() if v.startswith("skipped(budget")]
+            assert skipped_keys, "an exhausted budget must surface as skipped(budget...)"
 
     def test_human_output_grouped(self, capsys):
         code, out = run_cli(["verify-cremona", fixture_path("identity")], capsys)

@@ -21,6 +21,7 @@ from jonq.ring import (
     poly_gcd,
     random_form,
 )
+from jonq.syzygies import conductor_data
 
 R = VariableSet(["x0", "x1", "x2"])
 
@@ -56,7 +57,7 @@ def test_monoid_shape_invariant(involution):
 def test_syzygetic_divisibility_and_degrees(involution):
     for P in _instances(involution, (1, 2), 303, 4):
         mon = implicitize(P)
-        for s in syzygetic_polynomials(P, mon):
+        for s in syzygetic_polynomials(P, mon, conductor_data(P.base_ideal_I(), P.g)):
             # divide_exact inside guarantees divisibility; degrees add up
             assert (
                 s.polynomial.total_degree()

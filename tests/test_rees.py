@@ -16,6 +16,7 @@ from jonq.rees import (
     x_framing,
 )
 from jonq.ring import Polynomial, VariableSet, parse_polynomial, random_form
+from jonq.syzygies import conductor_data
 
 R = VariableSet(["x0", "x1", "x2"])
 
@@ -122,7 +123,8 @@ class TestDowngrade:
 
     def test_full_iteration_lands_in_y(self, plane_instance):
         mon = implicitize(plane_instance)
-        _, rep = downgraded_rees_ideal(plane_instance, mon)
+        data = conductor_data(plane_instance.base_ideal_I(), plane_instance.g)
+        _, rep = downgraded_rees_ideal(plane_instance, mon, data)
         for chain in rep.chains:
             last = chain[-1]
             x_idx = tuple(range(3))
@@ -170,7 +172,7 @@ class TestDowngradedReesIdeal:
             identity2, p("x0 + 2*x1"), p("x0^2 + 3*x1*x2 - x2^2")
         )
         mon = implicitize(P)
-        pres, rep = downgraded_rees_ideal(P, mon)
+        pres, rep = downgraded_rees_ideal(P, mon, conductor_data(P.base_ideal_I(), P.g))
         assert rep.contained_in_rees
         assert rep.codim_matches
         assert rep.all_divisible_by_F
@@ -179,7 +181,8 @@ class TestDowngradedReesIdeal:
 
     def test_plane_fixture(self, plane_instance):
         mon = implicitize(plane_instance)
-        pres, rep = downgraded_rees_ideal(plane_instance, mon)
+        data = conductor_data(plane_instance.base_ideal_I(), plane_instance.g)
+        pres, rep = downgraded_rees_ideal(plane_instance, mon, data)
         assert rep.contained_in_rees
         assert rep.codim == 3
         assert rep.all_divisible_by_F
@@ -188,7 +191,8 @@ class TestDowngradedReesIdeal:
 
     def test_space_fixture(self, space_instance):
         mon = implicitize(space_instance)
-        pres, rep = downgraded_rees_ideal(space_instance, mon)
+        data = conductor_data(space_instance.base_ideal_I(), space_instance.g)
+        pres, rep = downgraded_rees_ideal(space_instance, mon, data)
         assert rep.contained_in_rees
         assert rep.codim == 4
         assert rep.all_divisible_by_F
@@ -234,7 +238,7 @@ class TestSaturationIdentities:
         )
         mon = implicitize(P)
         M, _ = monoid_association(P, mon, check_oracle=False)
-        rep = saturation_identities(P, M, mon)
+        rep = saturation_identities(P, M)
         assert rep.status == "holds"
         assert rep.forward_exponents == (0,)
         assert rep.backward_exponents == (0,)
@@ -242,7 +246,7 @@ class TestSaturationIdentities:
     def test_plane_fixture(self, plane_instance):
         mon = implicitize(plane_instance)
         M, _ = monoid_association(plane_instance, mon, check_oracle=False)
-        rep = saturation_identities(plane_instance, M, mon)
+        rep = saturation_identities(plane_instance, M)
         assert rep.status == "holds"
         assert rep.forward_equal and rep.backward_equal
 

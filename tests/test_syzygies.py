@@ -4,13 +4,12 @@ import pytest
 
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import IdealHandle
-from jonq.implicitize import JonquieresData, classify_case
+from jonq.implicitize import JonquieresData
 from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
 from jonq.syzygies import (
     conductor_data,
     graded_matrix_from_columns,
     mapping_cone_matrix,
-    regularity_bound_checks,
     regularity_dim1,
     regularity_oracle,
     syzygy_basis,
@@ -277,8 +276,8 @@ class TestRegularity:
 
 
 class TestBoundChecks:
-    def test_plane_fixture(self, plane_instance):
-        checks = {c.name: c for c in regularity_bound_checks(plane_instance)}
+    def test_plane_fixture(self, plane_instance, bound_checks):
+        checks = {c.name: c for c in bound_checks(plane_instance)}
         assert checks["resolution_minimality_predicate"].status == "holds"
         assert checks["two_branch_formula_vs_oracle"].status == "holds"
         assert checks["cremona_base_regularity_bound"].status == "holds"
@@ -290,15 +289,15 @@ class TestBoundChecks:
         assert checks["mapping_cone_regularity_bound"].status == "holds"
         assert checks["mapping_cone_regularity_equality"].status == "holds"
 
-    def test_nzd_equality(self, nzd_instance):
-        checks = {c.name: c for c in regularity_bound_checks(nzd_instance)}
+    def test_nzd_equality(self, nzd_instance, bound_checks):
+        checks = {c.name: c for c in bound_checks(nzd_instance)}
         assert checks["jonquieres_ideal_regularity_equality_nzd"].status == "holds"
 
-    def test_space_skips(self, space_instance):
-        checks = regularity_bound_checks(space_instance)
+    def test_space_skips(self, space_instance, bound_checks):
+        checks = bound_checks(space_instance)
         assert all(c.status == "skipped" for c in checks)
 
-    def test_randomized_plane_instances(self, involution):
+    def test_randomized_plane_instances(self, involution, bound_checks):
         rng = random.Random(2025)
         done = 0
         while done < 5:
@@ -307,7 +306,7 @@ class TestBoundChecks:
             if not poly_gcd(f, g).is_constant():
                 continue
             P = JonquieresData.build(involution, f, g)
-            checks = {c.name: c for c in regularity_bound_checks(P)}
+            checks = {c.name: c for c in bound_checks(P)}
             for name in ("cremona_base_regularity_bound", "jonquieres_ideal_regularity_bound", "conductor_regularity_bound"):
                 if checks[name].status != "skipped":
                     assert checks[name].status == "holds", name
