@@ -14,6 +14,7 @@ import argparse
 import random
 import sys
 import time
+from contextlib import contextmanager
 
 from jonq import __version__
 from jonq.birational import identity_map
@@ -40,6 +41,8 @@ from jonq.rees import (
 from jonq.report import Report, skipped, verdict
 from jonq.ring import Polynomial, VariableSet, poly_gcd, random_form
 from jonq.syzygies import (
+    BOUND_NAMES,
+    BoundCheck,
     conductor_data,
     mapping_cone_matrix,
     regularity_bound_checks,
@@ -49,29 +52,19 @@ from jonq.syzygies import (
 )
 
 
-class _Timer:
-    def __init__(self, report, enabled):
-        self.report = report
-        self.enabled = enabled
+def _timer(report, enabled):
+    """`with timer(label):` records `timing.<label>` when enabled."""
 
-    def __call__(self, label):
-        return _Span(self, label)
+    @contextmanager
+    def span(label):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            if enabled:
+                report.set(f"timing.{label}", f"{time.perf_counter() - t0:.3f}s")
 
-
-class _Span:
-    def __init__(self, timer, label):
-        self.timer = timer
-        self.label = label
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if self.timer.enabled:
-            dt = time.perf_counter() - self.t0
-            self.timer.report.set(f"timing.{self.label}", f"{dt:.3f}s")
-        return False
+    return span
 
 
 def _non_negative_int(text):
@@ -88,7 +81,7 @@ def _budget_from(args, inst=None):
     opts = dict(inst.options) if inst is not None else {}
     max_pairs = args.budget_pairs if args.budget_pairs is not None else opts.get("max_pairs")
     sat_cap = args.budget_sat if args.budget_sat is not None else opts.get("sat_cap", 32)
-    deg_bound = args.deg_bound if args.deg_bound else opts.get("deg_bound")
+    deg_bound = args.deg_bound if args.deg_bound is not None else opts.get("deg_bound")
     return Budget(max_pairs=max_pairs, sat_cap=sat_cap, deg_bound=deg_bound)
 
 
@@ -121,7 +114,7 @@ def cmd_implicitize(args):
     inst = load_instance(args.file)
     budget = _budget_from(args, inst)
     rep = Report("implicitize")
-    timer = _Timer(rep, args.timings)
+    timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     with timer("implicitize"):
         mon = implicitize(P, budget)
@@ -181,7 +174,7 @@ def cmd_analyze(args):
     inst = load_instance(args.file)
     budget = _budget_from(args, inst)
     rep = Report("analyze")
-    timer = _Timer(rep, args.timings)
+    timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     I = P.base_ideal_I()
     d = P.cremona.degree
@@ -193,7 +186,7 @@ def cmd_analyze(args):
         rep.set(f"conductor.{j}", c)
         rep.set(f"conductor.{j}.degree", data.degrees[j])
     with timer("syzygy_basis"):
-        bound_phi = max(d + 2, (budget.deg_bound or (d + df + 4)) - df)
+        bound_phi = max(d + 2, (d + df + 4 if budget.deg_bound is None else budget.deg_bound) - df)
         phi = syzygy_basis(list(I.gens), bound_phi, budget)
     rep.set("phi.columns", phi.ncols)
     rep.set("phi.col_twists", " ".join(str(t) for t in phi.col_twists))
@@ -212,27 +205,36 @@ def cmd_analyze(args):
             f"syzygy_spans.mu{mu}",
             f"{verdict(match)} oracle={oracle_dim} span={span_dim}",
         )
-    rep.set_verdict("syzygy_spans.all_match", ver.all_match)
+    if ver.per_degree:
+        rep.set_verdict("syzygy_spans.all_match", ver.all_match)
+    else:
+        reason = f"deg-bound {ver.bound} leaves no degree to check"
+        rep.set_skipped("syzygy_spans.all_match", reason)
     dim_I, codim_I = dim_and_codim(I, budget)
     rep.set("ideal.I.dim", dim_I)
     rep.set("ideal.I.codim", codim_I)
     reg = None
-    if dim_I <= 1:
-        with timer("regularity"):
-            reg = regularity_dim1(I, d, seed=args.seed, budget=budget)
-        rep.set("regularity.I.reg", reg.reg)
-        rep.set("regularity.I.formula", reg.formula_value)
-        rep.set("regularity.I.beg_sat", "inf" if reg.beg_sat is None else reg.beg_sat)
-        rep.set("regularity.I.beg_link", "inf" if reg.beg_link is None else reg.beg_link)
-        rep.set_verdict("regularity.I.formula_matches_oracle", reg.formula_matches_oracle)
-        rep.set(
-            "regularity.I.alpha_colon_contains_I",
-            "yes" if reg.alpha_colon_contains_I else "no",
-        )
-    else:
-        rep.set_skipped("regularity.I.reg", f"dim(R/I) = {dim_I} > 1")
-    with timer("bounds"):
-        checks = regularity_bound_checks(P, I, data, reg, budget)
+    try:
+        if dim_I <= 1:
+            with timer("regularity"):
+                reg = regularity_dim1(I, d, seed=args.seed, budget=budget)
+            rep.set("regularity.I.reg", reg.reg)
+            rep.set("regularity.I.formula", reg.formula_value)
+            rep.set("regularity.I.beg_sat", "inf" if reg.beg_sat is None else reg.beg_sat)
+            rep.set("regularity.I.beg_link", "inf" if reg.beg_link is None else reg.beg_link)
+            rep.set_verdict("regularity.I.formula_matches_oracle", reg.formula_matches_oracle)
+            rep.set(
+                "regularity.I.alpha_colon_contains_I",
+                "yes" if reg.alpha_colon_contains_I else "no",
+            )
+        else:
+            rep.set_skipped("regularity.I.reg", f"dim(R/I) = {dim_I} > 1")
+        with timer("bounds"):
+            checks = regularity_bound_checks(P, I, data, reg, budget)
+    except BudgetExceeded as exc:
+        if reg is None and dim_I <= 1:
+            rep.set_skipped("regularity.I.reg", f"budget: {exc}")
+        checks = [BoundCheck(name, "skipped", reason=f"budget: {exc}") for name in BOUND_NAMES]
     for c in checks:
         if c.status == "skipped":
             rep.set(f"bounds.{c.name}", skipped(c.reason))
@@ -245,7 +247,7 @@ def cmd_rees(args):
     inst = load_instance(args.file)
     budget = _budget_from(args, inst)
     rep = Report("rees")
-    timer = _Timer(rep, args.timings)
+    timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     mon = implicitize(P, budget)
     try:
@@ -328,8 +330,7 @@ def _selftest_instance(family, rng):
 
 def cmd_selftest(args):
     rng = random.Random(args.seed)
-    sat_cap = args.budget_sat if args.budget_sat is not None else 32
-    budget = Budget(max_pairs=args.budget_pairs, sat_cap=sat_cap)
+    budget = _budget_from(args)
     rep = Report("selftest")
     rep.set("seed", args.seed)
     rep.set("count", args.count)

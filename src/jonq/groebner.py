@@ -1,7 +1,9 @@
 """Buchberger-based ideal arithmetic.
 
 Normal forms, membership, intersection, colon, saturation, elimination,
-lifting, and dimension/graded-piece computations.  Generators are
+lifting, and dimension/graded-piece computations.  Intersection, colon
+and saturation run on `eliminate`, whose handles come with their reduced
+degrevlex basis cached.  Generators are
 integer-primitive term lists keyed by additive order keys (see
 `jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
@@ -40,8 +42,8 @@ from jonq.ring import (
 class Budget:
     """Resource limits shared across one computation.
 
-    `max_pairs` caps processed S-pairs cumulatively; `sat_cap` caps colon
-    chain length in saturations; `deg_bound` is consumed by the syzygy
+    `max_pairs` caps processed S-pairs cumulatively; `sat_cap` caps the
+    exponents `saturate` searches; `deg_bound` is consumed by the syzygy
     verifier.  Exhaustion raises BudgetExceeded.
     """
 
@@ -404,13 +406,7 @@ def normal_form(p, gb, budget=None):
         ((gb.order.key(m), int(c * den)) for m, c in p.items()), reverse=True
     )
     r, scale = _reduce(terms, gb._elems, gb._lead, gb.order, budget)
-    if not r:
-        return Polynomial.zero(p.ring)
-    restore = Fraction(1, den) / scale
-    out = {}
-    for okey, c in r:
-        out[gb.order.exponents(okey)] = c * restore
-    return Polynomial(p.ring, out)
+    return _to_polynomial(r, gb.order, p.ring, Fraction(1, den) / scale)
 
 
 def is_member(p, gb, budget=None):
@@ -538,15 +534,12 @@ def intersect(I, J, budget=None):
         raise StructuralError("ideals over different variable sets")
     if I.is_zero_ideal() or J.is_zero_ideal():
         return IdealHandle(I.ring, ())
-    ring = I.ring
-    aux, tname = _aux_ring(ring)
+    aux, tname = _aux_ring(I.ring)
     t = Polynomial.variable(aux, tname)
     one = Polynomial.constant(aux, 1)
     gens = [t * g.map_ring(aux) for g in I.gens]
     gens += [(one - t) * g.map_ring(aux) for g in J.gens]
-    K = IdealHandle(aux, gens)
-    elim = eliminate(K, (tname,), budget=budget)
-    return IdealHandle(ring, tuple(g.restrict_to(ring) for g in elim.gens))
+    return eliminate(IdealHandle(aux, gens), (tname,), budget=budget)
 
 
 def colon(I, g, budget=None, minimalize=True):
@@ -559,8 +552,6 @@ def colon(I, g, budget=None, minimalize=True):
         raise StructuralError("colon: mixed variable sets")
     if g.is_constant():
         return IdealHandle(I.ring, I.gens)
-    if I.is_zero_ideal():
-        return IdealHandle(I.ring, ())
     meet = intersect(I, IdealHandle.of(g), budget=budget)
     quots = [q / g for q in meet.gens]
     if minimalize:
@@ -581,39 +572,50 @@ def colon_ideal(I, J, budget=None):
 
 
 def saturate(I, J, budget=None):
-    """I : J^infinity with per-generator stabilization exponents.
+    """I : J^infinity and an exponent per generator b of J; (ideal, exponents).
 
-    Computed as the intersection over generators b of J of the stabilized
-    chains I : (b)^k; returns (ideal, exponents) where exponents[j] is the
-    k at which the chain for the j-th generator stabilized.
+    I : b^infinity is one elimination: of t from I + (1 - t*b) (Rabinowitsch).
+    Its exponent is the least k with b^k * (I : b^infinity) inside I, the k
+    at which the chain I : b^k stabilizes.  An exponent of `budget.sat_cap`
+    or more raises BudgetExceeded; a cap of 0 raises before any Buchberger
+    run.  The result is the intersection of the per-generator saturations.
     """
     if J.is_zero_ideal():
         raise StructuralError("saturation by the zero ideal")
     budget = budget or Budget()
+    if budget.sat_cap == 0:
+        raise BudgetExceeded("saturation chain length", budget.sat_cap)
     pieces = []
     exponents = []
     for b in J.gens:
-        K = IdealHandle(I.ring, I.gens)
-        k = 0
-        while True:
-            if k >= budget.sat_cap:
-                raise BudgetExceeded("saturation chain length", budget.sat_cap)
-            K2 = colon(K, b, budget=budget)
-            if ideal_equal(K2, K, budget=budget):
-                break
-            K = K2
-            k += 1
-        pieces.append(K)
+        piece, k = I, 0
+        if not b.is_constant():
+            aux, tname = _aux_ring(I.ring)
+            t = Polynomial.variable(aux, tname)
+            gens = [g.map_ring(aux) for g in I.gens]
+            gens.append(Polynomial.constant(aux, 1) - t * b.map_ring(aux))
+            piece = eliminate(IdealHandle(aux, gens), (tname,), budget=budget)
+            pending = piece.gens
+            while pending := [h for h in pending if not I.contains(h, budget)]:
+                k += 1
+                if k >= budget.sat_cap:
+                    raise BudgetExceeded("saturation chain length", budget.sat_cap)
+                pending = [h * b for h in pending]
+        pieces.append(piece)
         exponents.append(k)
     result = pieces[0]
     for piece in pieces[1:]:
         result = intersect(result, piece, budget=budget)
-    gens = minimalize_generators(result.gens, budget=budget, ring=I.ring)
-    return IdealHandle(I.ring, tuple(gens)), exponents
+    return result, exponents
 
 
 def eliminate(I, drop_names, budget=None):
-    """I intersect k[remaining variables], via a block order."""
+    """I intersect k[remaining variables], via a block order.
+
+    The handle comes with its reduced degrevlex basis cached: the part of
+    the reduced Block basis free of the dropped variables, as Block orders
+    the kept ones by degrevlex in their natural order.
+    """
     drop = tuple(drop_names)
     if not drop:
         return I
@@ -621,16 +623,19 @@ def eliminate(I, drop_names, budget=None):
     drop_idx = tuple(ring.index(n) for n in drop)
     if len(drop_idx) >= len(ring):
         raise StructuralError("cannot eliminate every variable")
-    order = Block(len(ring), drop_idx)
-    gb = I.gb(order, budget=budget)
-    drop_set = set(drop_idx)
-    keep_names = tuple(n for i, n in enumerate(ring.names) if i not in drop_set)
-    small = VariableSet(keep_names)
-    kept = []
-    for g in gb.generators:
-        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms()):
-            kept.append(g.restrict_to(small))
-    return IdealHandle(small, tuple(kept))
+    gb = I.gb(Block(len(ring), drop_idx), budget=budget)
+    small = VariableSet(tuple(n for n in ring.names if n not in drop))
+    order = DegRevLex(len(small))
+    cut = len(drop_idx)  # a Block key: the dropped block's key, then the kept one's
+    elems = [
+        _GBPoly([(okey[cut:], c) for okey, c in e.terms], order)
+        for e in gb._elems
+        if not any(e.lm_okey[:cut])
+    ]
+    polys = [_to_polynomial(e.terms, order, small) for e in elems]
+    out = IdealHandle(small, polys)
+    out._cache[order.signature()] = GroebnerBasis(polys, order, small, elems)
+    return out
 
 
 # -- lift (division with tracking) ------------------------------------------

@@ -8,7 +8,7 @@ decided by substitution (y_i -> t*g_i), which is cheap and exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from jonq.birational import RationalMapData, compose, projectively_equal
 from jonq.errors import BudgetExceeded, StructuralError
@@ -30,7 +30,8 @@ class ReesPresentation:
 
     `carrier` holds the parametrizing forms when the presentation is a
     full kernel (roles other than 'downgraded'); kernel membership is then
-    a substitution test.
+    a substitution test.  `ideal` is the handle of the generators, made
+    here unless given (`rees_ideal` passes the one `eliminate` returns).
     """
 
     ambient: VariableSet
@@ -39,6 +40,7 @@ class ReesPresentation:
     generators: tuple
     role: str
     carrier: tuple | None = None
+    ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         split = (
@@ -49,9 +51,11 @@ class ReesPresentation:
             info = g.degree_info(split)
             if not info.bihomogeneous:
                 raise StructuralError(f"Rees generator is not bihomogeneous: {g}")
+        if self.ideal is None:
+            object.__setattr__(self, "ideal", IdealHandle(self.ambient, self.generators))
 
     def handle(self):
-        return IdealHandle(self.ambient, self.generators)
+        return self.ideal
 
     def x_indices(self):
         return tuple(self.ambient.index(n) for n in self.x_names)
@@ -69,15 +73,9 @@ class ReesPresentation:
         xring = self.carrier[0].ring
         aux = xring.extended(xring.fresh_name("t"))
         t = Polynomial.variable(aux, aux.names[-1])
-        images = []
-        by_name = {}
-        for nm in xring.names:
-            by_name[nm] = Polynomial.variable(aux, nm)
-        for nm, c in zip(self.y_names, self.carrier):
-            by_name[nm] = t * c.map_ring(aux)
-        for nm in self.ambient.names:
-            images.append(by_name[nm])
-        return h.substitute(images).is_zero()
+        by_name = {nm: Polynomial.variable(aux, nm) for nm in xring.names}
+        by_name.update((nm, t * c.map_ring(aux)) for nm, c in zip(self.y_names, self.carrier))
+        return h.substitute([by_name[nm] for nm in self.ambient.names]).is_zero()
 
 
 def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
@@ -109,11 +107,8 @@ def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
         Polynomial.variable(big, nm) - t * g.map_ring(big)
         for nm, g in zip(y_names, gens)
     ]
-    elim = eliminate(IdealHandle(big, rel), (tname,), budget=budget)
-    out = tuple(g.map_ring(ambient) for g in elim.gens)
-    return ReesPresentation(
-        ambient, xring.names, y_names, out, role, carrier=tuple(gens)
-    )
+    elim = eliminate(IdealHandle(big, rel), (tname,), budget=budget)  # its ring: `ambient`
+    return ReesPresentation(ambient, xring.names, y_names, elim.gens, role, tuple(gens), elim)
 
 
 # -- framing and downgrading --------------------------------------------------
@@ -396,12 +391,10 @@ def saturation_identities(P, M, budget=None):
         x_named = {nm: Polynomial.variable(ambient, nm) for nm in ambient.names}
 
         def transport(pres, images_for_x):
-            images = []
-            for nm in ambient.names:
-                if nm in xring:
-                    images.append(images_for_x[nm].map_ring(ambient))
-                else:
-                    images.append(x_named[nm])
+            images = [
+                images_for_x[nm].map_ring(ambient) if nm in xring else x_named[nm]
+                for nm in ambient.names
+            ]
             return [h.substitute(images) for h in pres.generators]
 
         g_map = dict(zip(xring.names, P.cremona.forward.coords))

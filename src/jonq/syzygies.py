@@ -468,6 +468,18 @@ def _check(name, lhs, rhs, relation):
     return BoundCheck(name, "holds" if ok else "fails", lhs, rhs)
 
 
+BOUND_NAMES = (
+    "resolution_minimality_predicate",
+    "two_branch_formula_vs_oracle",
+    "cremona_base_regularity_bound",
+    "jonquieres_ideal_regularity_bound",
+    "jonquieres_ideal_regularity_equality_nzd",
+    "conductor_regularity_bound",
+    "mapping_cone_regularity_bound",
+    "mapping_cone_regularity_equality",
+)
+
+
 def regularity_bound_checks(P, I, conductor, report, budget=None):
     """Evaluate the applicable regularity bounds and equalities exactly.
 
@@ -489,18 +501,7 @@ def regularity_bound_checks(P, I, conductor, report, budget=None):
     dim_I, _ = dim_and_codim(I, budget)
     if dim_I > 1:
         reason = f"dim(R/I) = {dim_I} > 1"
-        for name in (
-            "resolution_minimality_predicate",
-            "two_branch_formula_vs_oracle",
-            "cremona_base_regularity_bound",
-            "jonquieres_ideal_regularity_bound",
-            "jonquieres_ideal_regularity_equality_nzd",
-            "conductor_regularity_bound",
-            "mapping_cone_regularity_bound",
-            "mapping_cone_regularity_equality",
-        ):
-            checks.append(BoundCheck(name, "skipped", reason=reason))
-        return checks
+        return [BoundCheck(name, "skipped", reason=reason) for name in BOUND_NAMES]
 
     reg_I = report.reg
     checks.append(

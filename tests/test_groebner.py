@@ -21,7 +21,8 @@ from jonq.groebner import (
     normal_form,
     saturate,
 )
-from jonq.orders import Lex
+from jonq.orders import DegRevLex, Lex
+from jonq.rees import rees_ideal
 from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
 
 R = VariableSet(["x0", "x1", "x2"])
@@ -149,6 +150,89 @@ class TestSaturate:
         big = ideal("x0^9")
         with pytest.raises(BudgetExceeded):
             saturate(big, ideal("x0"), Budget(sat_cap=3))
+
+    def test_cap_boundary(self):
+        # I : x0^inf = (x1, x2), and x0^k * (x1, x2) lies in I from k = 3 on
+        def run(budget):
+            return saturate(ideal("x0^3*x1", "x0^2*x2"), ideal("x0"), budget)
+
+        S, exps = run(Budget(sat_cap=4))
+        assert exps == [3] and ideal_equal(S, ideal("x1", "x2"))
+        assert run(Budget(sat_cap=5))[1] == [3]
+        for cap in range(4):
+            budget = Budget(sat_cap=cap)
+            with pytest.raises(BudgetExceeded):
+                run(budget)
+            if cap == 0:
+                assert budget.pairs_used == 0
+
+    @pytest.mark.parametrize("by_variables", [False, True])
+    def test_matches_colon_chain(self, by_variables):
+        rng = random.Random(4041 + by_variables)
+        seen = []
+        for _ in range(6):
+            forms = [
+                random_form(R, rng.choice((1, 2)), rng.randrange(1 << 30)) for _ in range(3)
+            ]
+            if by_variables:  # (f0, f1) times powers of the variables
+                J = ideal("x0", "x1", "x2")
+                gens = [f * x ** rng.randint(0, 2) for f in forms[:2] for x in Polynomial.gens(R)]
+            else:
+                J = IdealHandle.of(forms[2])
+                gens = [f * forms[2] ** rng.randint(0, 3) for f in forms[:2]]
+            S, exps = saturate(IdealHandle(R, tuple(gens)), J)
+            want, want_exps = _colon_chain_saturate(IdealHandle(R, tuple(gens)), J)
+            assert exps == want_exps
+            assert S.gb().generators == want.gb().generators
+            seen.append((exps, is_unit_ideal(S)))
+        assert sum(any(exps) and not unit for exps, unit in seen) >= 3
+
+
+def _colon_chain_saturate(I, J):
+    """The colon-chain saturation: iterate I : b until the ideal stops growing."""
+    pieces = []
+    exponents = []
+    for b in J.gens:
+        K = IdealHandle(I.ring, I.gens)
+        k = 0
+        while True:
+            K2 = colon(K, b)
+            if ideal_equal(K2, K):
+                break
+            K = K2
+            k += 1
+        pieces.append(K)
+        exponents.append(k)
+    result = pieces[0]
+    for piece in pieces[1:]:
+        result = intersect(result, piece)
+    return IdealHandle(I.ring, tuple(minimalize_generators(result.gens, ring=I.ring))), exponents
+
+
+class TestSeededBases:
+    """Eliminations hand on the t-free part of their basis as a degrevlex basis."""
+
+    def assert_seeded(self, handle):
+        cached = handle._cache[DegRevLex(len(handle.ring)).signature()]
+        assert cached.generators == buchberger(handle.gens, ring=handle.ring).generators
+        assert handle.gb() is cached
+
+    def test_eliminate(self):
+        big = VariableSet(["x0", "x1", "y0", "y1", "y2"])
+        gens = [p(t, big) for t in ("y0 - x0^2", "y1 - x0*x1", "y2 - x1^2 + x0")]
+        self.assert_seeded(eliminate(IdealHandle(big, gens), ("x0", "x1")))
+        self.assert_seeded(eliminate(IdealHandle(big, gens), ("x1",)))
+
+    def test_intersect_and_saturate(self):
+        I = ideal("x0^2*x1 - x2^3", "x0*x2^2")
+        self.assert_seeded(intersect(I, ideal("x1 + x2", "x0^2")))
+        self.assert_seeded(saturate(I, ideal("x2"))[0])
+        self.assert_seeded(saturate(I, ideal("x0", "x1", "x2"))[0])
+
+    def test_rees_ideal(self):
+        pres = rees_ideal([p("x1*x2"), p("x0*x2"), p("x0*x1")])
+        assert pres.handle() is pres.handle()
+        self.assert_seeded(pres.handle())
 
 
 class TestEliminate:

@@ -253,3 +253,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--deg-bound" in err
         assert "not an integer: 'abc'" in err
+
+    def test_rees_sat_cap_boundary(self, capsys):
+        # plane's saturation exponents are 2 (forward) and 1 (backward)
+        rees = ["rees", fixture_path("plane"), "--machine", "--budget-sat"]
+        code, out = run_cli([*rees, "2"], capsys)
+        data = parse_report(out)
+        assert code == 0
+        assert data["saturation.identities"].startswith("skipped(budget: ")
+        code, out = run_cli([*rees, "3"], capsys)
+        data = parse_report(out)
+        assert code == 0
+        assert data["saturation.forward_exponents"] == "2"
+        assert data["saturation.backward_exponents"] == "1"
+
+    @pytest.mark.parametrize("bound", [None, "0", "1"])
+    def test_analyze_deg_bound(self, bound, capsys):
+        extra = [] if bound is None else ["--deg-bound", bound]
+        code, out = run_cli(["analyze", fixture_path("plane"), "--machine", *extra], capsys)
+        data = parse_report(out)
+        assert code == 0
+        if bound is None:
+            assert data["syzygy_spans.bound"] == "7"
+            assert data["syzygy_spans.all_match"] == "holds"
+        else:
+            assert data["syzygy_spans.bound"] == bound
+            assert data["syzygy_spans.all_match"].startswith(f"skipped(deg-bound {bound} ")
+            assert not [k for k in data if k.startswith("syzygy_spans.mu")]
+
+    @pytest.mark.parametrize("source", ["flag", "option"])
+    def test_analyze_sat_budget_skipped(self, source, tmp_path, capsys):
+        if source == "flag":
+            args = [fixture_path("plane"), "--budget-sat", "0"]
+        else:
+            inst = tmp_path / "sat0.jonq"
+            inst.write_text(fixture_text("plane") + "option.sat_cap: 0\n")
+            args = [str(inst)]
+        code, out = run_cli(["analyze", *args, "--machine"], capsys)
+        data = parse_report(out)
+        assert code in (0, 1)
+        assert data["regularity.I.reg"].startswith("skipped(budget: ")
+        bounds = [k for k in data if k.startswith("bounds.")]
+        assert len(bounds) == 8
+        assert all(data[k].startswith("skipped(budget: ") for k in bounds)
+        assert data["syzygy_spans.all_match"] == "holds"

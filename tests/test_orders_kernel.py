@@ -139,3 +139,26 @@ def test_groebner_identical_across_backends(compiled_kernel_path):
     assert outs["0"][0] == "cython"
     assert outs["1"][0] == "python"
     assert outs["0"][1] == outs["1"][1]
+
+
+def test_generated_c_matches_pyx():
+    """_kernel_c.c must be regenerated (by Cython) whenever _kernel_c.pyx changes.
+
+    Cython quotes every source line it compiles in a ` * <line>` comment of
+    the generated C; every non-blank line of the .pyx outside its module
+    docstring must appear there.
+    """
+    import os
+    import re
+
+    src = os.path.dirname(pure.__file__)
+    with open(os.path.join(src, "_kernel_c.pyx")) as fh:
+        code = re.sub(r'^""".*?"""', "", fh.read(), count=1, flags=re.S | re.M)
+    with open(os.path.join(src, "_kernel_c.c")) as fh:
+        quoted = {
+            re.sub(r"\s+# <+$", "", line[3:])
+            for line in fh.read().splitlines()
+            if line.startswith(" * ")
+        }
+    missing = [line for line in code.splitlines() if line.strip() and line not in quoted]
+    assert not missing, f"_kernel_c.c is stale; regenerate it from the .pyx: {missing[:3]}"
