@@ -42,7 +42,6 @@ from jonq.report import Report, skipped, verdict
 from jonq.ring import Polynomial, VariableSet, poly_gcd, random_form
 from jonq.syzygies import (
     BOUND_NAMES,
-    BoundCheck,
     conductor_data,
     mapping_cone_matrix,
     regularity_bound_checks,
@@ -77,12 +76,31 @@ def _non_negative_int(text):
     return value
 
 
+def _option(args, inst, flag, name, default=None):
+    """The `--flag` value if given, else the instance's `option.name`, else `default`."""
+    value = getattr(args, flag)
+    if value is not None:
+        return value
+    return inst.options.get(name, default) if inst is not None else default
+
+
 def _budget_from(args, inst=None):
-    opts = dict(inst.options) if inst is not None else {}
-    max_pairs = args.budget_pairs if args.budget_pairs is not None else opts.get("max_pairs")
-    sat_cap = args.budget_sat if args.budget_sat is not None else opts.get("sat_cap", 32)
-    deg_bound = args.deg_bound if args.deg_bound is not None else opts.get("deg_bound")
-    return Budget(max_pairs=max_pairs, sat_cap=sat_cap, deg_bound=deg_bound)
+    return Budget(
+        max_pairs=_option(args, inst, "budget_pairs", "max_pairs"),
+        sat_cap=_option(args, inst, "budget_sat", "sat_cap", 32),
+        deg_bound=_option(args, inst, "deg_bound", "deg_bound"),
+    )
+
+
+@contextmanager
+def _budget_skips(rep, *keys):
+    """On BudgetExceeded, report each of `keys` the block left unset as skipped(budget: ...)."""
+    try:
+        yield
+    except BudgetExceeded as exc:
+        for key in keys:
+            if key not in rep.data:
+                rep.set_skipped(key, f"budget: {exc}")
 
 
 def cmd_verify_cremona(args):
@@ -133,40 +151,44 @@ def cmd_implicitize(args):
     if deg.window is not None:
         rep.set("degree.window", f"[{deg.window[0]}, {deg.window[1]}]")
         rep.set_verdict("degree.window_holds", bool(deg.window_holds))
-    with timer("conductor"):
-        data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
-    rep.set("case.kind", data.kind)
-    rep.set("case.conductor", "; ".join(str(c) for c in data.ideal.gens) or "0")
-    with timer("syzygetic"):
-        syz = syzygetic_polynomials(P, mon, data)
-    rep.set("syzygetic.count", len(syz))
-    for j, s in enumerate(syz):
-        rep.set(f"syzygetic.{j}.conductor_gen", s.conductor_gen)
-        rep.set(f"syzygetic.{j}.polynomial", s.polynomial)
-        rep.set(f"syzygetic.{j}.degree", s.polynomial.total_degree())
-        rep.set(f"syzygetic.{j}.extraneous_factor", s.extraneous_factor)
-    rep.set_verdict(
-        "syzygetic.all_divisible_by_F", True
-    )  # divide_exact inside syzygetic_polynomials would have raised
-    incl = inclusion_case_equivalence(P, mon, data)
-    if incl.applicable:
-        rep.set_verdict("inclusion_equivalence.biconditional", bool(incl.equivalent))
-        rep.set("inclusion_equivalence.g_in_I", "yes" if incl.side_inclusion else "no")
-    else:
-        rep.set_skipped("inclusion_equivalence.biconditional", "gcd(f(g'), g(g')) != 1")
-    if data.kind == "non_zero_divisor":
-        nz = nzd_case(P, mon, data)
-        rep.set_verdict("nzd.equivalence_agrees", nz.agree)
-        rep.set("nzd.principal_match", "yes" if nz.principal_match else "no")
-        rep.set("nzd.coprime_gcd", "yes" if nz.coprime_gcd else "no")
-        rep.set("nzd.degree_match", "yes" if nz.degree_match else "no")
-        rep.set_verdict("nzd.degree_bound", nz.degree_bound_holds)
+    stages = ("case.kind", "syzygetic.all_divisible_by_F", "inclusion_equivalence.biconditional")
+    with _budget_skips(rep, *stages):
+        with timer("conductor"):
+            data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
+        rep.set("case.kind", data.kind)
+        rep.set("case.conductor", "; ".join(str(c) for c in data.ideal.gens) or "0")
+        with timer("syzygetic"):
+            syz = syzygetic_polynomials(P, mon, data)
+        rep.set("syzygetic.count", len(syz))
+        for j, s in enumerate(syz):
+            rep.set(f"syzygetic.{j}.conductor_gen", s.conductor_gen)
+            rep.set(f"syzygetic.{j}.polynomial", s.polynomial)
+            rep.set(f"syzygetic.{j}.degree", s.polynomial.total_degree())
+            rep.set(f"syzygetic.{j}.extraneous_factor", s.extraneous_factor)
+        rep.set_verdict(
+            "syzygetic.all_divisible_by_F", True
+        )  # divide_exact inside syzygetic_polynomials would have raised
+        incl = inclusion_case_equivalence(P, mon, data)
+        if incl.applicable:
+            rep.set_verdict("inclusion_equivalence.biconditional", bool(incl.equivalent))
+            rep.set("inclusion_equivalence.g_in_I", "yes" if incl.side_inclusion else "no")
+        else:
+            rep.set_skipped("inclusion_equivalence.biconditional", "gcd(f(g'), g(g')) != 1")
+        if data.kind == "non_zero_divisor":
+            nz = nzd_case(P, mon, data)
+            rep.set_verdict("nzd.equivalence_agrees", nz.agree)
+            rep.set("nzd.principal_match", "yes" if nz.principal_match else "no")
+            rep.set("nzd.coprime_gcd", "yes" if nz.coprime_gcd else "no")
+            rep.set("nzd.degree_match", "yes" if nz.degree_match else "no")
+            rep.set_verdict("nzd.degree_bound", nz.degree_bound_holds)
     if args.oracle:
-        with timer("oracle"):
-            F2 = oracle_implicitize(list(P.coordinates()), P.monoid_ring, budget)
-        rep.set("oracle.F", F2)
-        rep.set_verdict("oracle.matches_formula", F2.proportional_to(mon.F))
-    rep.set_verdict("inverse_representative", verify_inverse_representative(P, mon, budget))
+        with _budget_skips(rep, "oracle.matches_formula"):
+            with timer("oracle"):
+                F2 = oracle_implicitize(list(P.coordinates()), P.monoid_ring, budget)
+            rep.set("oracle.F", F2)
+            rep.set_verdict("oracle.matches_formula", F2.proportional_to(mon.F))
+    with _budget_skips(rep, "inverse_representative"):
+        rep.set_verdict("inverse_representative", verify_inverse_representative(P, mon, budget))
     return rep
 
 
@@ -179,45 +201,50 @@ def cmd_analyze(args):
     I = P.base_ideal_I()
     d = P.cremona.degree
     df = P.f.total_degree()
-    with timer("conductor"):
-        data = conductor_data(I, P.g, budget=budget)
-    rep.set("conductor.count", len(data.conductors))
-    for j, c in enumerate(data.conductors):
-        rep.set(f"conductor.{j}", c)
-        rep.set(f"conductor.{j}.degree", data.degrees[j])
-    with timer("syzygy_basis"):
-        bound_phi = max(d + 2, (d + df + 4 if budget.deg_bound is None else budget.deg_bound) - df)
-        phi = syzygy_basis(list(I.gens), bound_phi, budget)
-    rep.set("phi.columns", phi.ncols)
-    rep.set("phi.col_twists", " ".join(str(t) for t in phi.col_twists))
-    with timer("mapping_cone"):
-        psi = mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data, budget)
-    rep.set("psi.columns", psi.ncols)
-    rep.set("psi.col_twists", " ".join(str(t) for t in psi.col_twists))
-    rep.set_verdict("psi.columns_annihilate", True)  # construction verifies
-    with timer("syzygy_spans"):
-        ver = verify_syzygy_generation(
-            list(P.coordinates()), psi, budget.deg_bound, budget
-        )
-    rep.set("syzygy_spans.bound", ver.bound)
-    for mu, oracle_dim, span_dim, match in ver.per_degree:
-        rep.set(
-            f"syzygy_spans.mu{mu}",
-            f"{verdict(match)} oracle={oracle_dim} span={span_dim}",
-        )
-    if ver.per_degree:
-        rep.set_verdict("syzygy_spans.all_match", ver.all_match)
-    else:
-        reason = f"deg-bound {ver.bound} leaves no degree to check"
-        rep.set_skipped("syzygy_spans.all_match", reason)
-    dim_I, codim_I = dim_and_codim(I, budget)
-    rep.set("ideal.I.dim", dim_I)
-    rep.set("ideal.I.codim", codim_I)
-    reg = None
-    try:
+    bounds = [f"bounds.{name}" for name in BOUND_NAMES]
+    data = None
+    stages = ("conductor.count", "psi.columns_annihilate", "syzygy_spans.all_match")
+    with _budget_skips(rep, *stages, *bounds):
+        with timer("conductor"):
+            data = conductor_data(I, P.g, budget=budget)
+        rep.set("conductor.count", len(data.conductors))
+        for j, c in enumerate(data.conductors):
+            rep.set(f"conductor.{j}", c)
+            rep.set(f"conductor.{j}.degree", data.degrees[j])
+        with timer("syzygy_basis"):
+            bound_phi = max(d + 2, (d + df + 4 if budget.deg_bound is None else budget.deg_bound) - df)
+            phi = syzygy_basis(list(I.gens), bound_phi, budget)
+        rep.set("phi.columns", phi.ncols)
+        rep.set("phi.col_twists", " ".join(str(t) for t in phi.col_twists))
+        with timer("mapping_cone"):
+            psi = mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data, budget)
+        rep.set("psi.columns", psi.ncols)
+        rep.set("psi.col_twists", " ".join(str(t) for t in psi.col_twists))
+        rep.set_verdict("psi.columns_annihilate", True)  # construction verifies
+        with timer("syzygy_spans"):
+            ver = verify_syzygy_generation(
+                list(P.coordinates()), psi, budget.deg_bound, budget
+            )
+        rep.set("syzygy_spans.bound", ver.bound)
+        for mu, oracle_dim, span_dim, match in ver.per_degree:
+            rep.set(
+                f"syzygy_spans.mu{mu}",
+                f"{verdict(match)} oracle={oracle_dim} span={span_dim}",
+            )
+        if ver.per_degree:
+            rep.set_verdict("syzygy_spans.all_match", ver.all_match)
+        else:
+            reason = f"deg-bound {ver.bound} leaves no degree to check"
+            rep.set_skipped("syzygy_spans.all_match", reason)
+    with _budget_skips(rep, "ideal.I.dim", "regularity.I.reg", *bounds):
+        dim_I, codim_I = dim_and_codim(I, budget)
+        rep.set("ideal.I.dim", dim_I)
+        rep.set("ideal.I.codim", codim_I)
+        reg = None
         if dim_I <= 1:
+            seed = _option(args, inst, "seed", "seed", 0)
             with timer("regularity"):
-                reg = regularity_dim1(I, d, seed=args.seed, budget=budget)
+                reg = regularity_dim1(I, d, seed=seed, budget=budget)
             rep.set("regularity.I.reg", reg.reg)
             rep.set("regularity.I.formula", reg.formula_value)
             rep.set("regularity.I.beg_sat", "inf" if reg.beg_sat is None else reg.beg_sat)
@@ -229,17 +256,14 @@ def cmd_analyze(args):
             )
         else:
             rep.set_skipped("regularity.I.reg", f"dim(R/I) = {dim_I} > 1")
-        with timer("bounds"):
-            checks = regularity_bound_checks(P, I, data, reg, budget)
-    except BudgetExceeded as exc:
-        if reg is None and dim_I <= 1:
-            rep.set_skipped("regularity.I.reg", f"budget: {exc}")
-        checks = [BoundCheck(name, "skipped", reason=f"budget: {exc}") for name in BOUND_NAMES]
-    for c in checks:
-        if c.status == "skipped":
-            rep.set(f"bounds.{c.name}", skipped(c.reason))
-        else:
-            rep.set(f"bounds.{c.name}", f"{c.status} lhs={c.lhs} rhs={c.rhs}")
+        if data is not None:  # else the conductor stage has skipped the bounds
+            with timer("bounds"):
+                checks = regularity_bound_checks(P, I, data, reg, budget)
+            for c in checks:
+                if c.status == "skipped":
+                    rep.set(f"bounds.{c.name}", skipped(c.reason))
+                else:
+                    rep.set(f"bounds.{c.name}", f"{c.status} lhs={c.lhs} rhs={c.rhs}")
     return rep
 
 
@@ -250,7 +274,7 @@ def cmd_rees(args):
     timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     mon = implicitize(P, budget)
-    try:
+    with _budget_skips(rep, "downgraded.contained_in_rees"):
         with timer("downgraded"):
             data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
             pres, dg = downgraded_rees_ideal(P, mon, data, budget)
@@ -263,9 +287,8 @@ def cmd_rees(args):
             facs = extraneous_factors(P, mon, dg)
         for j, (_, f) in enumerate(facs):
             rep.set(f"downgraded.factor.{j}", f)
-    except BudgetExceeded as exc:
-        rep.set_skipped("downgraded.contained_in_rees", f"budget: {exc}")
-    try:
+    M = None
+    with _budget_skips(rep, "monoid.same_implicit_equation"):
         with timer("monoid"):
             M, ma = monoid_association(P, mon, budget)
         rep.set("monoid.sign", "+" if ma.sign > 0 else "-")
@@ -275,9 +298,6 @@ def cmd_rees(args):
         rep.set_verdict("monoid.same_implicit_equation", ma.same_implicit_equation)
         rep.set("monoid.composition_order", ma.composition_order or "none")
         rep.set_verdict("monoid.composition_holds", ma.composition_holds)
-    except BudgetExceeded as exc:
-        rep.set_skipped("monoid.same_implicit_equation", f"budget: {exc}")
-        M = None
     if M is not None:
         with timer("saturation"):
             sat = saturation_identities(P, M, budget)
@@ -329,10 +349,11 @@ def _selftest_instance(family, rng):
 
 
 def cmd_selftest(args):
-    rng = random.Random(args.seed)
+    seed = _option(args, None, "seed", "seed", 0)
+    rng = random.Random(seed)
     budget = _budget_from(args)
     rep = Report("selftest")
-    rep.set("seed", args.seed)
+    rep.set("seed", seed)
     rep.set("count", args.count)
     families = _selftest_families()
     failures = 0
@@ -371,6 +392,8 @@ def cmd_selftest(args):
             rep.set_verdict(label, ok)
             if not ok:
                 failures += 1
+        except BudgetExceeded as exc:
+            rep.set_skipped(label, f"budget: {exc}")
         except JonqError as exc:
             rep.set(label, f"fails ({exc})")
             failures += 1
@@ -383,12 +406,13 @@ def cmd_selftest(args):
         if not poly_gcd(f, g).is_constant():
             continue
         I = IdealHandle(ring, Igens)
-        lhs = colon(multiply_ideal(I, f), g, budget=budget)
-        rhs = multiply_ideal(colon(I, g, budget=budget), f)
-        ok = ideal_equal(lhs, rhs, budget)
-        rep.set_verdict(f"colon_transfer_law.{k}", ok)
-        if not ok:
-            failures += 1
+        with _budget_skips(rep, f"colon_transfer_law.{k}"):
+            lhs = colon(multiply_ideal(I, f), g, budget=budget)
+            rhs = multiply_ideal(colon(I, g, budget=budget), f)
+            ok = ideal_equal(lhs, rhs, budget)
+            rep.set_verdict(f"colon_transfer_law.{k}", ok)
+            if not ok:
+                failures += 1
     rep.set("failures", failures)
     return rep
 
@@ -409,7 +433,7 @@ def _build_parser():
             sp.add_argument("file", help="instance file (see README for the format)")
         sp.add_argument("--machine", action="store_true", help="key = value output")
         sp.add_argument("--timings", action="store_true", help="emit timing.* keys")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
+        sp.add_argument("--seed", type=int, default=None, help="seed for randomized draws")
         sp.add_argument("--deg-bound", type=_non_negative_int, default=None, dest="deg_bound")
         sp.add_argument(
             "--budget-pairs", type=_non_negative_int, default=None, dest="budget_pairs"

@@ -560,15 +560,19 @@ def colon(I, g, budget=None, minimalize=True):
 
 
 def colon_ideal(I, J, budget=None):
-    """I : J = intersection of I : (b) over the generators b of J."""
+    """I : J = intersection of I : (b) over the generators b of J.
+
+    The generators are not minimalized: the link in `regularity_dim1` is
+    read only through its Groebner basis, which the last intersection
+    caches on the handle.
+    """
     if J.is_zero_ideal():
         raise StructuralError("colon by the zero ideal")
     result = None
     for b in J.gens:
         step = colon(I, b, budget=budget, minimalize=False)
         result = step if result is None else intersect(result, step, budget=budget)
-    gens = minimalize_generators(result.gens, budget=budget, ring=I.ring)
-    return IdealHandle(I.ring, tuple(gens))
+    return result
 
 
 def saturate(I, J, budget=None):

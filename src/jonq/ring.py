@@ -698,7 +698,8 @@ def poly_gcd(p, q):
     """Greatest common divisor, canonically normalized.
 
     Primitive-part/content recursion with a subresultant PRS in the last
-    active variable.  gcd(p, 0) = canonical(p).
+    active variable, run only when `_coprime_on_line` cannot prove the
+    gcd is 1.  gcd(p, 0) = canonical(p).
     """
     if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
         raise StructuralError("poly_gcd needs two polynomials")
@@ -709,8 +710,70 @@ def poly_gcd(p, q):
         return p.canonical()
     a = p.canonical()
     b = q.canonical()
-    g = _gcd_recursive(a, b)
-    return g.canonical()
+    if _coprime_on_line(a, b):
+        return Polynomial.constant(p.ring, 1)
+    return _gcd_recursive(a, b).canonical()
+
+
+_P = (1 << 61) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _line(n):
+    """A fixed point and direction in Z^n (seeded residues mod _P)."""
+    rng = random.Random(n)
+    vals = [rng.randrange(1, _P) for _ in range(2 * n)]
+    return tuple(vals[:n]), tuple(vals[n:])
+
+
+def _on_line(p, point, direction):
+    """Total degree of p, and the coefficients (lowest first, zeros stripped)
+    of t -> p(point + t*direction) mod _P.
+
+    Kronecker substitution t = 2^w: a slot sums len(p) products of a residue
+    and a coefficient of prod (x_i + y_i t)^e_i, each below 2^(62 (deg + 1)),
+    so no slot carries into the next.
+    """
+    deg = p.total_degree()
+    w = 62 * (deg + 1) + len(p._terms).bit_length()
+    xs = [x % _P + (y % _P << w) for x, y in zip(point, direction)]
+    v = 0
+    for mono, c in p._terms.items():
+        term = c % _P
+        for x, e in zip(xs, mono):
+            if e:
+                term *= x**e
+        v += term
+    out = [(v >> k * w & ((1 << w) - 1)) % _P for k in range(deg + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return deg, out
+
+
+def _coprime_on_line(a, b, point=None, direction=None):
+    """True only if integer-primitive a, b are coprime; False declines.
+
+    If h = gcd(a, b) is not constant, h_top(direction) divides
+    a_top(direction), the top coefficient of a's image on the line.  When
+    that is nonzero mod _P, h's image keeps its degree and divides both
+    images, so a constant gcd of the images mod _P proves gcd(a, b) = 1.
+    """
+    if point is None:
+        point, direction = _line(len(a.ring))
+    deg, f = _on_line(a, point, direction)
+    if len(f) != deg + 1:
+        return False
+    g = _on_line(b, point, direction)[1]
+    while g:
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):
+            q, shift = f[-1] * inv % _P, len(f) - len(g)
+            for k, y in enumerate(g):
+                f[shift + k] = (f[shift + k] - q * y) % _P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
 
 
 def _active_vars(p):

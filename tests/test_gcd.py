@@ -1,0 +1,98 @@
+"""The modular coprimality certificate in front of the subresultant gcd.
+
+`poly_gcd` first maps both integer-primitive inputs onto a fixed line mod
+the prime 2^61 - 1; a constant gcd of the images proves the inputs coprime
+and the PRS (`_gcd_recursive`) runs only when the certificate declines.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from jonq import ring
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    _coprime_on_line,
+    _gcd_recursive,
+    parse_polynomial,
+    poly_gcd,
+    random_form,
+)
+
+R = VariableSet(["x0", "x1", "x2"])
+
+_monos = st.tuples(*(st.integers(0, 3) for _ in range(3)))
+_ints = st.integers(-5, 5).filter(bool)
+_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def _polys(coeffs, max_terms=4):
+    return st.dictionaries(_monos, coeffs, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(R, terms)
+    )
+
+
+polys = _polys(_ints)
+rational_polys = _polys(st.one_of(_ints, _fracs))
+homogeneous = st.builds(random_form, st.just(R), st.integers(1, 3), st.integers(0, 1 << 20))
+
+
+def reference(p, q):
+    """gcd straight from the PRS, without the certificate."""
+    return _gcd_recursive(p.canonical(), q.canonical()).canonical()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(polys, rational_polys, homogeneous), st.one_of(polys, rational_polys, homogeneous))
+def test_matches_prs(a, b):
+    assert poly_gcd(a, b) == reference(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(polys, homogeneous),
+    st.one_of(rational_polys, homogeneous),
+    st.one_of(polys, homogeneous),
+)
+def test_common_factor_matches_prs(h, u, v):
+    a, b = h * u, h * v
+    got = poly_gcd(a, b)
+    assert got == reference(a, b)
+    if not h.is_constant():
+        assert not _coprime_on_line(a.canonical(), b.canonical())
+        assert got.total_degree() >= h.total_degree()
+
+
+def test_declines_when_lead_vanishes_mod_p():
+    # a_top(direction) = P + 1 - 1 = P: the image of a loses its degree mod P
+    P = (1 << 61) - 1
+    a = parse_polynomial(f"{P + 1}*x0 - x1 + x2", R)
+    b = parse_polynomial("x0^2 + x2^2", R)
+    point, direction = (3, 5, 7), (1, 1, 0)
+    assert not _coprime_on_line(a, b, point, direction)
+    assert _coprime_on_line(a, b, point, (1, 2, 0))
+    assert poly_gcd(a, b) == Polynomial.constant(R, 1)
+
+
+def test_certifies_constant_and_rational_inputs():
+    one = Polynomial.constant(R, 1)
+    assert poly_gcd(Polynomial.constant(R, Fraction(-3, 2)), parse_polynomial("x0", R)) == one
+    a = parse_polynomial("1/2*x0^2 - 1/3*x1*x2 + 1", R)
+    b = parse_polynomial("2/5*x1^3 + x0", R)
+    assert _coprime_on_line(a.canonical(), b.canonical())
+    assert poly_gcd(a, b) == one
+
+
+def test_dense_coprime_forms_skip_prs(monkeypatch):
+    calls = []
+    prs = ring._prs_gcd
+    monkeypatch.setattr(ring, "_prs_gcd", lambda *args: calls.append(args) or prs(*args))
+    coprime = 0
+    for seed in range(12):
+        a = random_form(R, 3 + seed % 2, 2 * seed)
+        b = random_form(R, 4 - seed % 2, 2 * seed + 1)
+        if poly_gcd(a, b).is_constant():
+            coprime += 1
+    assert coprime == 12
+    assert calls == []

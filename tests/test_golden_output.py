@@ -1,7 +1,9 @@
 """Golden `--machine` output of the paper pipeline on the fixtures.
 
 Each digest is the sha256 of the full `--machine` report, recorded before
-the heap-based division engine replaced the merge-based loops.  Any
+the heap-based division engine replaced the merge-based loops (the
+`verify-cremona` and `selftest` digests before the modular coprimality
+certificate came in front of the subresultant gcd).  Any
 change to a basis, a normal form, a verdict or the report format shows
 up here, whichever kernel backend is loaded.
 """
@@ -30,11 +32,35 @@ GOLDEN = {
     ("nzd", ("rees",)): "b3ada257be6a6c1d9dd3ec0b1927a402282126b53db81b7cf6b45aed80701fc5",
 }
 
+CREMONA_GOLDEN = {
+    "identity": "3436b18bacf83f47d2d605c9fb44cdd14d6381457d1722b3277313bde4292f22",
+    "plane": "ee1cd5c8315362630c740439d5de72d8e454e83713bfd5d933ea5b124186a3a7",
+    "space": "67ab523c4d1c3911fd64af5ca3c3ffb49fef8e1a736e36331aae782eb09d1024",
+    "nzd": "ee1cd5c8315362630c740439d5de72d8e454e83713bfd5d933ea5b124186a3a7",
+}
+
+# `selftest` draws its own instances and reaches the coprimality tests in
+# `jonq.cli` that no fixture command does.
+SELFTEST_GOLDEN = "8a67c7c3c37be96a5ce36c499f4e00eeffd3348d38964a287ff766f9e201e187"
+
+
+def _digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*argv, "--machine"])
+    assert code == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
 
 @pytest.mark.parametrize("name, command", sorted(GOLDEN))
 def test_machine_output_unchanged(name, command):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main([command[0], fixture_path(name), *command[1:], "--machine"])
-    assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[name, command]
+    assert _digest([command[0], fixture_path(name), *command[1:]]) == GOLDEN[name, command]
+
+
+@pytest.mark.parametrize("name", sorted(CREMONA_GOLDEN))
+def test_verify_cremona_output_unchanged(name):
+    assert _digest(["verify-cremona", fixture_path(name)]) == CREMONA_GOLDEN[name]
+
+
+def test_selftest_output_unchanged():
+    assert _digest(["selftest", "--count", "4", "--seed", "2"]) == SELFTEST_GOLDEN

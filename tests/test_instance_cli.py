@@ -297,3 +297,45 @@ class TestCli:
         assert len(bounds) == 8
         assert all(data[k].startswith("skipped(budget: ") for k in bounds)
         assert data["syzygy_spans.all_match"] == "holds"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["implicitize", fixture_path("plane")],
+            ["implicitize", fixture_path("plane"), "--oracle"],
+            ["analyze", fixture_path("plane")],
+            ["selftest", "--count", "2"],
+        ],
+    )
+    def test_pair_budget_skipped_not_error(self, argv, capsys):
+        code = main([*argv, "--machine", "--budget-pairs", "5"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert captured.err == ""
+        data = parse_report(captured.out)
+        skipped_keys = [k for k, v in data.items() if v.startswith("skipped(budget: ")]
+        assert skipped_keys
+        if argv[0] == "implicitize":
+            assert data["implicit.F"]
+            assert data["case.kind"].startswith("skipped(budget: ")
+        if "--oracle" in argv:
+            assert data["oracle.matches_formula"].startswith("skipped(budget: ")
+        if argv[0] == "analyze":
+            assert data["conductor.count"].startswith("skipped(budget: ")
+            assert len([k for k in data if k.startswith("bounds.")]) == 8
+
+    def test_option_seed_honoured(self, tmp_path, capsys):
+        inst = tmp_path / "seed3.jonq"
+        inst.write_text(fixture_text("plane") + "option.seed: 3\n")
+        code, from_option = run_cli(["analyze", str(inst), "--machine"], capsys)
+        assert code == 0
+        plane = ["analyze", fixture_path("plane"), "--machine"]
+        code, from_flag = run_cli([*plane, "--seed", "3"], capsys)
+        assert code == 0
+        assert from_option == from_flag
+        # seed 3 draws a different regular sequence for plane than seed 0
+        _, default = run_cli(plane, capsys)
+        assert default != from_flag
+        # the flag wins over the option
+        _, flag_over_option = run_cli(["analyze", str(inst), "--seed", "0", "--machine"], capsys)
+        assert flag_over_option == default
