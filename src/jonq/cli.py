@@ -92,6 +92,11 @@ def _budget_from(args, inst=None):
     )
 
 
+def _budget_reason(exc):
+    """The skip reason of a BudgetExceeded, e.g. `budget: Groebner S-pair limit (limit 5)`."""
+    return f"budget: {exc.what} (limit {exc.limit})"
+
+
 @contextmanager
 def _budget_skips(rep, *keys):
     """On BudgetExceeded, report each of `keys` the block left unset as skipped(budget: ...)."""
@@ -100,7 +105,7 @@ def _budget_skips(rep, *keys):
     except BudgetExceeded as exc:
         for key in keys:
             if key not in rep.data:
-                rep.set_skipped(key, f"budget: {exc}")
+                rep.set_skipped(key, _budget_reason(exc))
 
 
 def cmd_verify_cremona(args):
@@ -393,7 +398,7 @@ def cmd_selftest(args):
             if not ok:
                 failures += 1
         except BudgetExceeded as exc:
-            rep.set_skipped(label, f"budget: {exc}")
+            rep.set_skipped(label, _budget_reason(exc))
         except JonqError as exc:
             rep.set(label, f"fails ({exc})")
             failures += 1

@@ -1,103 +1,123 @@
-"""Small exact linear algebra over Q (lists of ints/Fractions)."""
+"""Small exact linear algebra over Q by fraction-free elimination.
+
+Vectors come in as lists of ints and Fractions.  Each one is scaled by
+the lcm of its denominators to a primitive integer row, and every
+elimination step divides the result by its content again, so no
+`Fraction` arithmetic runs while eliminating and the entries stay small
+(integer-preserving elimination in the sense of Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968).  The rows are kept in reduced echelon form; that form is
+unique up to the scale of each row, so ranks, span decisions and kernel
+bases are exactly those of Gauss-Jordan elimination over Q.
+"""
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, itemgetter
+
+_denominator = attrgetter("denominator")
+_pivot_of = itemgetter(0)
+
+
+def _primitive(v):
+    """The integer vector `v` divided by its content."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _integer_row(vec):
+    """`vec` scaled by the lcm of its denominators, as a primitive integer list."""
+    den = lcm(*map(_denominator, vec))
+    if den == 1:
+        return _primitive(list(map(int, vec)))
+    return _primitive([x.numerator * (den // x.denominator) for x in vec])
+
+
+def _eliminate(v, rows):
+    """`v` with the pivot columns of `rows` cleared, divided by its content.
+
+    `rows` are (pivot column, primitive integer row) pairs in reduced
+    echelon form: each row is zero in the pivot columns of the others, so
+    one pass clears them all, in any order.
+    """
+    for pc, row in rows:
+        c = v[pc]
+        if c:
+            p = row[pc]
+            g = gcd(c, p)
+            a, b = p // g, c // g
+            v = _primitive([a * x - b * y for x, y in zip(v, row)])
+    return v
 
 
 class SpanTracker:
-    """Incremental row space with reduced echelon rows."""
+    """Incremental row space: primitive integer rows in reduced echelon form.
+
+    `rows` is a list of (pivot column, row) pairs sorted by pivot; every
+    row has content 1 and a positive pivot entry, and is zero in the pivot
+    columns of the other rows.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # list of (pivot_col, normalized row)
+        self.rows = []
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        v = list(vec)
-        for pc, row in self.rows:
-            c = v[pc]
-            if c:
-                for k in range(pc, self.ncols):
-                    if row[k]:
-                        v[k] -= c * row[k]
-        return v
-
     def add(self, vec):
         """Insert the vector; returns True when it enlarged the span."""
-        v = self.reduce(vec)
-        pivot = -1
-        for k in range(self.ncols):
-            if v[k]:
-                pivot = k
-                break
+        v = _eliminate(_integer_row(vec), self.rows)
+        pivot = next((k for k, x in enumerate(v) if x), -1)
         if pivot < 0:
             return False
-        inv = Fraction(1, 1) / v[pivot]
-        v = [x * inv for x in v]
-        # back-substitute into existing rows to keep things reduced
-        for idx, (pc, row) in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[idx] = (
-                    pc,
-                    [a - c * b for a, b in zip(row, v)],
-                )
-        self.rows.append((pivot, v))
-        self.rows.sort(key=lambda t: t[0])
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        new = ((pivot, v),)
+        self.rows = [(pc, _eliminate(row, new)) for pc, row in self.rows]
+        insort(self.rows, (pivot, v), key=_pivot_of)
         return True
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(_eliminate(_integer_row(vec), self.rows))
+
+
+def _echelon(rows, ncols):
+    """A tracker of the row space of `rows`; once that is all of Q^ncols,
+    the remaining rows are not read."""
+    tracker = SpanTracker(ncols)
+    for r in rows:
+        if tracker.rank == ncols:
+            break
+        tracker.add(r)
+    return tracker
 
 
 def kernel_basis(rows, ncols):
     """Basis of {v : M v = 0} for M given by rows; deterministic.
 
-    Returns a list of length-ncols vectors (Fractions/ints), one per free
-    column of the RREF, ordered by free column index.
+    Returns a list of length-ncols Fraction vectors, one per free column
+    of the RREF, ordered by free column index: the free column is 1, the
+    other free columns are 0.
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = -1
-        for i in range(r, nrows):
-            if mat[i][c]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    pivot_set = set(pivots)
+    echelon = _echelon(rows, ncols).rows
+    pivots = {pc for pc, _ in echelon}
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][free]
+        for pc, row in echelon:
+            v[pc] = Fraction(-row[free], row[pc])
         basis.append(v)
     return basis
 
 
 def rank(rows, ncols):
-    tracker = SpanTracker(ncols)
-    for r in rows:
-        tracker.add(r)
-    return tracker.rank
+    """Rank of the matrix with the given rows of length ncols."""
+    return _echelon(rows, ncols).rank

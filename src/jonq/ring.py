@@ -440,7 +440,10 @@ class Polynomial:
     def primitive_part(self):
         if not self._terms:
             return self
-        return self * (1 / Fraction(self.integer_content()))
+        content = self.integer_content()
+        if content == 1:
+            return self
+        return self * (1 / content)
 
     def canonical(self, order=None):
         """Integer-primitive scalar multiple with positive lead coefficient."""

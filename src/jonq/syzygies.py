@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
@@ -23,7 +24,7 @@ from jonq.groebner import (
     lift,
     saturate,
 )
-from jonq.linalg import SpanTracker, kernel_basis
+from jonq.linalg import SpanTracker, kernel_basis, rank
 from jonq.ring import Polynomial, count_monomials, monomials_of_degree
 
 
@@ -143,26 +144,22 @@ def _shifted_vectors(col, k, index):
     `col` is a tuple of polynomials; `index` maps (entry position,
     monomial) to a coordinate of the vectors.
     """
-    ring = col[0].ring
-    for mono in monomials_of_degree(len(ring), k):
-        shift = Polynomial.monomial(ring, mono)
+    entries = [(gi, list(entry.items())) for gi, entry in enumerate(col) if not entry.is_zero()]
+    for mono in monomials_of_degree(len(col[0].ring), k):
         vec = [0] * len(index)
-        for gi, entry in enumerate(col):
-            if entry.is_zero():
-                continue
-            for m2, c2 in (entry * shift).items():
-                vec[index[(gi, m2)]] += c2
+        for gi, terms in entries:
+            for m2, c2 in terms:
+                vec[index[gi, tuple(map(add, m2, mono))]] += c2
         yield vec
 
 
-def _degree_syzygies(gens, mu):
-    """Slots and a kernel basis of the map (m*g_i) -> R_mu, both in slot order.
+def _evaluation_columns(gens, mu):
+    """Slots of degree mu, and the image of each slot in R_mu.
 
-    The kernel is empty when no generator has degree <= mu.
+    The image of the slot m*g_i is the coefficient vector of m*g_i over
+    the `ntarget` monomials of degree mu; the list of images, in slot
+    order, is the column list of the evaluation map (m*g_i) -> R_mu.
     """
-    slots = _slots(gens, mu)
-    if not slots:
-        return slots, []
     target = monomials_of_degree(len(gens[0].ring), mu)
     index = {(0, m): r for r, m in enumerate(target)}
     cols = []
@@ -170,7 +167,16 @@ def _degree_syzygies(gens, mu):
         k = mu - g.total_degree()
         if k >= 0:
             cols.extend(_shifted_vectors((g,), k, index))
-    rows = [[col[r] for col in cols] for r in range(len(index))]
+    return _slots(gens, mu), len(index), cols
+
+
+def _degree_syzygies(gens, mu):
+    """Slots and a kernel basis of the map (m*g_i) -> R_mu, both in slot order.
+
+    The kernel is empty when no generator has degree <= mu.
+    """
+    slots, ntarget, cols = _evaluation_columns(gens, mu)
+    rows = [[col[r] for col in cols] for r in range(ntarget)]
     return slots, kernel_basis(rows, len(cols))
 
 
@@ -272,18 +278,21 @@ def verify_syzygy_generation(J_gens, psi, degree_bound=None, budget=None):
     first_bad = None
     start = min(g.total_degree() for g in gens)
     for mu in range(start, degree_bound + 1):
-        slots, kern = _degree_syzygies(gens, mu)
+        slots, ntarget, cols = _evaluation_columns(gens, mu)
+        # dim ker E = #slots - rank E, and rank E is the rank of its columns
+        oracle_dim = len(cols) - rank(cols, ntarget)
         slot_index = {sm: i for i, sm in enumerate(slots)}
-        tracker = SpanTracker(len(slots))
-        for j in range(psi.ncols):
-            k = mu - psi.col_twists[j]
-            if k >= 0:
-                for vec in _shifted_vectors(psi.column(j), k, slot_index):
-                    tracker.add(vec)
-        match = tracker.rank == len(kern)
+        multiples = (
+            vec
+            for j in range(psi.ncols)
+            if mu >= psi.col_twists[j]
+            for vec in _shifted_vectors(psi.column(j), mu - psi.col_twists[j], slot_index)
+        )
+        span_dim = rank(multiples, len(slots))
+        match = span_dim == oracle_dim
         if not match and first_bad is None:
             first_bad = mu
-        report.append((mu, len(kern), tracker.rank, match))
+        report.append((mu, oracle_dim, span_dim, match))
     return SyzygyVerification(degree_bound, tuple(report), first_bad is None, first_bad)
 
 

@@ -43,6 +43,16 @@ CREMONA_GOLDEN = {
 # `jonq.cli` that no fixture command does.
 SELFTEST_GOLDEN = "8a67c7c3c37be96a5ce36c499f4e00eeffd3348d38964a287ff766f9e201e187"
 
+# `analyze --deg-bound 9` runs the syzygy-span and kernel computations on
+# larger evaluation matrices than the default bound does; recorded before
+# the fraction-free integer elimination replaced the `Fraction` loops.
+ANALYZE_DEG9_GOLDEN = {
+    "identity": "2942ea5c7b010bcfe4ec439b4e059c451930dd5eb6712a227e2d4078b15bacb3",
+    "plane": "83ccdb8d1eb25d9955717c85ddc152da68b8c0b830c76b60a819f85510daf0b8",
+    "space": "0104bfe7cb29db09d9256408de59e821eca3968cefa60c80f3fafc7eb50cc19c",
+    "nzd": "b637502f6574a79737375f16e866d989c1f5b595f2450b016863c14a077e9cd1",
+}
+
 
 def _digest(argv):
     buf = io.StringIO()
@@ -64,3 +74,9 @@ def test_verify_cremona_output_unchanged(name):
 
 def test_selftest_output_unchanged():
     assert _digest(["selftest", "--count", "4", "--seed", "2"]) == SELFTEST_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DEG9_GOLDEN))
+def test_analyze_deg_bound_9_output_unchanged(name):
+    digest = _digest(["analyze", fixture_path(name), "--deg-bound", "9"])
+    assert digest == ANALYZE_DEG9_GOLDEN[name]

@@ -324,6 +324,16 @@ class TestCli:
             assert data["conductor.count"].startswith("skipped(budget: ")
             assert len([k for k in data if k.startswith("bounds.")]) == 8
 
+    @pytest.mark.parametrize("command", ["implicitize", "analyze", "rees"])
+    def test_budget_reason_names_budget_once(self, command, capsys):
+        code, out = run_cli(
+            [command, fixture_path("plane"), "--machine", "--budget-pairs", "5"], capsys
+        )
+        assert code in (0, 1)
+        assert "budget: budget" not in out
+        reasons = {v for v in parse_report(out).values() if v.startswith("skipped(budget")}
+        assert reasons == {"skipped(budget: Groebner S-pair limit (limit 5))"}
+
     def test_option_seed_honoured(self, tmp_path, capsys):
         inst = tmp_path / "seed3.jonq"
         inst.write_text(fixture_text("plane") + "option.seed: 3\n")

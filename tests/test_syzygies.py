@@ -2,10 +2,19 @@ import random
 
 import pytest
 
+from fraction_linalg import FractionSpan, fraction_kernel_basis
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import IdealHandle
 from jonq.implicitize import JonquieresData
-from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
+from jonq.fixtures import FIXTURE_NAMES, load_fixture
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    monomials_of_degree,
+    parse_polynomial,
+    poly_gcd,
+    random_form,
+)
 from jonq.syzygies import (
     conductor_data,
     graded_matrix_from_columns,
@@ -199,8 +208,82 @@ class TestSyzygyVerification:
         assert ver.first_failure == 5  # the conductor columns live in degree 5
 
 
+    @pytest.mark.parametrize(
+        "case", [*FIXTURE_NAMES, "plane_dropped_column", "plane_duplicated_column"]
+    )
+    def test_per_degree_matches_fraction_reference(self, case, request):
+        if case in FIXTURE_NAMES:
+            P = load_fixture(case).jonquieres()
+            psi = _psi_of(P, P.cremona.degree + 4)  # the bound `analyze` uses
+            bound = None
+        else:
+            P = request.getfixturevalue("plane_instance")
+            psi = _psi_of(P, 4)
+            bound = ver_bound(psi)
+            if case == "plane_dropped_column":
+                keep = range(psi.ncols - 1)
+            else:
+                keep = [*range(psi.ncols), 0]
+            psi = graded_matrix_from_columns(
+                psi.ring,
+                [psi.column(j) for j in keep],
+                psi.row_twists,
+                [psi.col_twists[j] for j in keep],
+            )
+        gens = list(P.coordinates())
+        ver = verify_syzygy_generation(gens, psi, bound)
+        assert ver.per_degree == fraction_per_degree(gens, psi, ver.bound)
+        if case == "plane_dropped_column":
+            assert ver.first_failure == 5
+        else:
+            assert ver.all_match
+
+
 def ver_bound(psi):
     return max(psi.col_twists) + 2
+
+
+def _psi_of(P, bound_phi):
+    I = P.base_ideal_I()
+    phi = syzygy_basis(list(I.gens), bound_phi)
+    data = conductor_data(I, P.g)
+    return mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data)
+
+
+def _coefficients(poly, shift, index, key, vec):
+    """Add the coefficients of shift*poly into vec at index[key(monomial)]."""
+    for m, c in (Polynomial.monomial(poly.ring, shift) * poly).items():
+        vec[index[key(m)]] += c
+
+
+def fraction_per_degree(gens, psi, bound):
+    """(mu, oracle, span, match) per degree, by `Fraction` Gauss-Jordan.
+
+    The evaluation matrix and the Psi-column multiples are built here from
+    polynomial products, independently of `jonq.syzygies`.
+    """
+    n = len(gens[0].ring)
+    out = []
+    for mu in range(min(g.total_degree() for g in gens), bound + 1):
+        target = {m: r for r, m in enumerate(monomials_of_degree(n, mu))}
+        slots = {}
+        cols = []
+        for i, g in enumerate(gens):
+            for m in monomials_of_degree(n, mu - g.total_degree()):
+                slots[i, m] = len(slots)
+                col = [0] * len(target)
+                _coefficients(g, m, target, lambda m2: m2, col)
+                cols.append(col)
+        oracle = len(fraction_kernel_basis([list(r) for r in zip(*cols)], len(slots)))
+        span = FractionSpan(len(slots))
+        for j in range(psi.ncols):
+            for m in monomials_of_degree(n, mu - psi.col_twists[j]):
+                vec = [0] * len(slots)
+                for i, entry in enumerate(psi.column(j)):
+                    _coefficients(entry, m, slots, lambda m2, i=i: (i, m2), vec)
+                span.add(vec)
+        out.append((mu, oracle, span.rank, oracle == span.rank))
+    return tuple(out)
 
 
 class TestRegularity:
