@@ -11,6 +11,7 @@ Exit codes: 0 every verdict holds or is skipped; 1 some verdict fails;
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -422,7 +423,9 @@ def cmd_selftest(args):
     return rep
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use; parse_args keeps no state."""
     p = argparse.ArgumentParser(
         prog="jonq",
         description=(

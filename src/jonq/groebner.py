@@ -10,22 +10,26 @@ by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
 tie-break).  Reduced bases are unique per (ideal, order).
 
 All division runs on one engine, `jonq.ring._Accumulator`: a dict from
-packed order key to coefficient plus a max-heap of its keys, after
-Monagan and Pearce (CASC 2007).  A reduction step pops the lead term and
+packed monomial (order key over exponent vector, one int; see
+`jonq.ring._Packing`) to coefficient plus a max-heap of them, after
+Monagan and Pearce (CASC 2007).  A reduction step pops the lead term,
+finds its reducer by one subtraction and mask test per basis lead, and
 adds the reducer's tail, cached on the basis element as packed offsets
 from its lead, so one step costs the reducer's length times O(log n),
 not the length of the whole remainder.  S-polynomials are built in the
-same accumulator, from the two cached tails.
+same accumulator, from the two cached tails.  The Gebauer-Moeller update
+works on the exponent parts of the packed leads: lcms are per-field
+maxima by integer operations, divisibility is the same mask test.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from jonq import kernel
 from jonq.errors import BudgetExceeded, MembershipError, StructuralError
 from jonq.orders import Block, DegRevLex, MonomialOrder
 from jonq.ring import (
@@ -62,32 +66,31 @@ _NO_BUDGET = Budget()
 
 
 class _GBPoly:
-    __slots__ = (
-        "terms", "lm_okey", "lm_exps", "lm_mask", "lc", "sugar", "_tail", "_tail_bits",
-    )
+    __slots__ = ("terms", "lm_okey", "lm_exps", "lc", "sugar", "_lead", "_tail", "_bits")
 
     def __init__(self, terms, order, sugar=None):
         self.terms = terms
         self.lm_okey, self.lc = terms[0]
         self.lm_exps = order.exponents(self.lm_okey)
-        self.lm_mask = _mask(self.lm_exps)
         self.sugar = sugar if sugar is not None else sum(self.lm_exps)
-        self._tail_bits = None
+        self._bits = None
+
+    def _pack(self, packing):
+        self._lead = packing.pack(self.lm_okey)
+        self._tail = packing.offsets(self.terms)
+        self._bits = packing.bits
+
+    def lead(self, packing):
+        """The packed lead monomial, cached per field width."""
+        if self._bits != packing.bits:
+            self._pack(packing)
+        return self._lead
 
     def tail(self, packing):
         """The tail as packed offsets from the lead, cached per field width."""
-        if self._tail_bits != packing.bits:
-            self._tail = packing.offsets(self.terms)
-            self._tail_bits = packing.bits
+        if self._bits != packing.bits:
+            self._pack(packing)
         return self._tail
-
-
-def _mask(exps):
-    m = 0
-    for i, e in enumerate(exps):
-        if e:
-            m |= 1 << i
-    return m
 
 
 def _normalize_terms(terms):
@@ -129,46 +132,48 @@ def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=Fal
     The invariant is reduced_terms == scale * normal_form(input) with
     `scale` a positive rational, so dividing out `scale` recovers the
     exact normal form.  `early_nonzero` aborts on the first irreducible
-    lead (enough for membership tests).  The terms go into a packed-key
-    accumulator (`_reduce_acc` does the steps); keys start in 16-bit
-    fields, and the whole reduction reruns with wider fields if a key
-    outgrows them.
+    lead (enough for membership tests).  `lead_data` is `_lead_data(elems)`.
+    The terms go into a packed accumulator (`_reduce_acc` does the steps);
+    monomials start in 16-bit fields, and the whole reduction reruns with
+    wider fields if one outgrows them.
     """
     if not terms:
         return [], Fraction(1)
-    return _with_wide_keys(
-        lambda packing: _reduce_acc(
-            _Accumulator(packing, terms), elems, lead_data, order, early_nonzero
-        ),
-        len(terms[0][0]),
-    )
+
+    def run(packing):
+        lead = [(elems[j].lead(packing), j) for j in lead_data]
+        return _reduce_acc(_Accumulator(packing, terms), elems, lead, early_nonzero)
+
+    return _with_wide_keys(run, order)
 
 
-def _reduce_acc(acc, elems, lead_data, order, early_nonzero=False):
+def _reduce_acc(acc, elems, lead, early_nonzero=False):
     """`_reduce` on the terms held by an accumulator, which it consumes.
 
-    Fraction-free: before lead c*m is cancelled by a reducer g with lead
-    coefficient lc, everything is multiplied by lc/gcd(c, lc), and the
-    product is kept in `scale`'s numerator.  Every 64 steps the integer
-    content of the whole remainder goes into its denominator.  The
-    reducer is the one `kernel.find_reducer` picks for the lead, so the
-    step sequence, and with it every output term and scale, is fixed by
-    the input alone.
+    `lead` lists (packed lead, index into `elems`) in `_lead_data` order;
+    the reducer of a popped monomial is the first entry whose lead divides
+    it.  Fraction-free: before lead c*m is cancelled by a reducer g with
+    lead coefficient lc, everything is multiplied by lc/gcd(c, lc), and
+    the product is kept in `scale`'s numerator.  Every 64 steps the
+    integer content of the whole remainder goes into its denominator.
+    The step sequence, and with it every output term and scale, is fixed
+    by the input alone.  Irreducible terms stay packed until the end.
     """
     out = []
     num, den = 1, 1
     steps = 0
-    exponents = order.exponents
-    find = kernel.find_reducer
     packing = acc.packing
+    guard = packing.guard
+    unpack = packing.unpack
     while acc:
-        k, okey, c = acc.pop_lead()
-        exps = exponents(okey)
-        j = find(exps, _mask(exps), lead_data)
-        if j < 0:
+        k, c = acc.pop_lead()
+        for lm, j in lead:
+            if not (k - lm) & guard:
+                break
+        else:
             if early_nonzero:
-                return [(okey, c)], Fraction(num, den)
-            out.append((okey, c))
+                return [(unpack(k), c)], Fraction(num, den)
+            out.append((k, c))
             continue
         g = elems[j]
         gamma = int_gcd(c, g.lc)
@@ -177,13 +182,13 @@ def _reduce_acc(acc, elems, lead_data, order, early_nonzero=False):
             num *= a
             acc.scale(a)
             if out:
-                out = [(key, a * v) for key, v in out]
-        acc.add_shifted(k, okey, g.tail(packing), -(c // gamma))
+                out = [(m, a * v) for m, v in out]
+        acc.add_shifted(k, g.tail(packing), -(c // gamma))
         steps += 1
         if steps % 64 == 0 and acc:
             content = int_gcd(*(v for _, v in out), *acc.values())
             if content > 1:
-                out = [(key, v // content) for key, v in out]
+                out = [(m, v // content) for m, v in out]
                 acc.divide(content)
                 den *= content
     if not out:
@@ -194,35 +199,23 @@ def _reduce_acc(acc, elems, lead_data, order, early_nonzero=False):
         if content == 1:
             break
     if content > 1:
-        out = [(key, v // content) for key, v in out]
         den *= content
-    return out, Fraction(num, den)
+        return [(unpack(k), v // content) for k, v in out], Fraction(num, den)
+    return [(unpack(k), v) for k, v in out], Fraction(num, den)
 
 
 def _lead_data(elems):
-    order_idx = sorted(range(len(elems)), key=lambda k: elems[k].lm_okey)
-    return [(elems[k].lm_mask, elems[k].lm_exps, k) for k in order_idx]
-
-
-def _pair_entry(G, i, j, order):
-    f, g = G[i], G[j]
-    lcm_exps = tuple(max(a, b) for a, b in zip(f.lm_exps, g.lm_exps))
-    deg = sum(lcm_exps)
-    sugar = max(
-        f.sugar + deg - sum(f.lm_exps), g.sugar + deg - sum(g.lm_exps)
-    )
-    return (deg, sugar, order.key(lcm_exps), i, j)
+    """Indices of `elems` by ascending lead: the order reducers are tried in."""
+    return sorted(range(len(elems)), key=lambda k: elems[k].lm_okey)
 
 
 def _buchberger_core(inputs, order, budget, seed=None):
     """Run Buchberger; `seed` is an existing basis whose mutual pairs are done.
 
-    A run that outgrows its key fields starts over with wider ones and
-    with the S-pair budget as it found it.
+    A run that outgrows its fields starts over with wider ones and with
+    the S-pair budget as it found it.
     """
-    leads = [terms[0][0] for terms in inputs if terms]
-    leads += [e.lm_okey for e in seed or ()]
-    if not leads:
+    if not seed and not any(inputs):
         return []
     used = budget.pairs_used
 
@@ -230,58 +223,54 @@ def _buchberger_core(inputs, order, budget, seed=None):
         budget.pairs_used = used
         return _buchberger_packed(inputs, order, budget, seed, packing)
 
-    return _with_wide_keys(run, len(leads[0]))
+    return _with_wide_keys(run, order)
 
 
 def _buchberger_packed(inputs, order, budget, seed, packing):
     G: list[_GBPoly] = list(seed) if seed else []
-    lead = _lead_data(G)  # rebuilt only when G grows
+    lead = [(G[j].lead(packing), j) for j in _lead_data(G)]
+    xmask = packing.xmask
+    xs = [e.lead(packing) & xmask for e in G]  # exponent parts of the leads
     heap: list = []
-    alive: set = set()
-
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(G[i].lm_exps, G[j].lm_exps))
+    alive: dict = {}  # pending pair -> the exponent part of its lcm
+    guard = packing.guard
+    lcm = packing.lcm
+    monomial = packing.monomial
 
     def update(h):
         # Gebauer-Moeller: prune old pairs, build a minimal new pair set.
-        nonlocal lead
         k = len(G)
         G.append(h)
-        lead = _lead_data(G)
-        lmh = h.lm_exps
-        new_lcm = {}
-        for i in range(k):
-            new_lcm[i] = tuple(max(a, b) for a, b in zip(G[i].lm_exps, lmh))
+        lh = h.lead(packing)
+        insort(lead, (lh, k))  # `_lead_data` order: packed ints compare as keys
+        xh = lh & xmask
+        new_lcm = [lcm(x, xh) for x in xs]
         # B criterion on surviving old pairs
-        for (i, j) in list(alive):
-            lij = lcm_of(i, j)
-            if (
-                all(e >= f for e, f in zip(lij, lmh))
-                and lij != new_lcm[i]
-                and lij != new_lcm[j]
-            ):
-                alive.discard((i, j))
-        # M criterion: keep only minimal lcms among the new pairs
+        for ij, L in list(alive.items()):
+            if not (L - xh) & guard and L != new_lcm[ij[0]] and L != new_lcm[ij[1]]:
+                del alive[ij]
+        # M criterion: keep only minimal lcms among the new pairs; any
+        # order that extends divisibility (here: the exponent int) works
         groups: dict = {}
-        for i in range(k):
-            groups.setdefault(new_lcm[i], []).append(i)
-        keys = sorted(groups.keys(), key=order.key)
+        for i, L in enumerate(new_lcm):
+            groups.setdefault(L, []).append(i)
         minimal = []
-        for L in keys:
-            if not any(all(e >= f for e, f in zip(L, M)) for M in minimal):
+        for L in sorted(groups):
+            if not any(not (L - M) & guard for M in minimal):
                 minimal.append(L)
+        deg_h = sum(h.lm_exps)
         for L in minimal:
             members = groups[L]
             # F criterion / Buchberger's coprime criterion
-            if any(
-                new_lcm[i]
-                == tuple(a + b for a, b in zip(G[i].lm_exps, lmh))
-                for i in members
-            ):
+            if any(L == xs[i] + xh for i in members):
                 continue
-            i = min(members)
-            alive.add((i, k))
-            heapq.heappush(heap, _pair_entry(G, i, k, order))
+            i = members[0]
+            alive[i, k] = L
+            shift, deg = monomial(L)
+            f = G[i]
+            sugar = max(f.sugar + deg - sum(f.lm_exps), h.sugar + deg - deg_h)
+            heapq.heappush(heap, (deg, sugar, shift, i, k))
+        xs.append(xh)
 
     prepared = []
     for terms in inputs:
@@ -289,25 +278,23 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
             prepared.append(_GBPoly(terms, order))
     prepared.sort(key=lambda e: (sum(e.lm_exps), e.lm_okey))
     for h in prepared:
-        r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead, order)
+        r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead)
         if r:
             update(_GBPoly(_normalize_terms(r), order, h.sugar))
     while heap:
-        _, sugar, lcm_okey, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
+        _, sugar, shift, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
             continue
-        alive.discard((i, j))
         budget.charge_pair()
         # S(f, g) = a*(lcm/lm f)*tail(f) - b*(lcm/lm g)*tail(g); the leads cancel
         f, g = G[i], G[j]
         gamma = int_gcd(f.lc, g.lc)
         acc = _Accumulator(packing)
-        shift = packing.pack(lcm_okey)
-        acc.add_shifted(shift, lcm_okey, f.tail(packing), g.lc // gamma)
-        acc.add_shifted(shift, lcm_okey, g.tail(packing), -(f.lc // gamma))
+        acc.add_shifted(shift, f.tail(packing), g.lc // gamma)
+        acc.add_shifted(shift, g.tail(packing), -(f.lc // gamma))
         if not acc:
             continue
-        r, _ = _reduce_acc(acc, G, lead, order)
+        r, _ = _reduce_acc(acc, G, lead)
         if r:
             update(_GBPoly(_normalize_terms(r), order, sugar))
     return G
@@ -321,9 +308,7 @@ def _reduced_basis(G, order, budget):
     minimal = []
     for e in elems:
         if not any(
-            not (m.lm_mask & ~e.lm_mask)
-            and all(a <= b for a, b in zip(m.lm_exps, e.lm_exps))
-            for m in minimal
+            all(a <= b for a, b in zip(m.lm_exps, e.lm_exps)) for m in minimal
         ):
             minimal.append(e)
     reduced = []

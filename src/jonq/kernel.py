@@ -2,7 +2,10 @@
 
 Imports the compiled kernel when present, otherwise the pure-Python twin.
 Set JONQ_PURE=1 to force the pure backend (used by the parity tests and
-the backend benchmark).
+the backend benchmark).  Only `mul_packed` has a caller in the library;
+`merge_linear`, `find_reducer` and `scale_terms` stay exported because
+the benchmark's tracer wraps all four names and the tests use them as
+references.
 """
 
 import os

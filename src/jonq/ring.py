@@ -5,7 +5,8 @@ attached to a :class:`VariableSet`.  Coefficients are Python ints or
 `fractions.Fraction`; nothing is ever floating point.  The text grammar
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
 used by the CLI and the golden tests.  Division (`_divide`) runs
-on `_Accumulator`, the packed-key heap that the Groebner engine shares.
+on `_Accumulator`, the packed-monomial heap that the Groebner engine
+shares.
 """
 
 from __future__ import annotations
@@ -503,47 +504,96 @@ def _mul_term_maps(a, b, nvars):
     return {unpack(k): c for k, c in prod.items()}
 
 
-# -- packed keys and the sparse accumulator --------------------------------
+# -- packed monomials and the sparse accumulator ----------------------------
 
 
 class _KeyOverflow(Exception):
-    """A key field left the range of the current packing; widen and retry."""
+    """A field left the range of the current packing; widen and retry."""
 
 
 class _Packing:
-    """Additive order keys packed into one int.
+    """Monomials packed into one int: the order key over the exponent vector.
 
-    Each key component takes a field of `bits` bits, most significant
-    first, stored offset-binary (component + 2**(bits-1)).  Comparing two
-    packed ints then compares the keys, and adding the packed difference
-    of two keys shifts a key.  `pack` accepts only keys whose components
-    are at most `limit` = 2**(bits-3) in size; a key shifted by the
-    difference of two such keys stays below 3*limit < 2**(bits-1), inside
-    its field.  So shifts never carry into the next field: any key that
-    would break the bound raises `_KeyOverflow` before it is used.
+    The high part holds the additive order key, one field of `bits` bits
+    per component, most significant first, stored offset-binary
+    (component + 2**(bits-1)).  The low part holds the exponent vector,
+    one field of `bits` bits per variable whose top bit, the guard, stays
+    clear.  The key part decides every comparison, so comparing two packed
+    ints compares the keys.  Both parts are additive, so adding the packed
+    quotient of two monomials shifts a monomial.  A field that borrows
+    sets its guard, so l divides m exactly when (m - l) & guard == 0.
+
+    Every order's exponents are a linear function of its key, so `pack`
+    is one dot product of the key with per-field weights.  It accepts
+    only monomials whose exponents are below 2**ebits, chosen so that
+    their key components are at most `limit` = 2**(bits-3).  A shifted
+    monomial then has exponents below 2**(ebits+1) <= 2**(bits-2) and key
+    components below 3*limit, so shifts never carry out of a field.  A
+    shift target with an exponent at or past the bound (an `over` bit
+    set) raises `_KeyOverflow` before it is used.
     """
 
-    __slots__ = ("bits", "limit", "pack", "unpack")
+    __slots__ = (
+        "bits", "xmask", "guard", "over", "pack", "unpack", "exponents", "lcm", "monomial",
+    )
 
-    def __init__(self, nfields, bits):
-        self.bits = bits
-        self.limit = limit = 1 << (bits - 3)
+    def __init__(self, order, bits):
+        n = order.nvars
+        unit_keys = [order.key(tuple(int(i == v) for i in range(n))) for v in range(n)]
+        nfields = len(order.key((0,) * n))
+        limit = 1 << (bits - 3)
+        spread = max(sum(abs(k[f]) for k in unit_keys) for f in range(nfields))
+        ebits = (limit // spread + 1).bit_length() - 1
         half = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        shifts = [bits * i for i in reversed(range(nfields))]
-        weights = [1 << s for s in shifts]
-        base = half * sum(weights)
+        fmask = (1 << bits) - 1
+        eshifts = [bits * i for i in reversed(range(n))]
+        kshifts = [bits * (n + i) for i in reversed(range(nfields))]
+        weights = []
+        for f, s in enumerate(kshifts):
+            exps = order.exponents(tuple(int(i == f) for i in range(nfields)))
+            weights.append((1 << s) + sum(e << t for e, t in zip(exps, eshifts)))
+        base = half * sum(1 << s for s in kshifts)
+        vweights = [sum(map(operator.mul, k, weights)) for k in unit_keys]
+        self.bits = bits
+        self.xmask = (1 << bits * n) - 1  # the exponent part
+        self.guard = guard = sum(half << s for s in eshifts)
+        self.over = over = sum((fmask >> ebits << ebits) << s for s in eshifts)
+        top = bits - 1
 
         def pack(key):
-            if max(map(abs, key)) > limit:
+            if max(map(abs, key)) > limit:  # would carry past the `over` test
                 raise _KeyOverflow
-            return sum(map(operator.mul, key, weights)) + base
+            packed = sum(map(operator.mul, key, weights)) + base
+            if packed & over:
+                raise _KeyOverflow
+            return packed
 
         def unpack(packed):
-            return tuple([(packed >> s & mask) - half for s in shifts])
+            return tuple([(packed >> s & fmask) - half for s in kshifts])
+
+        def exponents(packed):
+            return tuple([packed >> s & fmask for s in eshifts])
+
+        def lcm(a, b):
+            # per-field max of two exponent parts: sel spans the fields with a >= b
+            t = ((a | guard) - b) & guard
+            sel = t - (t >> top)
+            return (a & sel) | (b & ~sel)
+
+        def monomial(x):
+            # the packed monomial with exponent part x, and its total degree
+            packed, deg = base, 0
+            for s, w in zip(eshifts, vweights):
+                e = x >> s & fmask
+                packed += e * w
+                deg += e
+            return packed, deg
 
         self.pack = pack
         self.unpack = unpack
+        self.exponents = exponents
+        self.lcm = lcm
+        self.monomial = monomial
 
     def offsets(self, terms):
         """A term list's tail as (packed offset from its lead, coefficient)."""
@@ -553,27 +603,27 @@ class _Packing:
 
 
 @functools.lru_cache(maxsize=64)
-def _packing(nfields, bits):
-    return _Packing(nfields, bits)
+def _packing(order, bits):
+    return _Packing(order, bits)
 
 
-def _with_wide_keys(run, nfields):
+def _with_wide_keys(run, order):
     """run(packing), from 16-bit fields up, doubling on `_KeyOverflow`."""
     bits = 16
     while True:
         try:
-            return run(_packing(nfields, bits))
+            return run(_packing(order, bits))
         except _KeyOverflow:
             bits *= 2
 
 
 class _Accumulator:
-    """A polynomial under division: packed key -> coefficient.
+    """A polynomial under division: packed monomial -> coefficient.
 
-    A max-heap (of negated keys) orders the live keys.  A key whose
-    coefficient cancels leaves the dict but stays in the heap, and
-    `pop_lead` skips it (lazy deletion), so adding a term costs O(log n)
-    however many terms are live.
+    A max-heap (of negated packed monomials) orders the live terms.  A
+    term whose coefficient cancels leaves the dict but stays in the heap,
+    and `pop_lead` skips it (lazy deletion), so adding a term costs
+    O(log n) however many terms are live.
     """
 
     __slots__ = ("packing", "coeffs", "heap")
@@ -590,21 +640,21 @@ class _Accumulator:
         return bool(self.coeffs)
 
     def pop_lead(self):
-        """Remove the largest live term; returns (packed key, key, coefficient)."""
+        """Remove the largest live term; returns (packed monomial, coefficient)."""
         coeffs = self.coeffs
         heap = self.heap
         while True:
             k = -heapq.heappop(heap)
             c = coeffs.pop(k, None)
             if c is not None:
-                return k, self.packing.unpack(k), c
+                return k, c
 
-    def add_shifted(self, packed, key, tail, mult):
-        """Add mult * x^(key - lead) * tail, `tail` from `_Packing.offsets`.
+    def add_shifted(self, packed, tail, mult):
+        """Add mult * tail moved so that its lead lands on `packed`.
 
-        `packed` is `key` packed: the monomial the tail's lead moves to.
+        `tail` comes from `_Packing.offsets`.
         """
-        if max(map(abs, key)) > self.packing.limit:
+        if packed & self.packing.over:
             raise _KeyOverflow
         coeffs = self.coeffs
         heap = self.heap
@@ -655,31 +705,36 @@ def _divide(p, divisors, order, exact=False):
         sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
         for d in divisors
     ]
-    leads = [(order.exponents(t[0][0]), t[0][1]) for t in dterms]
+    lcs = [t[0][1] for t in dterms]
     pterms = [(key(m), c) for m, c in p._terms.items()]
 
     def run(packing):
+        guard = packing.guard
+        leads = [packing.pack(t[0][0]) for t in dterms]
         tails = [packing.offsets(t) for t in dterms]
         rem = _Accumulator(packing, pterms)
         quots = [{} for _ in dterms]
-        out = {}
+        out = []
         while rem:
-            k, okey, c = rem.pop_lead()
-            m = order.exponents(okey)
-            for hit, (lm, lc) in enumerate(leads):
-                if all(a >= b for a, b in zip(m, lm)):
+            k, c = rem.pop_lead()
+            for hit, lm in enumerate(leads):
+                if not (k - lm) & guard:
                     break
             else:
-                out[m] = c
+                out.append((k, c))
                 if exact:
                     break
                 continue
-            qc = Fraction(c, 1) / lc
-            quots[hit][tuple(a - b for a, b in zip(m, lm))] = qc
-            rem.add_shifted(k, okey, tails[hit], -qc)
-        return quots, out
+            qc = Fraction(c, 1) / lcs[hit]
+            quots[hit][k - lm] = qc
+            rem.add_shifted(k, tails[hit], -qc)
+        exponents = packing.exponents
+        return (
+            [{exponents(q): c for q, c in quot.items()} for quot in quots],
+            {exponents(k): c for k, c in out},
+        )
 
-    return _with_wide_keys(run, len(dterms[0][0][0]))
+    return _with_wide_keys(run, order)
 
 
 def divide_exact(p, d):

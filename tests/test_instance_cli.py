@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from jonq.cli import main
+from jonq.cli import _build_parser, main
 from jonq.errors import ParseError
 from jonq.fixtures import FIXTURE_NAMES, fixture_path, fixture_text, load_fixture
 from jonq.instance import parse_instance
@@ -101,6 +101,19 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_reused_parser_leaks_no_option(capsys):
+    """`main` builds its parser once; no flag of one call reaches the next."""
+    argv = ["analyze", fixture_path("plane"), "--machine"]
+    single = []
+    for extra in (["--seed", "3"], []):
+        _build_parser.cache_clear()
+        single.append(run_cli(argv + extra, capsys))
+    _build_parser.cache_clear()
+    twice = [run_cli(argv + ["--seed", "3"], capsys), run_cli(argv, capsys)]
+    assert twice == single
+    assert single[0] != single[1]
 
 
 class TestCli:
