@@ -66,29 +66,31 @@ _NO_BUDGET = Budget()
 
 
 class _GBPoly:
-    __slots__ = ("terms", "lm_okey", "lm_exps", "lc", "sugar", "_lead", "_tail", "_bits")
+    __slots__ = ("terms", "lm_okey", "lm_exps", "lc", "sugar", "_lead", "_tail", "_packing")
 
     def __init__(self, terms, order, sugar=None):
         self.terms = terms
         self.lm_okey, self.lc = terms[0]
         self.lm_exps = order.exponents(self.lm_okey)
         self.sugar = sugar if sugar is not None else sum(self.lm_exps)
-        self._bits = None
+        self._packing = None
 
     def _pack(self, packing):
-        self._lead = packing.pack(self.lm_okey)
-        self._tail = packing.offsets(self.terms)
-        self._bits = packing.bits
+        # both are built before either is stored: if the tail overflows the
+        # fields, the cache keeps the lead and tail of the last packing
+        lead = packing.pack(self.lm_okey)
+        tail = packing.offsets(self.terms)
+        self._lead, self._tail, self._packing = lead, tail, packing
 
     def lead(self, packing):
-        """The packed lead monomial, cached per field width."""
-        if self._bits != packing.bits:
+        """The packed lead monomial, cached for the last packing used."""
+        if self._packing is not packing:
             self._pack(packing)
         return self._lead
 
     def tail(self, packing):
-        """The tail as packed offsets from the lead, cached per field width."""
-        if self._bits != packing.bits:
+        """The tail as packed offsets from the lead, cached for the last packing."""
+        if self._packing is not packing:
             self._pack(packing)
         return self._tail
 

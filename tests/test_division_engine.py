@@ -283,6 +283,28 @@ def test_keys_outgrowing_fields_mid_reduction():
     assert _reduce(terms, elems, lead, order) == reference_reduce(terms, elems, order)
 
 
+def test_cached_basis_whose_tail_outgrows_its_lead_fields():
+    """A lead that packs in 16-bit fields over a tail that does not.
+
+    Every call on the cached basis widens to 32 bits after the 16-bit
+    lead packed and the tail overflowed; the cached lead must stay the
+    one of the packing its tail was built for, call after call.
+    """
+    x0, x1, x2 = Polynomial.gens(R)
+    order = Lex(3)
+    gens = [x0 - x2**9000]
+    gb = buchberger(gens, order)
+    want = x1 * x2**9000
+    elems, _ = _elems(gens, order)
+    terms = _to_internal(x0 * x1, order)
+    ref = reference_reduce(terms, elems, order)
+    for _ in range(3):
+        assert normal_form(x0 * x1, gb) == want
+        assert is_member(x0 * x1 - want, gb)
+        assert not is_member(x0 * x1, gb)
+        assert _reduce(terms, gb._elems, gb._lead, order) == ref
+
+
 def test_widened_buchberger_charges_its_pairs_once(monkeypatch):
     """A run restarted with wider fields gets back the pairs it spent."""
     from jonq import groebner
