@@ -37,6 +37,7 @@ from jonq.ring import (
     VariableSet,
     _Accumulator,
     _divide,
+    _lower,
     _with_wide_keys,
     monomials_of_degree,
 )
@@ -122,10 +123,10 @@ def _to_internal(p, order):
 
 
 def _to_polynomial(terms, order, ring, scale=1):
-    out = {}
-    for okey, c in terms:
-        out[order.exponents(okey)] = c * scale if scale != 1 else c
-    return Polynomial(ring, out)
+    exponents = order.exponents
+    if scale == 1:
+        return Polynomial._clean(ring, {exponents(okey): c for okey, c in terms})
+    return Polynomial._clean(ring, {exponents(okey): _lower(c * scale) for okey, c in terms})
 
 
 def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=False):

@@ -6,7 +6,9 @@ attached to a :class:`VariableSet`.  Coefficients are Python ints or
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
 used by the CLI and the golden tests.  Division (`_divide`) runs
 on `_Accumulator`, the packed-monomial heap that the Groebner engine
-shares.
+shares.  Results the library builds from already clean terms skip the
+public constructor's checks through `Polynomial._clean`, and `substitute`
+expands every term over the images packed once, into one accumulator.
 """
 
 from __future__ import annotations
@@ -82,13 +84,14 @@ class VariableSet:
         return f"{base}{k}"
 
 
+def _lower(c):
+    """An exact coefficient with an integral Fraction made an int."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
 def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    if isinstance(c, int):
-        return c
+    if isinstance(c, (int, Fraction)):
+        return _lower(c)
     raise StructuralError(f"coefficient {c!r} is not an exact rational")
 
 
@@ -128,6 +131,16 @@ class Polynomial:
             clean[mono] = c
         self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _clean(cls, ring, terms):
+        """Adopt `terms` unchecked: nonzero `_lower`ed coefficients, exponent
+        vectors of length len(ring) with no negative entry."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self._terms = terms
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -254,15 +267,15 @@ class Polynomial:
         for m, c in other._terms.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = _lower(s)
             else:
                 terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._clean(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
+        return Polynomial._clean(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -276,13 +289,15 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.ring)
-            return Polynomial(
-                self.ring, {m: c * other for m, c in self._terms.items()}
+            return Polynomial._clean(
+                self.ring, {m: _lower(c * other) for m, c in self._terms.items()}
             )
         self._check_ring(other)
         if not self._terms or not other._terms:
             return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, _mul_term_maps(self._terms, other._terms, len(self.ring)))
+        return Polynomial._clean(
+            self.ring, _mul_term_maps(self._terms, other._terms, len(self.ring))
+        )
 
     __rmul__ = __mul__
 
@@ -344,35 +359,35 @@ class Polynomial:
                 raise StructuralError("substitution images over mixed variable sets")
         if not self._terms:
             return Polynomial.zero(target)
-        # cache powers of each image
-        power_cache = [dict() for _ in images]
-        one = Polynomial.constant(target, 1)
+        # every product below has total degree at most `top`
+        degs = [im.total_degree() or 0 for im in images]
+        top = max(sum(map(operator.mul, mono, degs)) for mono in self._terms)
+        pack, unpack = _exponent_packing(len(target), max(1, top.bit_length()))
+        mul = kernel.mul_packed
+        powers = [{1: [(pack(m), c) for m, c in im._terms.items()]} for im in images]
 
         def power(i, e):
-            cache = power_cache[i]
+            cache = powers[i]
             got = cache.get(e)
-            if got is not None:
-                return got
-            if e == 0:
-                p = one
-            elif e == 1:
-                p = images[i]
-            else:
-                p = power(i, e // 2)
-                p = p * p
+            if got is None:
+                half = power(i, e // 2)
+                got = mul(half, half)
                 if e & 1:
-                    p = p * images[i]
-            cache[e] = p
-            return p
+                    got = mul(list(got.items()), cache[1])
+                got = cache[e] = list(got.items())
+            return got
 
-        acc = Polynomial.zero(target)
-        for mono, c in sorted(self._terms.items()):
-            piece = Polynomial.constant(target, c)
+        acc = {}
+        get = acc.get
+        for mono, c in self._terms.items():
+            piece = None
             for i, e in enumerate(mono):
                 if e:
-                    piece = piece * power(i, e)
-            acc = acc + piece
-        return acc
+                    p = power(i, e)
+                    piece = p if piece is None else list(mul(piece, p).items())
+            for k, v in ((0, 1),) if piece is None else piece:
+                acc[k] = get(k, 0) + v * c
+        return Polynomial._clean(target, {unpack(k): _lower(c) for k, c in acc.items() if c})
 
     def map_ring(self, target):
         """Embed into a larger variable set by name."""
@@ -384,7 +399,7 @@ class Polynomial:
             for p, e in zip(pos, mono):
                 out[p] = e
             terms[tuple(out)] = c
-        return Polynomial(target, terms)
+        return Polynomial._clean(target, terms)
 
     def restrict_to(self, target):
         """Restrict to a subring containing the support, by name."""
@@ -409,7 +424,7 @@ class Polynomial:
         """Positional rename onto another variable set of the same size."""
         if len(target) != len(self.ring):
             raise StructuralError("rename requires equal variable counts")
-        return Polynomial(target, dict(self._terms))
+        return Polynomial._clean(target, self._terms)
 
     def derivative(self, name):
         i = self.ring.index(name)
@@ -477,31 +492,34 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def _mul_term_maps(a, b, nvars):
-    """Multiply two term maps via the packed-int kernel."""
-    da = max(sum(m) for m in a)
-    db = max(sum(m) for m in b)
-    bits = max(1, (da + db).bit_length())
+@functools.lru_cache(maxsize=64)
+def _exponent_packing(nvars, bits):
+    """(pack, unpack) between exponent vectors and ints of `bits`-bit fields.
+
+    Products of packed monomials add their ints, so the fields must hold
+    every exponent of the product.
+    """
     mask = (1 << bits) - 1
+    shifts = [bits * i for i in reversed(range(nvars))]
 
     def pack(m):
-        k = 0
-        for e in m:
-            k = (k << bits) | e
-        return k
+        return sum(map(operator.lshift, m, shifts))
 
     def unpack(k):
-        out = []
-        for _ in range(nvars):
-            out.append(k & mask)
-            k >>= bits
-        out.reverse()
-        return tuple(out)
+        return tuple([k >> s & mask for s in shifts])
 
+    return pack, unpack
+
+
+def _mul_term_maps(a, b, nvars):
+    """Multiply two clean term maps via the packed-int kernel."""
+    da = max(sum(m) for m in a)
+    db = max(sum(m) for m in b)
+    pack, unpack = _exponent_packing(nvars, max(1, (da + db).bit_length()))
     prod = kernel.mul_packed(
         [(pack(m), c) for m, c in a.items()], [(pack(m), c) for m, c in b.items()]
     )
-    return {unpack(k): c for k, c in prod.items()}
+    return {unpack(k): _lower(c) for k, c in prod.items()}
 
 
 # -- packed monomials and the sparse accumulator ----------------------------
@@ -749,7 +767,7 @@ def divide_exact(p, d):
     (q,), rem = _divide(p, [d], DegRevLex(len(p.ring)), exact=True)
     if rem:
         raise DivisibilityError(f"({d}) does not divide ({p}) exactly")
-    return Polynomial(p.ring, q)
+    return Polynomial._clean(p.ring, {m: _lower(c) for m, c in q.items()})
 
 
 def poly_gcd(p, q):
@@ -757,7 +775,8 @@ def poly_gcd(p, q):
 
     Primitive-part/content recursion with a subresultant PRS in the last
     active variable, run only when `_coprime_on_line` cannot prove the
-    gcd is 1.  gcd(p, 0) = canonical(p).
+    gcd is 1 and the input of lower degree does not divide the other.
+    gcd(p, 0) = canonical(p).
     """
     if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
         raise StructuralError("poly_gcd needs two polynomials")
@@ -770,6 +789,10 @@ def poly_gcd(p, q):
     b = q.canonical()
     if _coprime_on_line(a, b):
         return Polynomial.constant(p.ring, 1)
+    # u | v makes gcd(u, v) = u.canonical() = u
+    u, v = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
+    if not _divide(v, [u], DegRevLex(len(p.ring)), exact=True)[1]:
+        return u
     return _gcd_recursive(a, b).canonical()
 
 
@@ -870,9 +893,8 @@ def _coeffs_in(p, v):
         m2 = list(mono)
         m2[v] = 0
         key = tuple(m2)
-        d = out.setdefault(e, {})
-        d[key] = d.get(key, 0) + c
-    return {e: Polynomial(ring, t) for e, t in out.items()}
+        out.setdefault(e, {})[key] = c
+    return {e: Polynomial._clean(ring, t) for e, t in out.items()}
 
 
 def _from_coeffs(ring, v, coeffs):

@@ -7,6 +7,7 @@ and the PRS (`_gcd_recursive`) runs only when the certificate declines.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq import ring
@@ -96,3 +97,38 @@ def test_dense_coprime_forms_skip_prs(monkeypatch):
             coprime += 1
     assert coprime == 12
     assert calls == []
+
+
+def _count_prs_calls(mp):
+    calls = []
+    prs = ring._gcd_recursive
+    mp.setattr(ring, "_gcd_recursive", lambda *args: calls.append(args) or prs(*args))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(polys, rational_polys, homogeneous),
+    st.one_of(polys, rational_polys, homogeneous),
+    st.sampled_from([1, -1, -3, Fraction(-2, 3)]),
+)
+def test_divisor_fast_path_matches_prs(a, b, unit):
+    a = a * unit  # lead coefficients of either sign
+    ab = a * b
+    for x, y in ((a, ab), (ab, a), (a, a)):
+        want = reference(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_prs_calls(mp)
+            assert poly_gcd(x, y) == want
+        if not a.is_constant():
+            assert calls == [], "an exact divisor must skip the PRS"
+
+
+def test_same_degree_pair_without_divisor_runs_prs():
+    a = parse_polynomial("x0^2 + x0*x2 + x0*x1 + x1*x2", R)  # (x0 + x1) * (x0 + x2)
+    b = parse_polynomial("x0*x1 + x0*x2 + x1^2 + x1*x2", R)  # (x0 + x1) * (x1 + x2)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_prs_calls(mp)
+        assert poly_gcd(a, b) == parse_polynomial("x0 + x1", R)
+    assert calls[0] == (a.canonical(), b.canonical())
+    assert poly_gcd(-a, b) == reference(a, b)

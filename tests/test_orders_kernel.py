@@ -101,8 +101,11 @@ def test_backend_parity_find_reducer(compiled_kernel):
         )
 
 
-def test_groebner_identical_across_backends(compiled_kernel_path):
-    """The reduced basis must be bit-identical under both kernels."""
+def _outputs_on_both_backends(compiled_kernel_path, body):
+    """Run `body` (Python source printing its results) once on the compiled
+    kernel loaded from `compiled_kernel_path` and once on the pure backend;
+    returns {JONQ_PURE value: (backend name, remaining output lines)}."""
+    import os
     import subprocess
     import sys
 
@@ -113,31 +116,59 @@ def test_groebner_identical_across_backends(compiled_kernel_path):
         "spec = importlib.util.spec_from_loader(name, loader)\n"
         "sys.modules[name] = importlib.util.module_from_spec(spec)\n"
         "loader.exec_module(sys.modules[name])\n"
-        "from jonq.ring import VariableSet, parse_polynomial\n"
-        "from jonq.groebner import buchberger\n"
         "from jonq.kernel import BACKEND\n"
-        "R = VariableSet(['x0','x1','x2','x3'])\n"
-        "gens = [parse_polynomial(s, R) for s in ("
-        "'x0^2*x1 - x2^3 + x3^3', 'x0*x3 - x1*x2', 'x1^3 - x0*x2^2')]\n"
-        "gb = buchberger(gens)\n"
         "print(BACKEND)\n"
-        "print('|'.join(str(g) for g in gb))\n"
-    )
+    ) + body
     outs = {}
     for env_val in ("0", "1"):
-        env = {"JONQ_PURE": env_val}
-        import os
-
         full = dict(os.environ)
-        full.update(env)
+        full["JONQ_PURE"] = env_val
         res = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=full
         )
         assert res.returncode == 0, res.stderr
-        backend, basis = res.stdout.strip().splitlines()
-        outs[env_val] = (backend, basis)
+        backend, *lines = res.stdout.strip().splitlines()
+        outs[env_val] = (backend, lines)
     assert outs["0"][0] == "cython"
     assert outs["1"][0] == "python"
+    return outs
+
+
+def test_groebner_identical_across_backends(compiled_kernel_path):
+    """The reduced basis must be bit-identical under both kernels."""
+    body = (
+        "from jonq.ring import VariableSet, parse_polynomial\n"
+        "from jonq.groebner import buchberger\n"
+        "R = VariableSet(['x0','x1','x2','x3'])\n"
+        "gens = [parse_polynomial(s, R) for s in ("
+        "'x0^2*x1 - x2^3 + x3^3', 'x0*x3 - x1*x2', 'x1^3 - x0*x2^2')]\n"
+        "print('|'.join(str(g) for g in buchberger(gens)))\n"
+    )
+    outs = _outputs_on_both_backends(compiled_kernel_path, body)
+    assert outs["0"][1] == outs["1"][1]
+
+
+def test_polynomial_layer_identical_across_backends(compiled_kernel_path):
+    """`substitute`, `poly_gcd` and `compose` hand `mul_packed` the lists the
+    compiled kernel is typed for, and print the same on both kernels."""
+    body = (
+        "from jonq.birational import compose\n"
+        "from jonq.fixtures import load_fixture\n"
+        "from jonq.ring import poly_gcd\n"
+        "for name in ('plane', 'space'):\n"
+        "    inst = load_fixture(name)\n"
+        "    fwd, inv = inst.forward_map(), inst.inverse_map()\n"
+        "    raw = compose(fwd, inv, strip=False).coords\n"
+        "    print('|'.join(str(c) for c in raw))\n"
+        "    print('|'.join(str(c) for c in compose(fwd, inv).coords))\n"
+        "    print('|'.join(str(c) for c in compose(inv, fwd).coords))\n"
+        "    print(inst.g.substitute(list(inv.coords)))\n"
+        "    print((inst.f * inst.g - 1).substitute(list(inv.coords)))\n"
+        "    print(poly_gcd(raw[0], raw[1]), poly_gcd(raw[1], raw[0] * raw[1]))\n"
+        "    print(poly_gcd(inst.f * inst.g, inst.g * (inst.f + 1)))\n"
+    )
+    outs = _outputs_on_both_backends(compiled_kernel_path, body)
+    assert len(outs["0"][1]) == 14
     assert outs["0"][1] == outs["1"][1]
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq.errors import DivisibilityError, ParseError, StructuralError
+from jonq.groebner import buchberger, normal_form
 from jonq.ring import (
     Polynomial,
     VariableSet,
@@ -82,6 +83,177 @@ class TestSubstitute:
         images = [p("x1*x2"), p("x0*x2"), p("x0*x1")]
         assert (a * b).substitute(images) == a.substitute(images) * b.substitute(images)
         assert (a + b).substitute(images) == a.substitute(images) + b.substitute(images)
+
+
+def reference_substitute(poly, images):
+    """Term-by-term expansion through `*` and `+`: how `substitute` ran
+    before it packed the images, kept as the reference."""
+    target = images[0].ring
+    if poly.is_zero():
+        return Polynomial.zero(target)
+    power_cache = [dict() for _ in images]
+    one = Polynomial.constant(target, 1)
+
+    def power(i, e):
+        cache = power_cache[i]
+        got = cache.get(e)
+        if got is not None:
+            return got
+        if e == 0:
+            q = one
+        elif e == 1:
+            q = images[i]
+        else:
+            q = power(i, e // 2)
+            q = q * q
+            if e & 1:
+                q = q * images[i]
+        cache[e] = q
+        return q
+
+    acc = Polynomial.zero(target)
+    for mono, c in sorted(poly.items()):
+        piece = Polynomial.constant(target, c)
+        for i, e in enumerate(mono):
+            if e:
+                piece = piece * power(i, e)
+        acc = acc + piece
+    return acc
+
+
+Y2 = VariableSet(["y0", "y1"])
+Z4 = VariableSet(["z0", "z1", "z2", "z3"])
+_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_rationals = st.one_of(st.integers(-4, 4).filter(bool), _fracs)
+
+
+def rational_polys(ring, max_terms=4, max_deg=3):
+    mono = st.tuples(*(st.integers(0, max_deg) for _ in range(len(ring))))
+    return st.dictionaries(mono, _rationals, max_size=max_terms).map(
+        lambda terms: Polynomial(ring, terms)
+    )
+
+
+def images_over(ring):
+    """Image lists over `ring`: general, zero and constant images mixed."""
+    one = st.one_of(
+        rational_polys(ring, max_terms=3, max_deg=2),
+        st.just(Polynomial.zero(ring)),
+        _rationals.map(lambda c: Polynomial.constant(ring, c)),
+    )
+    return st.lists(one, min_size=3, max_size=3)
+
+
+def assert_same_expansion(got, want):
+    assert str(got) == str(want)
+    assert got.terms() == want.terms()
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
+
+
+class TestPackedSubstitute:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_polys(R), st.sampled_from([R, Y2, Z4]).flatmap(images_over))
+    def test_matches_term_by_term_expansion(self, poly, images):
+        assert_same_expansion(poly.substitute(images), reference_substitute(poly, images))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys(R, max_terms=3), rational_polys(Y2, max_terms=3, max_deg=2))
+    def test_expansion_that_cancels_to_zero(self, q, image):
+        # q(x0, x1, x2) - q(x1, x0, x2) vanishes once x0 and x1 share an image
+        swapped = Polynomial(R, {(b, a, c): v for (a, b, c), v in q.items()})
+        images = [image, image, Polynomial.variable(Y2, "y1")]
+        got = (q - swapped).substitute(images)
+        assert got.is_zero()
+        assert_same_expansion(got, reference_substitute(q - swapped, images))
+
+    def test_cancelling_images(self):
+        images = [p("x0 + x1"), p("x0 + x1"), p("1/2*x2")]
+        poly = p("x0^2 - 2*x0*x1 + x1^2 + 4*x2^2")
+        assert poly.substitute(images) == p("x2^2")
+        assert_same_expansion(poly.substitute(images), reference_substitute(poly, images))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*(st.integers(0, 700) for _ in range(3))), _rationals, max_size=3
+        ).map(lambda terms: Polynomial(R, terms)),
+        st.lists(
+            st.tuples(st.tuples(st.integers(0, 120), st.integers(0, 120)), _rationals),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_wide_fields(self, poly, monos):
+        # exponents up to 700 * 240 need fields of 18 bits
+        images = [Polynomial.monomial(Y2, m, c) for m, c in monos]
+        assert_same_expansion(poly.substitute(images), reference_substitute(poly, images))
+
+    def test_wide_binomial_images(self):
+        images = [p("x0^300 - x1^300"), p("x2^200"), p("2/3*x1")]
+        poly = p("x0^3*x1^40 - 1/2*x1^2*x2 + x2")
+        assert_same_expansion(poly.substitute(images), reference_substitute(poly, images))
+
+
+def assert_clean(q):
+    """The invariant `Polynomial._clean` trusts its callers to keep."""
+    n = len(q.ring)
+    for mono, c in q.items():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (mono, c)
+        assert len(mono) == n and all(type(e) is int and e >= 0 for e in mono)
+
+
+class TestCleanProducers:
+    def test_every_producer_keeps_the_invariant(self):
+        half = p("1/2*x0 + 3/2*x1")
+        gb = buchberger([p("x0^2 - x1"), p("x1*x2 - 2")])
+        cases = {
+            "+": half + p("1/2*x0 - 1/2*x1"),
+            "+ scalar": half + Fraction(1, 2),
+            "-": p("3/2*x0") - p("1/2*x0"),
+            "neg": -half,
+            "* scalar": p("1/2*x0") * 2,
+            "scalar *": 2 * p("1/2*x0 - 5/2*x2"),
+            "* Fraction scalar": p("2*x0 + 4*x1") * Fraction(1, 2),
+            "* integral Fraction scalar": p("x0") * Fraction(4, 2),
+            "/ scalar": p("3*x0 - 6*x1") / 3,
+            "*": p("1/2*x0 + 1/3*x1") * p("2*x0 - 3*x1"),
+            "**": p("1/2*x0 + 1/2*x1") ** 2,
+            "divide_exact": divide_exact(p("1/2*x0^2 - 1/2*x1^2"), p("1/2*x0 - 1/2*x1")),
+            "map_ring": half.map_ring(VariableSet(["w", "x0", "x1", "x2"])),
+            "rename": half.rename(VariableSet(["a", "b", "c"])),
+            "substitute": p("4*x0^2 + 1/3*x1").substitute([p("1/2*x1"), p("3*x2"), p("x0")]),
+            "normal_form": normal_form(p("1/2*x0^2 + 3/2*x1 + 1/4*x1*x2"), gb),
+            "canonical": p("-2/3*x0 + 4/3*x1").canonical(),
+            "poly_gcd": poly_gcd(p("1/2*x0^2 - 1/2*x1^2"), p("3/2*x0 - 3/2*x1")),
+        }
+        for name, q in cases.items():
+            assert not q.is_zero(), name
+            assert_clean(q)
+        assert cases["+"] == p("x0 + x1") and type(cases["+"].coefficient_of((1, 0, 0))) is int
+        assert str(cases["* integral Fraction scalar"]) == "2*x0"
+        assert str(cases["normal_form"]) == "2*x1 + 1/2"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys(R), rational_polys(R), _rationals)
+    def test_arithmetic_keeps_the_invariant(self, a, b, c):
+        wide = VariableSet(["w", "x0", "x1", "x2"])
+        renamed = a.rename(Y2.extended("y2"))
+        for q in (a + b, a - b, -a, a * c, c * a, a * b, a.map_ring(wide), renamed):
+            assert_clean(q)
+        if not b.is_zero():
+            assert_clean(divide_exact(a * b, b))
+            assert divide_exact(a * b, b) == a
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(StructuralError):
+            Polynomial(R, {(1, 0): 1})
+        with pytest.raises(StructuralError):
+            Polynomial(R, {(1, -1, 0): 1})
+        with pytest.raises(StructuralError):
+            Polynomial(R, {(1, 0, 0): 1.5})
+        q = Polynomial(R, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): 0})
+        assert q.terms() == {(1, 0, 0): 2} and type(q.coefficient_of((1, 0, 0))) is int
 
 
 class TestGcdDivision:
