@@ -2,10 +2,11 @@
 
 Normal forms, membership, intersection, colon, saturation, elimination,
 lifting, and dimension/graded-piece computations.  Intersection, colon
-and saturation run on `eliminate`, whose handles come with their reduced
-degrevlex basis cached.  Generators are
-integer-primitive term lists keyed by additive order keys (see
-`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
+and saturation run on `eliminate`, which interreduces only the Block basis
+elements free of the dropped variables and caches the result, the reduced
+degrevlex basis, on its handle.  Generators are integer-primitive term
+lists keyed by additive order keys (see `jonq.orders`), sorted descending,
+with positive lead.  Pairs are pruned
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
 tie-break).  Reduced bases are unique per (ideal, order).
 
@@ -61,9 +62,6 @@ class Budget:
         self.pairs_used += 1
         if self.max_pairs is not None and self.pairs_used > self.max_pairs:
             raise BudgetExceeded("Groebner S-pair limit", self.max_pairs)
-
-
-_NO_BUDGET = Budget()
 
 
 class _GBPoly:
@@ -129,7 +127,7 @@ def _to_polynomial(terms, order, ring, scale=1):
     return Polynomial._clean(ring, {exponents(okey): _lower(c * scale) for okey, c in terms})
 
 
-def _reduce(terms, elems, lead_data, order, budget=_NO_BUDGET, early_nonzero=False):
+def _reduce(terms, elems, lead_data, order, early_nonzero=False):
     """Fully reduce a term list; returns (reduced_terms, scale).
 
     The invariant is reduced_terms == scale * normal_form(input) with
@@ -303,8 +301,12 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
     return G
 
 
-def _reduced_basis(G, order, budget):
-    """Minimalize then tail-reduce: the unique reduced basis (primitive)."""
+def _reduced_basis(G, order):
+    """Minimalize then tail-reduce: the unique reduced basis (primitive).
+
+    Only smaller leads divide a tail term, so each element, by ascending
+    lead and in one packing, is reduced against the smaller ones, reduced.
+    """
     if not G:
         return []
     elems = sorted(G, key=lambda e: e.lm_okey)
@@ -314,14 +316,20 @@ def _reduced_basis(G, order, budget):
             all(a <= b for a, b in zip(m.lm_exps, e.lm_exps)) for m in minimal
         ):
             minimal.append(e)
-    reduced = []
-    for idx, e in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        lead = _lead_data(others)
-        r, _ = _reduce(e.terms, others, lead, order, budget)
-        reduced.append(_GBPoly(_normalize_terms(r), order, e.sugar))
-    reduced.sort(key=lambda e: e.lm_okey)
-    return reduced
+
+    def run(packing):
+        reduced = []
+        lead = []  # `_lead_data` order, as the leads ascend
+        for e in minimal:
+            lm = e.lead(packing)
+            acc = _Accumulator(packing)
+            acc.add_shifted(lm, [(0, e.lc)] + e.tail(packing), 1)
+            r, _ = _reduce_acc(acc, reduced, lead)
+            lead.append((lm, len(reduced)))
+            reduced.append(_GBPoly(_normalize_terms(r), order, e.sugar))
+        return reduced
+
+    return _with_wide_keys(run, order)
 
 
 class GroebnerBasis:
@@ -377,7 +385,7 @@ def buchberger(gens, order=None, budget=None, ring=None):
     budget = budget or Budget()
     internal = [_to_internal(g, order) for g in nonzero]
     G = _buchberger_core(internal, order, budget)
-    reduced = _reduced_basis(G, order, budget)
+    reduced = _reduced_basis(G, order)
     polys = [_to_polynomial(e.terms, order, ring) for e in reduced]
     return GroebnerBasis(polys, order, ring, reduced)
 
@@ -388,21 +396,19 @@ def normal_form(p, gb, budget=None):
         raise StructuralError("polynomial and basis over different variable sets")
     if p.is_zero():
         return p
-    budget = budget or Budget()
     den = p.denominator_lcm()
     terms = sorted(
         ((gb.order.key(m), int(c * den)) for m, c in p.items()), reverse=True
     )
-    r, scale = _reduce(terms, gb._elems, gb._lead, gb.order, budget)
+    r, scale = _reduce(terms, gb._elems, gb._lead, gb.order)
     return _to_polynomial(r, gb.order, p.ring, Fraction(1, den) / scale)
 
 
 def is_member(p, gb, budget=None):
     if p.is_zero():
         return True
-    budget = budget or Budget()
     terms = _to_internal(p, gb.order)
-    r, _ = _reduce(terms, gb._elems, gb._lead, gb.order, budget, early_nonzero=True)
+    r, _ = _reduce(terms, gb._elems, gb._lead, gb.order, early_nonzero=True)
     return not r
 
 
@@ -502,7 +508,7 @@ def minimalize_generators(gens, budget=None, ring=None):
     for g in items:
         terms = _to_internal(g, order)
         if elems:
-            r, _ = _reduce(terms, elems, _lead_data(elems), order, budget, early_nonzero=True)
+            r, _ = _reduce(terms, elems, _lead_data(elems), order, early_nonzero=True)
             if not r:
                 continue
         kept.append(g)
@@ -604,9 +610,9 @@ def saturate(I, J, budget=None):
 def eliminate(I, drop_names, budget=None):
     """I intersect k[remaining variables], via a block order.
 
-    The handle comes with its reduced degrevlex basis cached: the part of
-    the reduced Block basis free of the dropped variables, as Block orders
-    the kept ones by degrevlex in their natural order.
+    Block basis elements with leads (so all terms) free of the dropped
+    variables form a Groebner basis of the result, keyed by degrevlex past
+    the dropped block; only they are interreduced, and cached on the handle.
     """
     drop = tuple(drop_names)
     if not drop:
@@ -615,15 +621,17 @@ def eliminate(I, drop_names, budget=None):
     drop_idx = tuple(ring.index(n) for n in drop)
     if len(drop_idx) >= len(ring):
         raise StructuralError("cannot eliminate every variable")
-    gb = I.gb(Block(len(ring), drop_idx), budget=budget)
+    block = Block(len(ring), drop_idx)
+    G = _buchberger_core([_to_internal(g, block) for g in I.gens], block, budget or Budget())
     small = VariableSet(tuple(n for n in ring.names if n not in drop))
     order = DegRevLex(len(small))
     cut = len(drop_idx)  # a Block key: the dropped block's key, then the kept one's
-    elems = [
+    kept = [
         _GBPoly([(okey[cut:], c) for okey, c in e.terms], order)
-        for e in gb._elems
+        for e in G
         if not any(e.lm_okey[:cut])
     ]
+    elems = _reduced_basis(kept, order)
     polys = [_to_polynomial(e.terms, order, small) for e in elems]
     out = IdealHandle(small, polys)
     out._cache[order.signature()] = GroebnerBasis(polys, order, small, elems)

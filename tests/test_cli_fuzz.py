@@ -4,7 +4,11 @@ Each example takes one of the four fixtures, damages one line (a bad
 exponent, a zero denominator, an unknown or a swapped variable, a
 duplicate ring name, an empty value, or a negative, small or huge
 `option.*` value) and runs the result through `verify-cremona` and
-`implicitize`.  Whatever the input,
+`implicitize`, and, with a tighter budget and fewer examples, through
+`analyze` and `rees`.  Those two also get `--deg-bound 8`: like the pair
+and saturation budgets, the flag overrides the instance's option, and no
+budget bounds the degree loops of `analyze` (a huge `option.deg_bound`
+runs without end).  Whatever the input,
 the CLI must answer with exit code 0, 1 or 2 and let no exception escape.
 """
 
@@ -90,9 +94,9 @@ def _run(argv):
         return main(argv)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 50), st.sampled_from(_MUTATIONS), st.data())
-def test_mutated_instances_keep_the_exit_code_contract(name, k, mutate, data):
+@contextlib.contextmanager
+def _mutated(name, k, mutate, data):
+    """The fixture with one damaged line, as a file; yields (path, damaged line)."""
     lines = fixture_text(name).splitlines()
     body = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
     at = body[k % len(body)]
@@ -103,6 +107,26 @@ def test_mutated_instances_keep_the_exit_code_contract(name, k, mutate, data):
         path = os.path.join(tmp, f"{name}.jonq")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+        yield path, lines[at]
+
+
+_CASES = (st.sampled_from(FIXTURE_NAMES), st.integers(0, 50), st.sampled_from(_MUTATIONS), st.data())
+
+
+@settings(max_examples=120, deadline=None)
+@given(*_CASES)
+def test_mutated_instances_keep_the_exit_code_contract(name, k, mutate, data):
+    with _mutated(name, k, mutate, data) as (path, line):
         for command in ("verify-cremona", "implicitize"):
             code = _run([command, path, "--machine", "--budget-pairs", "200"])
-            assert code in (0, 1, 2), (command, lines[at], code)
+            assert code in (0, 1, 2), (command, line, code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_CASES)
+def test_mutated_instances_keep_the_contract_in_analyze_and_rees(name, k, mutate, data):
+    with _mutated(name, k, mutate, data) as (path, line):
+        for command in ("analyze", "rees"):
+            budgets = ["--budget-pairs", "200", "--budget-sat", "4", "--deg-bound", "8"]
+            code = _run([command, path, "--machine", *budgets])
+            assert code in (0, 1, 2), (command, line, code)

@@ -7,7 +7,9 @@ source and target variables) under four orders.  The row holds
 generators.  A change to the pair update (Gebauer-Moeller criteria,
 normal selection, the sugar tie-break) or to the reducer choice shows up
 here as a different pair count or basis, even when the basis is only
-reordered.
+reordered.  `RECORDED_ELIMINATE` pins `eliminate` on the graph ideals the
+same way: the pairs it charges and a digest of the generators it returns,
+dropping the source variables, the target variables, or `x1` alone.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import hashlib
 import pytest
 
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
-from jonq.groebner import Budget, buchberger
+from jonq.groebner import Budget, IdealHandle, buchberger, eliminate
 from jonq.orders import Block, DegRevLex, Lex, Weighted
 from jonq.ring import Polynomial
 
@@ -54,6 +56,25 @@ RECORDED = {
     ("nzd", "graph", "weighted"): (76, 25, "d914f4929750a4e0"),
 }
 
+RECORDED_ELIMINATE = {
+    ("identity", "source"): (39, 1, "0224f1ebf530d5b6"),
+    ("identity", "target"): (0, 0, "e3b0c44298fc1c14"),
+    ("identity", "x1"): (32, 6, "6a6336c883b9fed4"),
+    ("plane", "source"): (76, 1, "efe6a4d540fe46f5"),
+    ("plane", "target"): (0, 0, "e3b0c44298fc1c14"),
+    ("plane", "x1"): (63, 11, "70f8a28936a7f07e"),
+    ("space", "source"): (263, 1, "e9fef720314f342a"),
+    ("space", "target"): (0, 0, "e3b0c44298fc1c14"),
+    ("space", "x1"): (115, 18, "5badcff23800ad82"),
+    ("nzd", "source"): (122, 1, "34f84912ebdca8b6"),
+    ("nzd", "target"): (0, 0, "e3b0c44298fc1c14"),
+    ("nzd", "x1"): (131, 21, "8729960de03b4237"),
+}
+
+
+def _digest(gens):
+    return hashlib.sha256("\n".join(map(str, gens)).encode()).hexdigest()[:16]
+
 
 def _ideal(name, kind):
     """Generators and the order for each order name."""
@@ -90,6 +111,18 @@ def test_pairs_and_bases_as_recorded(name, kind):
     for oname, order in orders.items():
         budget = Budget()
         gb = buchberger(gens, order, budget)
-        digest = hashlib.sha256("\n".join(map(str, gb.generators)).encode()).hexdigest()
-        got = (budget.pairs_used, len(gb), digest[:16])
+        got = (budget.pairs_used, len(gb), _digest(gb.generators))
         assert got == RECORDED[name, kind, oname], (name, kind, oname)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_eliminations_as_recorded(name):
+    gens, _ = _ideal(name, "graph")
+    P = load_fixture(name).jonquieres()
+    drops = {"source": P.source.names, "target": P.monoid_ring.names, "x1": ("x1",)}
+    for dname, drop in drops.items():
+        budget = Budget()
+        out = eliminate(IdealHandle(gens[0].ring, gens), drop, budget=budget)
+        assert out.gb().generators == out.gens
+        got = (budget.pairs_used, len(out.gens), _digest(out.gens))
+        assert got == RECORDED_ELIMINATE[name, dname], (name, dname)
