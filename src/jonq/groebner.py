@@ -390,7 +390,7 @@ def buchberger(gens, order=None, budget=None, ring=None):
     return GroebnerBasis(polys, order, ring, reduced)
 
 
-def normal_form(p, gb, budget=None):
+def normal_form(p, gb):
     """The unique remainder of p modulo the basis; zero iff p is a member."""
     if p.ring != gb.ring:
         raise StructuralError("polynomial and basis over different variable sets")
@@ -404,7 +404,7 @@ def normal_form(p, gb, budget=None):
     return _to_polynomial(r, gb.order, p.ring, Fraction(1, den) / scale)
 
 
-def is_member(p, gb, budget=None):
+def is_member(p, gb):
     if p.is_zero():
         return True
     terms = _to_internal(p, gb.order)
@@ -457,7 +457,7 @@ class IdealHandle:
             return True
         if self.is_zero_ideal():
             return False
-        return is_member(p, self.gb(budget=budget), budget)
+        return is_member(p, self.gb(budget=budget))
 
     def contains_ideal(self, other, budget=None):
         return all(self.contains(g, budget) for g in other.gens)
@@ -673,7 +673,6 @@ def lift(p, gens, budget=None):
     if not basis:
         raise MembershipError("cannot lift a nonzero polynomial over zeros")
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    pairs.sort(key=lambda ij: _lift_pair_key(basis, ij, order))
     while pairs:
         pairs.sort(key=lambda ij: _lift_pair_key(basis, ij, order))
         i, j = pairs.pop(0)

@@ -333,7 +333,7 @@ def verify_inverse_representative(P, monoid, budget=None):
     for i in range(n2):
         for j in range(i + 1, n2):
             minor = top[i] * bottom[j] - top[j] * bottom[i]
-            if not normal_form(minor, gb, budget).is_zero():
+            if not normal_form(minor, gb).is_zero():
                 return False
     return True
 

@@ -9,6 +9,9 @@ on `_Accumulator`, the packed-monomial heap that the Groebner engine
 shares.  Results the library builds from already clean terms skip the
 public constructor's checks through `Polynomial._clean`, and `substitute`
 expands every term over the images packed once, into one accumulator.
+`poly_gcd` has no algebra of its own: a mod-p coprimality certificate and
+an exact-divisor test answer most calls, and the rest divide a*b by the
+lcm that one elimination (`groebner.intersect`) finds.
 """
 
 from __future__ import annotations
@@ -225,14 +228,6 @@ class Polynomial:
         if not self._terms:
             return 0
         return max(sum(m[i] for i in idx) for m in self._terms)
-
-    def support_mask(self):
-        mask = 0
-        for m in self._terms:
-            for i, e in enumerate(m):
-                if e:
-                    mask |= 1 << i
-        return mask
 
     def coefficient_of(self, mono):
         return self._terms.get(tuple(mono), 0)
@@ -773,10 +768,11 @@ def divide_exact(p, d):
 def poly_gcd(p, q):
     """Greatest common divisor, canonically normalized.
 
-    Primitive-part/content recursion with a subresultant PRS in the last
-    active variable, run only when `_coprime_on_line` cannot prove the
-    gcd is 1 and the input of lower degree does not divide the other.
-    gcd(p, 0) = canonical(p).
+    1 when `_coprime_on_line` proves the inputs coprime; else the input of
+    lower degree when it divides the other; else a*b / lcm(a, b), where
+    the lcm generates (a) meet (b), one elimination by `groebner.intersect`
+    on a fresh budget, so no caller's S-pair count moves.  The result is
+    unique up to a unit, which `canonical()` fixes.  gcd(p, 0) = canonical(p).
     """
     if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
         raise StructuralError("poly_gcd needs two polynomials")
@@ -793,7 +789,11 @@ def poly_gcd(p, q):
     u, v = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
     if not _divide(v, [u], DegRevLex(len(p.ring)), exact=True)[1]:
         return u
-    return _gcd_recursive(a, b).canonical()
+    # (a) meet (b) = (lcm(a, b)); groebner imports this module
+    from jonq.groebner import IdealHandle, intersect
+
+    (lcm,) = intersect(IdealHandle.of(a), IdealHandle.of(b)).gens
+    return divide_exact(a * b, lcm).canonical()
 
 
 _P = (1 << 61) - 1
@@ -855,120 +855,6 @@ def _coprime_on_line(a, b, point=None, direction=None):
                 f.pop()
         f, g = g, f
     return len(f) == 1
-
-
-def _active_vars(p):
-    mask = p.support_mask()
-    return [i for i in range(len(p.ring)) if mask >> i & 1]
-
-
-def _gcd_recursive(a, b):
-    ring = a.ring
-    av = set(_active_vars(a))
-    bv = set(_active_vars(b))
-    if not av and not bv:
-        return Polynomial.constant(ring, 1)
-    common = sorted(av | bv)
-    v = common[-1]
-    if v not in av:
-        # a has no v: gcd(a, cont_v(b))
-        return _gcd_recursive(a, _content_in(b, v))
-    if v not in bv:
-        return _gcd_recursive(_content_in(a, v), b)
-    ca = _content_in(a, v)
-    cb = _content_in(b, v)
-    cont = _gcd_recursive(ca, cb)
-    pa = divide_exact(a, ca)
-    pb = divide_exact(b, cb)
-    prim = _prs_gcd(pa, pb, v)
-    return cont * prim
-
-
-def _coeffs_in(p, v):
-    """p as a map {v-exponent: coefficient polynomial (v-free)}."""
-    ring = p.ring
-    out = {}
-    for mono, c in p._terms.items():
-        e = mono[v]
-        m2 = list(mono)
-        m2[v] = 0
-        key = tuple(m2)
-        out.setdefault(e, {})[key] = c
-    return {e: Polynomial._clean(ring, t) for e, t in out.items()}
-
-
-def _from_coeffs(ring, v, coeffs):
-    terms = {}
-    for e, poly in coeffs.items():
-        for mono, c in poly._terms.items():
-            m2 = list(mono)
-            m2[v] = m2[v] + e
-            terms[tuple(m2)] = terms.get(tuple(m2), 0) + c
-    return Polynomial(ring, terms)
-
-
-def _content_in(p, v):
-    g = Polynomial.zero(p.ring)
-    for _, coeff in sorted(_coeffs_in(p, v).items()):
-        g = poly_gcd(g, coeff) if not g.is_zero() else coeff.canonical()
-        if g.is_constant():
-            return Polynomial.constant(p.ring, 1)
-    return g
-
-
-def _deg_in(p, v):
-    return max((m[v] for m in p._terms), default=-1)
-
-
-def _pseudo_rem(a, b, v):
-    """Pseudo remainder in variable v: lc_v(b)^(da-db+1) * a mod b."""
-    ring = a.ring
-    db = _deg_in(b, v)
-    bc = _coeffs_in(b, v)
-    lcb = bc[db]
-    r = a
-    da = _deg_in(r, v)
-    steps = 0
-    target = da - db + 1
-    while not r.is_zero() and da >= db:
-        rc = _coeffs_in(r, v)
-        lead = rc[da]
-        # r := lcb*r - lead * v^(da-db) * b
-        sub = _from_coeffs(
-            ring, v, {da - db + e: lead * c for e, c in bc.items()}
-        )
-        r = lcb * r - sub
-        steps += 1
-        da = _deg_in(r, v)
-    # normalize the multiplier to exactly lcb^(deg a - deg b + 1)
-    if steps < target:
-        r = r * (lcb ** (target - steps))
-    return r
-
-
-def _prs_gcd(a, b, v):
-    """Subresultant PRS gcd of v-primitive a, b (both with positive v-degree)."""
-    if _deg_in(a, v) < _deg_in(b, v):
-        a, b = b, a
-    one = Polynomial.constant(a.ring, 1)
-    g = one
-    h = one
-    while True:
-        delta = _deg_in(a, v) - _deg_in(b, v)
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero():
-            break
-        if _deg_in(r, v) == 0:
-            return one
-        a = b
-        b = divide_exact(r, g * (h ** delta))
-        g = _coeffs_in(a, v)[_deg_in(a, v)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = divide_exact(g ** delta, h ** (delta - 1))
-    cb = _content_in(b, v)
-    return divide_exact(b, cb).canonical()
 
 
 # -- random forms -----------------------------------------------------------

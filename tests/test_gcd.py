@@ -1,21 +1,25 @@
-"""The modular coprimality certificate in front of the subresultant gcd.
+"""`poly_gcd`: two exact fast paths in front of gcd by elimination.
 
 `poly_gcd` first maps both integer-primitive inputs onto a fixed line mod
-the prime 2^61 - 1; a constant gcd of the images proves the inputs coprime
-and the PRS (`_gcd_recursive`) runs only when the certificate declines.
+the prime 2^61 - 1; a constant gcd of the images proves the inputs coprime.
+Next, an input that divides the other is the gcd.  Only then does it divide
+a*b by the lcm, the generator of (a) meet (b) that `groebner.intersect`
+finds by one elimination.  `reference` is that elimination alone, and
+`test_construction_oracle` checks the gcd without any gcd routine.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from jonq import ring
+from jonq import groebner
+from jonq.groebner import IdealHandle, intersect
 from jonq.ring import (
     Polynomial,
     VariableSet,
     _coprime_on_line,
-    _gcd_recursive,
+    divide_exact,
     parse_polynomial,
     poly_gcd,
     random_form,
@@ -40,8 +44,11 @@ homogeneous = st.builds(random_form, st.just(R), st.integers(1, 3), st.integers(
 
 
 def reference(p, q):
-    """gcd straight from the PRS, without the certificate."""
-    return _gcd_recursive(p.canonical(), q.canonical()).canonical()
+    """gcd by elimination alone: a*b / lcm(a, b), with (lcm) = (a) meet (b);
+    no certificate, no divisor test."""
+    a, b = p.canonical(), q.canonical()
+    (lcm,) = intersect(IdealHandle.of(a), IdealHandle.of(b)).gens
+    return divide_exact(a * b, lcm).canonical()
 
 
 @settings(max_examples=150, deadline=None)
@@ -65,6 +72,18 @@ def test_common_factor_matches_prs(h, u, v):
         assert got.total_degree() >= h.total_degree()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(polys, rational_polys, homogeneous),
+    st.one_of(polys, rational_polys, homogeneous),
+    st.one_of(polys, rational_polys, homogeneous),
+)
+def test_construction_oracle(h, u, v):
+    # the certificate proves gcd(u, v) = 1, so gcd(h*u, h*v) = h up to a unit
+    assume(_coprime_on_line(u.canonical(), v.canonical()))
+    assert poly_gcd(h * u, h * v) == h.canonical()
+
+
 def test_declines_when_lead_vanishes_mod_p():
     # a_top(direction) = P + 1 - 1 = P: the image of a loses its degree mod P
     P = (1 << 61) - 1
@@ -85,10 +104,14 @@ def test_certifies_constant_and_rational_inputs():
     assert poly_gcd(a, b) == one
 
 
-def test_dense_coprime_forms_skip_prs(monkeypatch):
+def _count_intersect_calls(mp):
     calls = []
-    prs = ring._prs_gcd
-    monkeypatch.setattr(ring, "_prs_gcd", lambda *args: calls.append(args) or prs(*args))
+    mp.setattr(groebner, "intersect", lambda *args: calls.append(args) or intersect(*args))
+    return calls
+
+
+def test_dense_coprime_forms_skip_prs(monkeypatch):
+    calls = _count_intersect_calls(monkeypatch)
     coprime = 0
     for seed in range(12):
         a = random_form(R, 3 + seed % 2, 2 * seed)
@@ -97,13 +120,6 @@ def test_dense_coprime_forms_skip_prs(monkeypatch):
             coprime += 1
     assert coprime == 12
     assert calls == []
-
-
-def _count_prs_calls(mp):
-    calls = []
-    prs = ring._gcd_recursive
-    mp.setattr(ring, "_gcd_recursive", lambda *args: calls.append(args) or prs(*args))
-    return calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,17 +134,17 @@ def test_divisor_fast_path_matches_prs(a, b, unit):
     for x, y in ((a, ab), (ab, a), (a, a)):
         want = reference(x, y)
         with pytest.MonkeyPatch.context() as mp:
-            calls = _count_prs_calls(mp)
+            calls = _count_intersect_calls(mp)
             assert poly_gcd(x, y) == want
         if not a.is_constant():
-            assert calls == [], "an exact divisor must skip the PRS"
+            assert calls == [], "an exact divisor must skip the elimination"
 
 
 def test_same_degree_pair_without_divisor_runs_prs():
     a = parse_polynomial("x0^2 + x0*x2 + x0*x1 + x1*x2", R)  # (x0 + x1) * (x0 + x2)
     b = parse_polynomial("x0*x1 + x0*x2 + x1^2 + x1*x2", R)  # (x0 + x1) * (x1 + x2)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_prs_calls(mp)
+        calls = _count_intersect_calls(mp)
         assert poly_gcd(a, b) == parse_polynomial("x0 + x1", R)
-    assert calls[0] == (a.canonical(), b.canonical())
+    assert [(I.gens, J.gens) for I, J in calls] == [((a.canonical(),), (b.canonical(),))]
     assert poly_gcd(-a, b) == reference(a, b)

@@ -1,8 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
+from jonq import groebner
+from jonq.birational import RationalMapData, compose
 from jonq.errors import StructuralError
+from jonq.fixtures import load_fixture
 from jonq.groebner import IdealHandle, ideal_equal
 from jonq.implicitize import JonquieresData, implicitize
 from jonq.rees import (
@@ -229,6 +233,32 @@ class TestMonoidAssociation:
         assert rep.same_implicit_equation
         assert rep.composition_holds
         assert mon.delta == 2
+
+    # sha256 of the stripped composite's coordinates, one per line, recorded
+    # when poly_gcd still ran a subresultant PRS
+    STRIPPED_COMPOSITE = {
+        "identity": "541a7a828689246a6da6f06d749a9441d675f0f04d2130883d0c0a87d4c712a9",
+        "plane": "ca1b0391b2fe50aef1db56b7510836bc519b1b0515403942ce88a746c79517e2",
+        "space": "b5307ed7e363b34efabe5d05e33201c648a97df3cb71ded9320c5823490c7910",
+        "nzd": "5f00ed41bbe79dc8db51ac1a17c946577920bf75dd271e157f791943f3cc7455",
+    }
+
+    @pytest.mark.parametrize("name", sorted(STRIPPED_COMPOSITE))
+    def test_stripped_composite_pinned(self, name, monkeypatch):
+        # the composite monoid_association strips; its coordinate gcd reaches
+        # poly_gcd's elimination fallback, and off identity it is not constant
+        P = load_fixture(name).jonquieres()
+        M, _ = monoid_association(P, implicitize(P), check_oracle=False)
+        M_map = RationalMapData(P.source, P.monoid_ring, M.coords)
+        raw = compose(P.cremona.forward, M_map, strip=False)
+        assert raw.coordinate_gcd().is_constant() == (name == "identity")
+        calls = []
+        meet = groebner.intersect
+        monkeypatch.setattr(groebner, "intersect", lambda *a: calls.append(a) or meet(*a))
+        comp = compose(P.cremona.forward, M_map, strip=True)
+        assert calls
+        digest = hashlib.sha256("\n".join(map(str, comp.coords)).encode()).hexdigest()
+        assert digest == self.STRIPPED_COMPOSITE[name]
 
 
 class TestSaturationIdentities:
