@@ -219,18 +219,16 @@ def cmd_analyze(args):
             rep.set(f"conductor.{j}.degree", data.degrees[j])
         with timer("syzygy_basis"):
             bound_phi = max(d + 2, (d + df + 4 if budget.deg_bound is None else budget.deg_bound) - df)
-            phi = syzygy_basis(list(I.gens), bound_phi, budget)
+            phi = syzygy_basis(list(I.gens), bound_phi)
         rep.set("phi.columns", phi.ncols)
         rep.set("phi.col_twists", " ".join(str(t) for t in phi.col_twists))
         with timer("mapping_cone"):
-            psi = mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data, budget)
+            psi = mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data)
         rep.set("psi.columns", psi.ncols)
         rep.set("psi.col_twists", " ".join(str(t) for t in psi.col_twists))
         rep.set_verdict("psi.columns_annihilate", True)  # construction verifies
         with timer("syzygy_spans"):
-            ver = verify_syzygy_generation(
-                list(P.coordinates()), psi, budget.deg_bound, budget
-            )
+            ver = verify_syzygy_generation(list(P.coordinates()), psi, budget.deg_bound)
         rep.set("syzygy_spans.bound", ver.bound)
         for mu, oracle_dim, span_dim, match in ver.per_degree:
             rep.set(

@@ -7,14 +7,13 @@ elimination step divides the result by its content again, so no
 (integer-preserving elimination in the sense of Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968).  The rows are kept in reduced echelon form; that form is
-unique up to the scale of each row, so ranks, span decisions and kernel
-bases are exactly those of Gauss-Jordan elimination over Q.
+unique up to the scale of each row, so ranks and span decisions are
+exactly those of Gauss-Jordan elimination over Q.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
@@ -95,27 +94,6 @@ def _echelon(rows, ncols):
             break
         tracker.add(r)
     return tracker
-
-
-def kernel_basis(rows, ncols):
-    """Basis of {v : M v = 0} for M given by rows; deterministic.
-
-    Returns a list of length-ncols Fraction vectors, one per free column
-    of the RREF, ordered by free column index: the free column is 1, the
-    other free columns are 0.
-    """
-    echelon = _echelon(rows, ncols).rows
-    pivots = {pc for pc, _ in echelon}
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for pc, row in echelon:
-            v[pc] = Fraction(-row[free], row[pc])
-        basis.append(v)
-    return basis
 
 
 def rank(rows, ncols):

@@ -54,9 +54,6 @@ class ReesPresentation:
         if self.ideal is None:
             object.__setattr__(self, "ideal", IdealHandle(self.ambient, self.generators))
 
-    def handle(self):
-        return self.ideal
-
     def x_indices(self):
         return tuple(self.ambient.index(n) for n in self.x_names)
 
@@ -230,7 +227,7 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     )
     contained = all(J_rees_stub.kernel_contains(g) for g in pres.generators)
     # (ii) codimension
-    _, codim = dim_and_codim(pres.handle(), budget)
+    _, codim = dim_and_codim(pres.ideal, budget)
     # (iii) fully downgraded elements are multiples of F
     F_amb = monoid.F.map_ring(ambient)
     fully = tuple(chain[-1] for chain in chains)
@@ -406,14 +403,14 @@ def saturation_identities(P, M, budget=None):
         fwd_sat, fwd_exp = saturate(
             IdealHandle(ambient, tuple(fwd_gens)), IdealHandle.of(C_amb), budget
         )
-        forward_equal = ideal_equal(fwd_sat, I_F.handle(), budget)
+        forward_equal = ideal_equal(fwd_sat, I_F.ideal, budget)
 
         bwd_gens = transport(I_F, ginv_map)
         D_x = P.cremona.target_factor.rename(xring).map_ring(ambient)
         bwd_sat, bwd_exp = saturate(
             IdealHandle(ambient, tuple(bwd_gens)), IdealHandle.of(D_x), budget
         )
-        backward_equal = ideal_equal(bwd_sat, I_M.handle(), budget)
+        backward_equal = ideal_equal(bwd_sat, I_M.ideal, budget)
     except BudgetExceeded as exc:
         return SaturationReport("skipped", None, None, None, None, f"budget: {exc}")
     status = "holds" if (forward_equal and backward_equal) else "fails"

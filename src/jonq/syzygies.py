@@ -1,15 +1,17 @@
 """Conductors, content maps, mapping-cone syzygy matrices, regularity.
 
-Syzygy modules are never computed through module Groebner bases: a
-generating set is found (and verified) degree by degree with exact linear
-algebra, up to a configurable bound.
+The syzygies of the base ideal are read from the y-linear part of its
+Rees ideal, one elimination; the syzygies of the mapping cone are then
+verified degree by degree with exact linear algebra, up to a
+configurable bound.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
+from itertools import groupby
+from operator import add, itemgetter
 
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
@@ -24,7 +26,8 @@ from jonq.groebner import (
     lift,
     saturate,
 )
-from jonq.linalg import SpanTracker, kernel_basis, rank
+from jonq.linalg import SpanTracker, rank
+from jonq.rees import rees_ideal
 from jonq.ring import Polynomial, count_monomials, monomials_of_degree
 
 
@@ -124,7 +127,7 @@ def conductor_data(I, g, budget=None):
     return ConductorData(cond, kind, tuple(conductors), degrees, content)
 
 
-# -- linear-algebra syzygies -------------------------------------------------
+# -- syzygies -----------------------------------------------------------------
 
 
 def _slots(gens, mu):
@@ -170,54 +173,49 @@ def _evaluation_columns(gens, mu):
     return _slots(gens, mu), len(index), cols
 
 
-def _degree_syzygies(gens, mu):
-    """Slots and a kernel basis of the map (m*g_i) -> R_mu, both in slot order.
+def syzygy_basis(gens, bound):
+    """A minimal generating set of the syzygies of twist <= bound, as a GradedMatrix.
 
-    The kernel is empty when no generator has degree <= mu.
-    """
-    slots, ntarget, cols = _evaluation_columns(gens, mu)
-    rows = [[col[r] for col in cols] for r in range(ntarget)]
-    return slots, kernel_basis(rows, len(cols))
-
-
-def syzygy_basis(gens, bound, budget=None):
-    """A generating set of syzygies up to the degree bound, as a GradedMatrix.
-
-    Degree by degree: kernel vectors of the evaluation map that are
-    independent of monomial multiples of the generators found so far.
+    sum a_i y_i lies in the Rees ideal of the g_i exactly when
+    sum a_i g_i = 0, and the Rees ideal has no element of y-degree 0; so
+    the y-linear elements of its reduced bihomogeneous basis generate the
+    syzygies (Vasconcelos, Arithmetic of Blowup Algebras, 1994).  By
+    ascending twist, each is kept unless it lies in the span of the
+    monomial multiples of the columns kept before it.  `gens` must be
+    nonzero forms of one degree d, as a Cremona base ideal is, or
+    `rees_ideal` raises StructuralError.  The elimination runs on its own
+    Budget and charges no S-pairs to the caller's.
     """
     ring = gens[0].ring
-    degs = [g.total_degree() for g in gens]
-    for g in gens:
-        if not g.is_homogeneous() or g.is_zero():
-            raise StructuralError("syzygy_basis needs nonzero homogeneous forms")
-    found = []  # (column tuple, degree)
-    for mu in range(min(degs), bound + 1):
-        slots, kern = _degree_syzygies(gens, mu)
-        if not kern:
-            continue
-        # span of monomial multiples of the already-found columns
-        slot_index = {sm: pos for pos, sm in enumerate(slots)}
-        tracker = SpanTracker(len(slots))
-        for col, d0 in found:
-            for vec in _shifted_vectors(col, mu - d0, slot_index):
+    n, d = len(ring), gens[0].total_degree()
+    ext = ring
+    for _ in gens:  # y names the source ring does not use
+        ext = ext.extended(ext.fresh_name("y"))
+    rees = rees_ideal(gens, y_names=ext.names[n:], budget=Budget())
+    columns = []  # (twist, column) of each y-linear basis element
+    for h in rees.generators:
+        mu = h.total_degree() - 1 + d
+        if mu <= bound and h.degree_in(range(n, len(ext))) == 1:
+            entries = [{} for _ in gens]
+            for mono, c in h.items():
+                entries[mono.index(1, n) - n][mono[:n]] = c
+            columns.append((mu, tuple(Polynomial(ring, e) for e in entries)))
+    found = []  # (twist, column)
+    for mu, group in groupby(sorted(columns, key=itemgetter(0)), key=itemgetter(0)):
+        index = {sm: pos for pos, sm in enumerate(_slots(gens, mu))}
+        tracker = SpanTracker(len(index))
+        for t, col in found:
+            for vec in _shifted_vectors(col, mu - t, index):
                 tracker.add(vec)
-        for vec in kern:
-            if tracker.add(vec):
-                col = []
-                for gi in range(len(gens)):
-                    terms = {}
-                    for pos, (gj, mono) in enumerate(slots):
-                        if gj == gi and vec[pos]:
-                            terms[mono] = vec[pos]
-                    col.append(Polynomial(ring, terms))
-                found.append((tuple(col), mu))
-    columns = [col for col, _ in found]
-    col_twists = [mu for _, mu in found]
-    return graded_matrix_from_columns(ring, columns, tuple(degs), tuple(col_twists))
+        for _, col in group:
+            if tracker.add(next(_shifted_vectors(col, 0, index))):
+                found.append((mu, col))
+    columns = [col for _, col in found]
+    col_twists = tuple(mu for mu, _ in found)
+    return graded_matrix_from_columns(ring, columns, (d,) * len(gens), col_twists)
 
 
-def mapping_cone_matrix(I_gens, phi, f, g, conductor, budget=None):
+def mapping_cone_matrix(I_gens, phi, f, g, conductor):
     """The block syzygy matrix Psi = [[phi, c(g)], [0, -f*pi]] of (If, g).
 
     Columns are verified to annihilate the row (g_0 f, ..., g_n f, g);
@@ -264,7 +262,7 @@ class SyzygyVerification:
     first_failure: int | None
 
 
-def verify_syzygy_generation(J_gens, psi, degree_bound=None, budget=None):
+def verify_syzygy_generation(J_gens, psi, degree_bound=None):
     """Compare spans of Psi-column multiples with the true syzygy spaces.
 
     For each degree mu up to the bound, the k-linear span of monomial

@@ -54,6 +54,50 @@ ANALYZE_DEG9_GOLDEN = {
 }
 
 
+# `analyze --deg-bound B` for B = 0..8.  B sets both the twist bound of
+# `syzygy_basis` and the last degree the span check covers; recorded while
+# `syzygy_basis` still took a kernel basis of the evaluation map in every
+# degree up to its bound.
+ANALYZE_DEG_BOUND_GOLDEN = {
+    ("identity", 0): "fe9b06b414f8d61e4821fcba98a336deca67984353812c574a84a711e20f5c92",
+    ("identity", 1): "3cbafcae3565b719518b057b1f50c855874810a15a5f1b6ce352075665dc2578",
+    ("identity", 2): "a194eb2e1e1d0bc31c8439b6e908f3b676effbb3e6f932b97b9fb9facd99c59f",
+    ("identity", 3): "d6fff1db7ae4b24489f973c595dd37e003e4f708d4436f833b67c1742ebe202a",
+    ("identity", 4): "f17d468905819989a3f2a6f8927c61b63784ebbc00c96c1841fee8cd8ff0d1ba",
+    ("identity", 5): "5827cb2bc42bf10f4fc89b800b182fe9db4e7ce1a295fb344b1345546745b6f3",
+    ("identity", 6): "48284ce9be05aa32d2195d25f96f8bfed16353f0b17f2e826b3b02384162a39f",
+    ("identity", 7): "132c79a1701307f9efb406d7eabfbdead49c8aee04f5e568d42ae600ac42ae27",
+    ("identity", 8): "8bfd0cdf9d6ef417dfba944b2b03b676e41ac802c7dfb35776bb771e819f37c5",
+    ("nzd", 0): "a09a9bc24492a20bb6ddc1e644e12b0059627d88c50481065b494322f133260c",
+    ("nzd", 1): "3ad687b81600e581b535e68cc4158ab283b062420ae0889fd4e0109e9b19b385",
+    ("nzd", 2): "45105c81c5b96c8da640237abb0fdc8e66ff4da85f3fd9aa9f83d038602b9a90",
+    ("nzd", 3): "a89c5af1eec1d8b0740380ddc651dc5fc5ffed3736c59176dd6509110b1b92f6",
+    ("nzd", 4): "a32593d42d41656295e5a885b247357e783747b174205dfc788ccda9dd72bc4b",
+    ("nzd", 5): "8e034c9ec52b210254cedd0a7edc638b86f693ca4dd7542c9233685f76c5a602",
+    ("nzd", 6): "964cb9accc3eb93fe6e08238fa615152b4436244b855ff06803f3bb0d1cf85d2",
+    ("nzd", 7): "5bd33a8f8c85c004fd3fd1c62e3f3b9685cb34df4fcad3b0623e177942e700c7",
+    ("nzd", 8): "ac9199ca903eba690f3cdb47351c3d360b663d8cf84296843b260b6deeab33cd",
+    ("plane", 0): "a4fa4c7bf9a29215cc70172a7b08d128cc20a5306cef0129555902f43a373d47",
+    ("plane", 1): "d42963ded616006558105cbdf44270fe5ebf9dc3ce4f086de010025f14802193",
+    ("plane", 2): "ed823504c0c3f219aa02b97fd9f2bce034863a8b9bfa9dad33aaa294331615e6",
+    ("plane", 3): "08e1dcedd34dbcc5cd0d88e75c75f9d66e83e90c31f650b91b294c43ca9e2483",
+    ("plane", 4): "cf6a01642d8a53dcd5324357730bc211b377a4ebc4be14205af930f5c2f9b8a4",
+    ("plane", 5): "2bae15354a44cd98ab3c4d20c73735d710b5a342cfdcc28926c68af4a269d7e3",
+    ("plane", 6): "0b347a3c529fdd5669ed1bdd8e2a5ab7f9774522ad1ff0a4fe64477f2e1d5b74",
+    ("plane", 7): "6cb8d3bc6d1120867b5b2e8f67f306546d9f73e77db66b084aac620db5eea099",
+    ("plane", 8): "08a8e2827f96a1510448d3f6a825e60e1bf6e1688a0a2cf7ef76b766174e44cb",
+    ("space", 0): "7b462479b9c144477be1cb74f24bd2ffd01eb9e74e1fdc65db6f93f8ab6fb9a9",
+    ("space", 1): "c21ff11945d5a470056a2429bf341888493e4017e0c3078b0f16a3800c743c66",
+    ("space", 2): "70841fd128c3151e091a0a0fa04b821c8fd79d6c9448556577f7e15bca9a144c",
+    ("space", 3): "1278765ef050d502da253faaf88e822f23a8f16ac6b1741ca6a92290af264427",
+    ("space", 4): "51e6e0a4b6e1f8bb7250e5ba851d1714eda0edc90f9a617b5e41e969abff3acf",
+    ("space", 5): "19a6f83b81a606dd19377b61cbb7718b4f55977eb817d58d0de467efa6b08573",
+    ("space", 6): "447efc928562031d6abbb7120922da7ca9b678954b1d68ecb7065fd00e5a1b3c",
+    ("space", 7): "97c2d6920483c1780f3d21fa9a9c55b223133165a4e6aabe06ea66d5724eb537",
+    ("space", 8): "1d5ca3724c041ec7791bc5459cfdc9efbdcdddd6eacf3f5de71f8eb3d3f4efbd",
+}
+
+
 def _digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -80,3 +124,9 @@ def test_selftest_output_unchanged():
 def test_analyze_deg_bound_9_output_unchanged(name):
     digest = _digest(["analyze", fixture_path(name), "--deg-bound", "9"])
     assert digest == ANALYZE_DEG9_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name, bound", sorted(ANALYZE_DEG_BOUND_GOLDEN))
+def test_analyze_deg_bound_output_unchanged(name, bound):
+    digest = _digest(["analyze", fixture_path(name), "--deg-bound", str(bound)])
+    assert digest == ANALYZE_DEG_BOUND_GOLDEN[name, bound]

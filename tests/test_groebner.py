@@ -231,8 +231,8 @@ class TestSeededBases:
 
     def test_rees_ideal(self):
         pres = rees_ideal([p("x1*x2"), p("x0*x2"), p("x0*x1")])
-        assert pres.handle() is pres.handle()
-        self.assert_seeded(pres.handle())
+        assert pres.ideal.gens == pres.generators
+        self.assert_seeded(pres.ideal)
 
 
 class TestEliminate:

@@ -303,4 +303,4 @@ class TestSaturationIdentities:
         transported = IdealHandle(
             amb, tuple(h.substitute(images) for h in I_M.generators)
         )
-        assert not ideal_equal(transported, I_F.handle())
+        assert not ideal_equal(transported, I_F.ideal)
