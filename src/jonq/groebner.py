@@ -4,7 +4,9 @@ Normal forms, membership, intersection, colon, saturation, elimination,
 lifting, and dimension/graded-piece computations.  Intersection, colon
 and saturation run on `eliminate`, which interreduces only the Block basis
 elements free of the dropped variables and caches the result, the reduced
-degrevlex basis, on its handle.  Generators are integer-primitive term
+degrevlex basis, on its handle.  Saturation by the variables instead takes
+one degrevlex basis in coordinates where a certified linear form is the
+last variable (`saturate_by_variables`).  Generators are integer-primitive term
 lists keyed by additive order keys (see `jonq.orders`), sorted descending,
 with positive lead.  Pairs are pruned
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
@@ -29,14 +31,17 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as int_gcd
+from operator import sub
 
-from jonq.errors import BudgetExceeded, MembershipError, StructuralError
+from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
 from jonq.orders import Block, DegRevLex, MonomialOrder
 from jonq.ring import (
     Polynomial,
     VariableSet,
     _Accumulator,
+    _KeyOverflow,
     _divide,
     _lower,
     _with_wide_keys,
@@ -49,7 +54,8 @@ class Budget:
     """Resource limits shared across one computation.
 
     `max_pairs` caps processed S-pairs cumulatively; `sat_cap` caps the
-    exponents `saturate` searches; `deg_bound` is consumed by the syzygy
+    exponents `saturate` searches and the exponent of the certified linear
+    form in `saturate_by_variables`; `deg_bound` is consumed by the syzygy
     verifier.  Exhaustion raises BudgetExceeded.
     """
 
@@ -73,6 +79,25 @@ class _GBPoly:
         self.lm_exps = order.exponents(self.lm_okey)
         self.sugar = sugar if sugar is not None else sum(self.lm_exps)
         self._packing = None
+
+    @classmethod
+    def _packed(cls, r, order, packing, sugar):
+        """An element from a primitive remainder `r` still packed in `packing`.
+
+        Its lead and tail are cached for `packing` from the packed ints its
+        terms are unpacked from: one packing, with no term packed again.
+        """
+        if r[0][1] < 0:
+            r = [(k, -c) for k, c in r]
+        over = packing.over
+        for k, _ in r:
+            if k & over:  # as `_Packing.pack` would refuse it
+                raise _KeyOverflow
+        unpack = packing.unpack
+        self = cls([(unpack(k), c) for k, c in r], order, sugar)
+        lead = r[0][0]
+        self._lead, self._tail, self._packing = lead, [(k - lead, c) for k, c in r[1:]], packing
+        return self
 
     def _pack(self, packing):
         # both are built before either is stored: if the tail overflows the
@@ -143,13 +168,17 @@ def _reduce(terms, elems, lead_data, order, early_nonzero=False):
 
     def run(packing):
         lead = [(elems[j].lead(packing), j) for j in lead_data]
-        return _reduce_acc(_Accumulator(packing, terms), elems, lead, early_nonzero)
+        r, scale = _reduce_acc(_Accumulator(packing, terms), elems, lead, early_nonzero)
+        unpack = packing.unpack
+        return [(unpack(k), c) for k, c in r], scale
 
     return _with_wide_keys(run, order)
 
 
 def _reduce_acc(acc, elems, lead, early_nonzero=False):
     """`_reduce` on the terms held by an accumulator, which it consumes.
+
+    The remainder comes back packed: (packed monomial, coefficient).
 
     `lead` lists (packed lead, index into `elems`) in `_lead_data` order;
     the reducer of a popped monomial is the first entry whose lead divides
@@ -158,14 +187,13 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
     the product is kept in `scale`'s numerator.  Every 64 steps the
     integer content of the whole remainder goes into its denominator.
     The step sequence, and with it every output term and scale, is fixed
-    by the input alone.  Irreducible terms stay packed until the end.
+    by the input alone.
     """
     out = []
     num, den = 1, 1
     steps = 0
     packing = acc.packing
     guard = packing.guard
-    unpack = packing.unpack
     while acc:
         k, c = acc.pop_lead()
         for lm, j in lead:
@@ -173,7 +201,7 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
                 break
         else:
             if early_nonzero:
-                return [(unpack(k), c)], Fraction(num, den)
+                return [(k, c)], Fraction(num, den)
             out.append((k, c))
             continue
         g = elems[j]
@@ -201,8 +229,8 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
             break
     if content > 1:
         den *= content
-        return [(unpack(k), v // content) for k, v in out], Fraction(num, den)
-    return [(unpack(k), v) for k, v in out], Fraction(num, den)
+        out = [(k, v // content) for k, v in out]
+    return out, Fraction(num, den)
 
 
 def _lead_data(elems):
@@ -281,7 +309,7 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
     for h in prepared:
         r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead)
         if r:
-            update(_GBPoly(_normalize_terms(r), order, h.sugar))
+            update(_GBPoly._packed(r, order, packing, h.sugar))
     while heap:
         _, sugar, shift, i, j = heapq.heappop(heap)
         if alive.pop((i, j), None) is None:
@@ -297,7 +325,7 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
             continue
         r, _ = _reduce_acc(acc, G, lead)
         if r:
-            update(_GBPoly(_normalize_terms(r), order, sugar))
+            update(_GBPoly._packed(r, order, packing, sugar))
     return G
 
 
@@ -326,7 +354,7 @@ def _reduced_basis(G, order):
             acc.add_shifted(lm, [(0, e.lc)] + e.tail(packing), 1)
             r, _ = _reduce_acc(acc, reduced, lead)
             lead.append((lm, len(reduced)))
-            reduced.append(_GBPoly(_normalize_terms(r), order, e.sugar))
+            reduced.append(_GBPoly._packed(r, order, packing, e.sugar))
         return reduced
 
     return _with_wide_keys(run, order)
@@ -577,6 +605,9 @@ def saturate(I, J, budget=None):
     at which the chain I : b^k stabilizes.  An exponent of `budget.sat_cap`
     or more raises BudgetExceeded; a cap of 0 raises before any Buchberger
     run.  The result is the intersection of the per-generator saturations.
+    The regularity stage of `analyze` saturates by the variables through
+    `saturate_by_variables`, one basis with no auxiliary variable; this
+    route serves `rees`, which reads the exponents.
     """
     if J.is_zero_ideal():
         raise StructuralError("saturation by the zero ideal")
@@ -605,6 +636,134 @@ def saturate(I, J, budget=None):
     for piece in pieces[1:]:
         result = intersect(result, piece, budget=budget)
     return result, exponents
+
+
+def _linear_forms(n):
+    """The candidate forms of `saturate_by_variables`, as coefficient tuples.
+
+    The variables from the last one down, then the sums x_i + x_j, then
+    sum_k c^k x_k for c = 1, 2, ...; the sequence does not end.
+    """
+    for i in reversed(range(n)):
+        yield tuple(int(k == i) for k in range(n))
+    if n > 2:  # for two variables the pair is the sum below
+        for i, j in combinations(range(n), 2):
+            yield tuple(int(k in (i, j)) for k in range(n))
+    c = 1
+    while True:
+        yield tuple(c**k for k in range(n))
+        c += 1
+
+
+def _form_last(ring, coeffs):
+    """Coordinates in which the form l = sum coeffs[k] x_k is the last variable.
+
+    Returns (S, there, back).  S lists the variables of `ring` with x_p, the
+    last one of coefficient 1, moved to the end, where it stands for l;
+    `there` maps a polynomial of `ring` into S and `back` maps one of S back.
+    For a variable both are permutations of the exponents.
+    """
+    n = len(ring)
+    p = max(k for k, c in enumerate(coeffs) if c == 1)
+    perm = [k for k in range(n) if k != p] + [p]
+    S = VariableSet(tuple(ring.names[k] for k in perm))
+    if sum(map(bool, coeffs)) == 1:
+        inv = [perm.index(k) for k in range(n)]
+
+        def there(g):
+            return Polynomial._clean(S, {tuple(m[k] for k in perm): c for m, c in g.items()})
+
+        def back(g):
+            return Polynomial._clean(ring, {tuple(m[k] for k in inv): c for m, c in g.items()})
+
+        return S, there, back
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    # x_p = l - sum_{k != p} c_k x_k, with l the last variable of S
+    x_p = Polynomial._clean(
+        S, {unit[-1]: 1, **{unit[s]: -coeffs[k] for s, k in enumerate(perm[:-1]) if coeffs[k]}}
+    )
+    images = Polynomial.gens(S)[:-1]
+    images.insert(p, x_p)
+    form = Polynomial._clean(ring, {unit[k]: c for k, c in enumerate(coeffs) if c})
+    back_images = [Polynomial.variable(ring, ring.names[k]) for k in perm[:-1]] + [form]
+    return S, (lambda g: g.substitute(images)), (lambda g: g.substitute(back_images))
+
+
+def _pure_powers(leads, nvars):
+    """Whether each of the first `nvars` variables has a pure power among `leads`."""
+    have = set()
+    for exps in leads:
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            have.add(support[0])
+    return have.issuperset(range(nvars))
+
+
+def saturate_by_variables(I, budget=None):
+    """I : m^infinity for a homogeneous I with dim(R/I) <= 1, m = (x_0, ..., x_n).
+
+    If dim R/(I + (l)) = 0 for a linear form l, then l lies in no associated
+    prime of I but m, and I : m^infinity = I : l^infinity.  The candidates
+    l come from `_linear_forms`; l is certified when the reduced basis of
+    I restricted to l = 0, in n variables, is the unit ideal or has a pure
+    power of every variable among its leads.  For l = x_n this is read
+    from the leads of I's own basis, since in(I + (x_n)) = in(I) + (x_n)
+    under degrevlex.  Every point of V(I) rules out at most n of the forms
+    sum c^k x_k, so for dim <= 1 some candidate is certified.
+
+    In coordinates where l is the last variable, one degrevlex basis of I
+    gives I : l^infinity: in(I) : x_n = in(I : x_n) (Bayer-Stillman), so
+    each element divided by its largest power of x_n is a basis.  The
+    largest power divided out, the least k with l^k * (I : l^infinity)
+    inside I, raises BudgetExceeded when it reaches `budget.sat_cap`; a cap
+    of 0 raises before any Buchberger run.  The saturation is unique, so
+    which candidate wins cannot change the result.  dim(R/I) >= 2 raises
+    HypothesisViolation.
+    """
+    budget = budget or Budget()
+    if budget.sat_cap == 0:
+        raise BudgetExceeded("saturation chain length", budget.sat_cap)
+    if not I.homogeneous():
+        raise StructuralError("saturate_by_variables needs a homogeneous ideal")
+    ring = I.ring
+    n = len(ring)
+    gb = I.gb(budget=budget)
+    if gb.contains_unit():
+        return I
+    if dim_and_codim(I, budget)[0] > 1:
+        raise HypothesisViolation("saturation by the variables requires dim(R/I) <= 1")
+    for coeffs in _linear_forms(n):
+        if coeffs[-1] == 1 and not any(coeffs[:-1]):
+            S, basis = ring, gb
+            if not _pure_powers(gb.lead_exponents(), n - 1):
+                continue
+        else:
+            S, there, back = _form_last(ring, coeffs)
+            gens = [there(g) for g in I.gens]
+            cut = VariableSet(S.names[:-1])  # l = 0
+            on_l = [{m[:-1]: c for m, c in g.items() if not m[-1]} for g in gens]
+            small = buchberger([Polynomial._clean(cut, t) for t in on_l], budget=budget, ring=cut)
+            if not (small.contains_unit() or _pure_powers(small.lead_exponents(), n - 1)):
+                continue
+            basis = buchberger(gens, budget=budget, ring=S)
+        break
+    order = basis.order
+    top = 0
+    divided = []
+    for e in basis._elems:
+        k = e.lm_exps[-1]  # a homogeneous element's lead has its least power of x_n
+        top = max(top, k)
+        shift = order.key((0,) * (n - 1) + (k,))
+        divided.append(_GBPoly([(tuple(map(sub, okey, shift)), c) for okey, c in e.terms], order))
+    if top >= budget.sat_cap:
+        raise BudgetExceeded("saturation chain length", budget.sat_cap)
+    elems = _reduced_basis(divided, order)
+    polys = [_to_polynomial(e.terms, order, S) for e in elems]
+    if S is not ring:
+        return IdealHandle(ring, [back(g) for g in polys])
+    out = IdealHandle(ring, polys)
+    out._cache[order.signature()] = GroebnerBasis(polys, order, ring, elems)
+    return out
 
 
 def eliminate(I, drop_names, budget=None):
@@ -737,8 +896,6 @@ def dim_and_codim(I, budget=None):
     supports = []
     for exps in gb.lead_exponents():
         supports.append(frozenset(i for i, e in enumerate(exps) if e))
-    from itertools import combinations
-
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             sset = set(subset)

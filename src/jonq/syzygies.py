@@ -24,7 +24,7 @@ from jonq.groebner import (
     ideal_equal,
     is_unit_ideal,
     lift,
-    saturate,
+    saturate_by_variables,
 )
 from jonq.linalg import SpanTracker, rank
 from jonq.rees import rees_ideal
@@ -326,10 +326,6 @@ def _beg_quotient(big, small, budget=None):
     return out
 
 
-def _maximal_variable_ideal(ring):
-    return IdealHandle(ring, tuple(Polynomial.gens(ring)))
-
-
 def regularity_oracle(I, budget=None):
     """reg(R/I) for dim(R/I) <= 1 via graded local cohomology sizes.
 
@@ -341,7 +337,7 @@ def regularity_oracle(I, budget=None):
     dim, _ = dim_and_codim(I, budget)
     if dim > 1:
         raise HypothesisViolation("regularity oracle requires dim(R/I) <= 1")
-    Isat, _ = saturate(I, _maximal_variable_ideal(I.ring), budget)
+    Isat = saturate_by_variables(I, budget)
     return _local_cohomology_reg(I, Isat, budget)
 
 
@@ -411,7 +407,7 @@ def regularity_dim1(I, d=None, seed=0, budget=None, max_retries=16):
         d = degs.pop()
     elif d not in degs:
         raise HypothesisViolation("declared degree does not match the generators")
-    Isat, _ = saturate(I, _maximal_variable_ideal(ring), budget)
+    Isat = saturate_by_variables(I, budget)
     beg_sat = _beg_quotient(Isat, I, budget)
     # alpha: n seeded random combinations of the generators, codim n
     rng = random.Random(seed)

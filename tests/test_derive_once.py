@@ -1,6 +1,6 @@
 """Each derived object of an instance is computed once per command.
 
-Counting wrappers replace `saturate`, `colon`, `regularity_dim1`,
+Counting wrappers replace `saturate_by_variables`, `colon`, `regularity_dim1`,
 `conductor_data` and `implicitize` in every `jonq.*` module that binds
 them; the commands then run through the CLI entry point.
 """
@@ -11,12 +11,12 @@ import pytest
 
 from jonq.cli import main  # imports every layer module
 from jonq.fixtures import fixture_path, load_fixture
-from jonq.groebner import colon, saturate
+from jonq.groebner import colon, saturate_by_variables
 from jonq.implicitize import implicitize
 from jonq.syzygies import conductor_data, regularity_dim1
 
 COUNTED = {
-    "saturate": saturate,
+    "saturate_by_variables": saturate_by_variables,
     "colon": colon,
     "regularity_dim1": regularity_dim1,
     "conductor_data": conductor_data,
@@ -48,7 +48,7 @@ def _counts(calls, fixture):
     P = load_fixture(fixture).jonquieres()
     base = P.cremona.forward.coords
     return {
-        "saturate(I)": sum(1 for a in calls["saturate"] if a[0].gens == base),
+        "saturate(I)": sum(1 for a in calls["saturate_by_variables"] if a[0].gens == base),
         "colon(I, g)": sum(
             1 for a in calls["colon"] if a[0].gens == base and a[1] == P.g
         ),

@@ -98,6 +98,18 @@ ANALYZE_DEG_BOUND_GOLDEN = {
 }
 
 
+# `analyze --budget-sat 0`: every saturation gives up, so each regularity
+# verdict is a budget skip (on `space`, dim(R/I) = 2 skips the stage
+# first); recorded while the regularity stage still saturated by the
+# maximal ideal through one elimination per variable.
+ANALYZE_BUDGET_SAT0_GOLDEN = {
+    "identity": "22e436079300c2772d0730110105e86d56622214f748599edfc28a3452c292ba",
+    "nzd": "f786c10aa95343d686aa4e9d317dad2797a4d080453e50669bad33a6aedf215a",
+    "plane": "81fc375d71e94c9da241e9ec0a2e2dc3787219004245f05e0d5c7f0f0955fb68",
+    "space": "97c2d6920483c1780f3d21fa9a9c55b223133165a4e6aabe06ea66d5724eb537",
+}
+
+
 def _digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -130,3 +142,9 @@ def test_analyze_deg_bound_9_output_unchanged(name):
 def test_analyze_deg_bound_output_unchanged(name, bound):
     digest = _digest(["analyze", fixture_path(name), "--deg-bound", str(bound)])
     assert digest == ANALYZE_DEG_BOUND_GOLDEN[name, bound]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BUDGET_SAT0_GOLDEN))
+def test_analyze_budget_sat_0_output_unchanged(name):
+    digest = _digest(["analyze", fixture_path(name), "--budget-sat", "0"])
+    assert digest == ANALYZE_BUDGET_SAT0_GOLDEN[name]

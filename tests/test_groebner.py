@@ -1,8 +1,13 @@
+import itertools
 import random
+from operator import add, mul
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jonq.errors import BudgetExceeded, MembershipError, StructuralError
+from jonq import groebner
+from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -20,6 +25,7 @@ from jonq.groebner import (
     multiply_ideal,
     normal_form,
     saturate,
+    saturate_by_variables,
 )
 from jonq.orders import DegRevLex, Lex
 from jonq.rees import rees_ideal
@@ -209,6 +215,136 @@ def _colon_chain_saturate(I, J):
     return IdealHandle(I.ring, tuple(minimalize_generators(result.gens, ring=I.ring))), exponents
 
 
+def _points_ideal(ring, points):
+    """The ideal of finitely many points of projective space."""
+    xs = Polynomial.gens(ring)
+    out = None
+    for point in points:
+        r = next(i for i, c in enumerate(point) if c)
+        linear = IdealHandle(ring, [point[r] * x - c * xs[r] for x, c in zip(xs, point)])
+        out = linear if out is None else intersect(out, linear)
+    return out
+
+
+def _first_nonvanishing(n, points):
+    """The first form in the order of `saturate_by_variables` that vanishes
+    at none of the points."""
+    for coeffs in groebner._linear_forms(n):
+        if all(sum(map(mul, coeffs, pt)) for pt in points):
+            return coeffs
+
+
+def _unit(n, i, c=1):
+    return tuple(c if k == i else 0 for k in range(n))
+
+
+KINDS = ("last", "variable", "pair", "sum", "l2", "primary", "embedded")
+
+
+@st.composite
+def ideals_of_dimension_at_most_one(draw, kind):
+    """(generators, points of V(I)) of a homogeneous ideal with dim <= 1.
+
+    The kinds make each kind of candidate win: the last variable, another
+    variable, a pair x_i + x_j, the sum of the variables and l_2 = sum
+    2^k x_k.  "primary" is an m-primary ideal; "embedded", and any other
+    kind half the time, is an ideal of points times m, which has an
+    embedded m-primary component.
+    """
+    n = draw(st.sampled_from((3, 4)))
+    ring = VariableSet([f"x{i}" for i in range(n)])
+    xs = Polynomial.gens(ring)
+    scale = st.sampled_from((1, 2, 3, -1, -2, -3))
+    if kind == "primary":
+        gens = [x ** draw(st.integers(1, 3)) for x in xs]
+        gens.append(random_form(ring, 2, draw(st.integers(0, 1 << 30))))
+        return gens, []
+    count = draw(st.integers(1, 2))
+    if kind in ("last", "embedded"):
+        points = [tuple(draw(scale) for _ in range(n)) for _ in range(count)]
+    elif kind == "variable":  # on x_n = 0 only
+        points = [tuple(draw(scale) for _ in range(n - 1)) + (0,) for _ in range(count)]
+    elif kind == "pair":  # e_0 and e_1: every variable vanishes at one, x_0 + x_1 at none
+        points = [_unit(n, 0, draw(scale)), _unit(n, 1, draw(scale))]
+    elif kind == "sum":  # every coordinate point: so does every pair
+        points = [_unit(n, i, draw(scale)) for i in range(n)]
+    else:  # e_i - e_j: every variable, pair and the sum vanishes at one, l_2 at none
+        points = []
+        for i, j in itertools.combinations(range(n), 2):
+            c = draw(scale)
+            points.append(tuple(map(add, _unit(n, i, c), _unit(n, j, -c))))
+    gens = list(_points_ideal(ring, points).gens)
+    if kind == "embedded" or draw(st.booleans()):
+        gens = [g * x for g in gens for x in xs]
+    return gens, points
+
+
+class TestSaturateByVariables:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_saturation_by_the_maximal_ideal(self, kind, data):
+        gens, points = data.draw(ideals_of_dimension_at_most_one(kind))
+        ring = gens[0].ring
+        n = len(ring)
+        won = []
+        forms = groebner._linear_forms
+
+        def recording(nvars):
+            for coeffs in forms(nvars):
+                won[:] = [coeffs]
+                yield coeffs
+
+        with mock.patch.object(groebner, "_linear_forms", recording):
+            got = saturate_by_variables(IdealHandle(ring, gens))
+        want, _ = saturate(IdealHandle(ring, gens), IdealHandle(ring, Polynomial.gens(ring)))
+        assert got.gb().generators == want.gb().generators
+        expected = {
+            "variable": _unit(n, n - 2),
+            "pair": (1, 1) + (0,) * (n - 2),
+            "sum": (1,) * n,
+            "l2": tuple(2**k for k in range(n)),
+        }.get(kind, _unit(n, n - 1))
+        assert won == [expected]
+        if kind == "primary":
+            assert is_unit_ideal(got)
+        else:
+            assert _first_nonvanishing(n, points) == expected
+
+    def test_dimension_two_raises(self):
+        with pytest.raises(HypothesisViolation):
+            saturate_by_variables(ideal("x0^2", "x0*x1"))
+
+    def test_zero_cap_raises_before_any_buchberger_run(self):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return core(*args, **kwargs)
+
+        core = groebner._buchberger_core
+        budget = Budget(sat_cap=0)
+        with mock.patch.object(groebner, "_buchberger_core", counting):
+            with pytest.raises(BudgetExceeded):
+                saturate_by_variables(ideal("x0*x2^2", "x1*x2^2", "x0^2", "x0*x1", "x1^2"), budget)
+        assert calls == [] and budget.pairs_used == 0
+
+    @pytest.mark.parametrize(
+        "gens, sat",
+        [
+            # V(I) = (0:0:1): x2 wins, and x2^2 is the largest power it divides out
+            (("x0*x2^2", "x1*x2^2", "x0^2", "x0*x1", "x1^2"), ("x0", "x1")),
+            # V(I) = (1:0:0): x2 and x1 vanish there, x0 wins with exponent 2
+            (("x2*x0^2", "x1*x0^2", "x2^2", "x2*x1", "x1^2"), ("x1", "x2")),
+        ],
+    )
+    def test_cap_boundary_is_the_exponent_of_the_form(self, gens, sat):
+        with pytest.raises(BudgetExceeded):
+            saturate_by_variables(ideal(*gens), Budget(sat_cap=2))
+        got = saturate_by_variables(ideal(*gens), Budget(sat_cap=3))
+        assert got.gb().generators == ideal(*sat).gb().generators
+
+
 class TestSeededBases:
     """Eliminations hand on the t-free part of their basis as a degrevlex basis."""
 
@@ -228,6 +364,10 @@ class TestSeededBases:
         self.assert_seeded(intersect(I, ideal("x1 + x2", "x0^2")))
         self.assert_seeded(saturate(I, ideal("x2"))[0])
         self.assert_seeded(saturate(I, ideal("x0", "x1", "x2"))[0])
+
+    def test_saturate_by_the_last_variable(self):
+        I = ideal("x0*x2^2 + x1^3", "x1*x2^2", "x0^2 - x0*x1", "x0*x1", "x1^2 + x0*x2")
+        self.assert_seeded(saturate_by_variables(I))
 
     def test_rees_ideal(self):
         pres = rees_ideal([p("x1*x2"), p("x0*x2"), p("x0*x1")])

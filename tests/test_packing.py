@@ -10,8 +10,9 @@ caught before any field carries.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jonq.groebner import _GBPoly, buchberger
 from jonq.orders import Block, DegRevLex, Lex, Weighted
-from jonq.ring import _Accumulator, _KeyOverflow, _packing
+from jonq.ring import VariableSet, _Accumulator, _KeyOverflow, _packing, parse_polynomial
 
 ORDERS = [
     DegRevLex(4),
@@ -127,3 +128,31 @@ def test_shift_past_the_bound_raises_before_a_carry(order, bits):
         with pytest.raises(_KeyOverflow):
             acc.add_shifted(target, [(0, 1)], 1)
         assert not acc
+
+
+@pytest.mark.parametrize("order,bits", PACKINGS)
+def test_basis_element_past_the_bound_raises(order, bits):
+    # a remainder keeps its packed terms; one past the bound is refused as
+    # `pack` would refuse it, so the Buchberger run widens its fields
+    packing = _packing(order, bits)
+    bound = exponent_bound(packing)
+    n = order.nvars
+    a = (bound - 1,) + (0,) * (n - 1)
+    unit = (1,) + (0,) * (n - 1)
+    past = packing.pack(order.key(a)) + (
+        packing.pack(order.key(unit)) - packing.pack(order.key((0,) * n))
+    )
+    inside = packing.pack(order.key((0,) * n))
+    terms = sorted([(past, 3), (inside, -2)], reverse=True)
+    with pytest.raises(_KeyOverflow):
+        _GBPoly._packed(terms, order, packing, None)
+
+
+def test_buchberger_widens_for_a_remainder_past_the_bound():
+    # x2^2500 = h - x2^1500 * f is past the 16-bit bound of 2048, though
+    # neither generator is
+    ring = VariableSet(["x0", "x1", "x2"])
+    f = parse_polynomial("x0^1000 - x2^1000", ring)
+    h = parse_polynomial("x0^1000*x2^1500", ring)
+    gb = buchberger([f, h])
+    assert set(gb.generators) == {f, parse_polynomial("x2^2500", ring)}

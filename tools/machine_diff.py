@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Compare the full `--machine` output of two jonq checkouts, per instance.
+
+    python3 tools/machine_diff.py PARENT CHANGE DIR --command analyze \\
+        [--flags "--budget-pairs 60"] [--check-default] [--list]
+
+PARENT and CHANGE are checkout roots (each holds `src/jonq`); DIR holds
+`*.jonq` instance files.  Each checkout runs `jonq <command> <file>
+<flags> --machine` on every file in one interpreter process, with its
+own `src` on the path.  The reports are compared key by key, the exit
+code counting as the key `exit`.  A differing key is sorted into one of:
+
+    parent-skip     skipped(budget ...) at PARENT only
+    change-skip     skipped(budget ...) at CHANGE only
+    parent-missing  absent at PARENT only (a stage a skip cut short)
+    change-missing  absent at CHANGE only
+    other           any other difference
+
+With `--check-default`, CHANGE also runs with no flags, and each
+parent-skip or parent-missing key whose CHANGE value differs from that
+default value is counted as `not-default`.  The last line of output is one
+JSON object with the counts; `--list` prints each differing key before
+it.  Exit code 0: no differing key; 1: some; 2: bad arguments.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import shlex
+import subprocess
+import sys
+
+RUNNER = r"""
+import contextlib, io, json, sys
+from jonq.cli import main
+
+command, flags, paths = json.loads(sys.stdin.read())
+out = {}
+for path in paths:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, path, *flags, "--machine"])
+    out[path] = [code, buf.getvalue()]
+json.dump(out, sys.stdout)
+"""
+
+
+def run_checkout(root, command, flags, paths):
+    """{path: (exit code, report text)} from one checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER],
+        input=json.dumps([command, flags, paths]),
+        capture_output=True, text=True, env=env, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: runner failed\n{proc.stderr}")
+    return {path: tuple(v) for path, v in json.loads(proc.stdout).items()}
+
+
+def parse(code, text):
+    """The report as {key: value}, with the exit code as the key `exit`."""
+    out = {"exit": str(code)}
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep:
+            out[key] = value
+    return out
+
+
+def is_budget_skip(value):
+    return value is not None and value.startswith("skipped(budget")
+
+
+def classify(parent, change):
+    """(key, category) for every key whose values differ."""
+    out = []
+    for key in sorted(set(parent) | set(change)):
+        a, b = parent.get(key), change.get(key)
+        if a == b:
+            continue
+        if is_budget_skip(a) and not is_budget_skip(b):
+            out.append((key, "parent-skip"))
+        elif is_budget_skip(b) and not is_budget_skip(a):
+            out.append((key, "change-skip"))
+        elif a is None:
+            out.append((key, "parent-missing"))
+        elif b is None:
+            out.append((key, "change-missing"))
+        else:
+            out.append((key, "other"))
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("instances", help="directory of *.jonq instance files")
+    ap.add_argument("--command", default="analyze")
+    ap.add_argument("--flags", default="", help="one shell-quoted flag string")
+    ap.add_argument("--check-default", action="store_true")
+    ap.add_argument("--list", action="store_true")
+    args = ap.parse_args(argv)
+    paths = sorted(glob.glob(os.path.join(os.path.abspath(args.instances), "*.jonq")))
+    if not paths:
+        ap.error(f"no *.jonq files in {args.instances}")
+    flags = shlex.split(args.flags)
+    before = run_checkout(args.parent, args.command, flags, paths)
+    after = run_checkout(args.change, args.command, flags, paths)
+    default = run_checkout(args.change, args.command, [], paths) if args.check_default else None
+    categories = ("parent-skip", "change-skip", "parent-missing", "change-missing", "other")
+    counts = dict.fromkeys(categories, 0)
+    if default is not None:
+        counts["not-default"] = 0
+    differing = 0
+    for path in paths:
+        a, b = parse(*before[path]), parse(*after[path])
+        found = classify(a, b)
+        differing += bool(found)
+        for key, category in found:
+            counts[category] += 1
+            note = ""
+            if default is not None and category in ("parent-skip", "parent-missing"):
+                if parse(*default[path]).get(key) != b[key]:
+                    counts["not-default"] += 1
+                    note = " (not the default value)"
+            if args.list:
+                name = os.path.basename(path)
+                print(f"{name} {key} [{category}]{note}: {a.get(key)!r} -> {b.get(key)!r}")
+    summary = {
+        "command": args.command, "flags": args.flags, "instances": len(paths),
+        "instances_differing": differing, **counts,
+    }
+    print(json.dumps(summary, sort_keys=True))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
