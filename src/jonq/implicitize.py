@@ -3,7 +3,11 @@
 de Jonquieres parametrizations, the closed-form monoid equation, degree
 predictions, the syzygetic polynomials and case equivalences (read from
 `jonq.syzygies.conductor_data`), the Eulerian equation of a polar Cremona
-map, and the independent elimination oracle.
+map, and the independent elimination oracle.  The oracle reads only the
+coordinates c_i: they share one degree, so the x-free part of their Rees
+ideal (y_i - t*c_i) intersect k[x, y] is the implicit ideal, one
+elimination of t (Cox, "The moving curve ideal and the Rees algebra",
+TCS 392, 2008).
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import IdealHandle, buchberger, eliminate, normal_form
+from jonq.groebner import IdealHandle, buchberger, normal_form
+from jonq.rees import eliminate_rees_parameter, implicit_generator
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
@@ -341,9 +346,10 @@ def verify_inverse_representative(P, monoid, budget=None):
 def oracle_implicitize(coords, target_ring=None, budget=None):
     """Independent elimination oracle for the implicit equation.
 
-    Eliminates the source variables from (y_i - coord_i); requires the
-    image to be a hypersurface (principal nonzero elimination ideal) and
-    returns the canonical generator.
+    Eliminates t from (y_i - t*coord_i), so a zero coordinate gives y_i,
+    and reads the x-free part of the result; requires the image to be a
+    hypersurface (principal nonzero x-free part) and returns its canonical
+    generator.
     """
     if not coords:
         raise StructuralError("no coordinates")
@@ -366,16 +372,5 @@ def oracle_implicitize(coords, target_ring=None, budget=None):
         target_ring = VariableSet([f"y{i}" for i in range(len(coords))])
     if len(target_ring) != len(coords):
         raise StructuralError("target ring size must match coordinate count")
-    big = ring.union(target_ring)
-    gens = [
-        Polynomial.variable(big, nm) - c.map_ring(big)
-        for nm, c in zip(target_ring.names, coords)
-    ]
-    elim = eliminate(IdealHandle(big, gens), ring.names, budget=budget)
-    gb = elim.gb(budget=budget)
-    if len(gb.generators) != 1 or gb.generators[0].is_zero():
-        raise HypothesisViolation(
-            "the image is not a hypersurface: elimination ideal is not "
-            f"principal ({len(gb.generators)} generators)"
-        )
-    return gb.generators[0].canonical()
+    rees = eliminate_rees_parameter(coords, target_ring.names, budget)
+    return implicit_generator(rees, ring.names, target_ring, budget)

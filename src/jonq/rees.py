@@ -2,7 +2,10 @@
 
 The Rees ideal of a tuple of forms is computed by eliminating the Rees
 parameter; membership of a candidate in the *kernel* presentation is
-decided by substitution (y_i -> t*g_i), which is cheap and exact.
+decided by substitution (y_i -> t*g_i), which is cheap and exact.  For
+forms of one degree, the x-free part of the Rees ideal is the implicit
+ideal of their image (Cox, "The moving curve ideal and the Rees algebra",
+TCS 392, 2008); `implicit_generator` reads it off the cached basis.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from jonq.birational import RationalMapData, compose, projectively_equal
-from jonq.errors import BudgetExceeded, StructuralError
+from jonq.errors import BudgetExceeded, HypothesisViolation, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -20,7 +23,6 @@ from jonq.groebner import (
     ideal_equal,
     saturate,
 )
-from jonq.implicitize import oracle_implicitize
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
@@ -75,6 +77,40 @@ class ReesPresentation:
         return h.substitute([by_name[nm] for nm in self.ambient.names]).is_zero()
 
 
+def eliminate_rees_parameter(gens, y_names, budget=None):
+    """(y_i - t*g_i) intersect k[x, y] over the x then the y variables.
+
+    One elimination of t; a zero g_i contributes y_i.  The handle caches
+    its reduced degrevlex basis.
+    """
+    ambient = gens[0].ring.union(VariableSet(y_names))
+    tname = ambient.fresh_name("t")
+    big = ambient.extended(tname)
+    t = Polynomial.variable(big, tname)
+    rel = [
+        Polynomial.variable(big, nm) - t * g.map_ring(big)
+        for nm, g in zip(y_names, gens)
+    ]
+    return eliminate(IdealHandle(big, rel), (tname,), budget=budget)
+
+
+def implicit_generator(ideal, x_names, y_ring, budget=None):
+    """The canonical generator of `ideal` intersect k[y], which must be principal.
+
+    The reduced basis of a bihomogeneous ideal is bihomogeneous, so a
+    basis element with an x-free lead is x-free, and the x-free elements
+    are the reduced basis of the x-free part.
+    """
+    x_idx = tuple(ideal.ring.index(nm) for nm in x_names)
+    free = [h for h in ideal.gb(budget=budget).generators if h.degree_in(x_idx) == 0]
+    if len(free) != 1:
+        raise HypothesisViolation(
+            "the image is not a hypersurface: elimination ideal is not "
+            f"principal ({len(free)} generators)"
+        )
+    return free[0].restrict_to(y_ring).canonical()
+
+
 def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
     """Defining ideal of the Rees algebra of (gens), by eliminating t."""
     gens = list(gens)
@@ -95,17 +131,8 @@ def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
     y_names = tuple(y_names)
     if len(y_names) != len(gens):
         raise StructuralError("one y variable per generator")
-    yring = VariableSet(y_names)
-    ambient = xring.union(yring)
-    tname = ambient.fresh_name("t")
-    big = ambient.extended(tname)
-    t = Polynomial.variable(big, tname)
-    rel = [
-        Polynomial.variable(big, nm) - t * g.map_ring(big)
-        for nm, g in zip(y_names, gens)
-    ]
-    elim = eliminate(IdealHandle(big, rel), (tname,), budget=budget)  # its ring: `ambient`
-    return ReesPresentation(ambient, xring.names, y_names, elim.gens, role, tuple(gens), elim)
+    elim = eliminate_rees_parameter(gens, y_names, budget)  # its ring: x then y
+    return ReesPresentation(elim.ring, xring.names, y_names, elim.gens, role, tuple(gens), elim)
 
 
 # -- framing and downgrading --------------------------------------------------
@@ -272,6 +299,7 @@ class MonoidParametrization:
     coords: tuple
     sign: int
     K: IdealHandle
+    rees: ReesPresentation = field(repr=False, compare=False)  # of `coords`
 
 
 @dataclass(frozen=True)
@@ -284,10 +312,11 @@ class MonoidAssociationReport:
     composition_holds: bool
 
 
-def monoid_association(P, monoid, budget=None, check_oracle=True):
+def monoid_association(P, monoid, budget=None):
     """Build the standard monoid parametrization M sharing F, and verify.
 
-    (a) M has the same implicit equation F (elimination oracle);
+    (a) M has the same implicit equation F: the x-free part of the Rees
+    ideal of M, which M carries for `saturation_identities`;
     (b) the de Jonquieres map factors as the Cremona map followed by M,
     testing both composition orders and recording which one holds.
     The last coordinate's sign is chosen so that F(M) = 0; the report also
@@ -314,12 +343,10 @@ def monoid_association(P, monoid, budget=None, check_oracle=True):
     sign = 1 if plus else -1
     coords = coords_for(sign)
     K = IdealHandle(xring, tuple(h_dm1 * x for x in xs) + (h_delta,))
-    M = MonoidParametrization(h_delta, h_dm1, coords, sign, K)
-
-    same_F = True
-    if check_oracle:
-        F2 = oracle_implicitize(list(coords), P.monoid_ring, budget=budget)
-        same_F = F2.proportional_to(monoid.F)
+    I_M = rees_ideal(coords, y_names=P.monoid_ring.names, role="monoid_rees", budget=budget)
+    M = MonoidParametrization(h_delta, h_dm1, coords, sign, K, I_M)
+    F2 = implicit_generator(I_M.ideal, xring.names, P.monoid_ring, budget)
+    same_F = F2.proportional_to(monoid.F)
 
     M_map = RationalMapData(xring, P.monoid_ring, coords)
     j_coords = P.coordinates()
@@ -364,52 +391,44 @@ class SaturationReport:
 def saturation_identities(P, M, budget=None):
     """Transported Rees ideals agree after saturating by C / D.
 
-    `M` is the monoid parametrization from `monoid_association`.  The
-    transport substitutes the x variables (by g, resp. g'); the second
-    saturation uses D written in the x variables, which is what the
-    inversion identity g_i(g'(x)) = x_i * D(x) produces.
+    `M` is the monoid parametrization from `monoid_association`; its Rees
+    ideal I_M is the one `M` carries, and it is also I_F when M is the de
+    Jonquieres map itself (over the identity Cremona map).  The transport
+    substitutes the x variables (by g, resp. g'); the second saturation
+    uses D written in the x variables, which is what the inversion identity
+    g_i(g'(x)) = x_i * D(x) produces.
     """
     budget = budget or Budget()
     xring = P.source
     try:
-        I_F = rees_ideal(
-            list(P.coordinates()),
-            y_names=P.monoid_ring.names,
-            role="jonquieres_rees",
-            budget=budget,
-        )
-        I_M = rees_ideal(
-            list(M.coords),
-            y_names=P.monoid_ring.names,
-            role="monoid_rees",
-            budget=budget,
+        I_M = M.rees
+        coords = P.coordinates()
+        I_F = I_M if M.coords == coords else rees_ideal(
+            coords, y_names=P.monoid_ring.names, role="jonquieres_rees", budget=budget
         )
         ambient = I_F.ambient
         x_named = {nm: Polynomial.variable(ambient, nm) for nm in ambient.names}
 
         def transport(pres, images_for_x):
+            """The handle of pres with x substituted; pres's own when x maps to x."""
+            if all(images_for_x[nm] == Polynomial.variable(xring, nm) for nm in xring.names):
+                return pres.ideal
             images = [
                 images_for_x[nm].map_ring(ambient) if nm in xring else x_named[nm]
                 for nm in ambient.names
             ]
-            return [h.substitute(images) for h in pres.generators]
+            return IdealHandle(ambient, tuple(h.substitute(images) for h in pres.generators))
 
         g_map = dict(zip(xring.names, P.cremona.forward.coords))
         ginv_x = [c.rename(xring) for c in P.cremona.inverse.coords]
         ginv_map = dict(zip(xring.names, ginv_x))
 
-        fwd_gens = transport(I_M, g_map)
         C_amb = P.cremona.source_factor.map_ring(ambient)
-        fwd_sat, fwd_exp = saturate(
-            IdealHandle(ambient, tuple(fwd_gens)), IdealHandle.of(C_amb), budget
-        )
+        fwd_sat, fwd_exp = saturate(transport(I_M, g_map), IdealHandle.of(C_amb), budget)
         forward_equal = ideal_equal(fwd_sat, I_F.ideal, budget)
 
-        bwd_gens = transport(I_F, ginv_map)
         D_x = P.cremona.target_factor.rename(xring).map_ring(ambient)
-        bwd_sat, bwd_exp = saturate(
-            IdealHandle(ambient, tuple(bwd_gens)), IdealHandle.of(D_x), budget
-        )
+        bwd_sat, bwd_exp = saturate(transport(I_F, ginv_map), IdealHandle.of(D_x), budget)
         backward_equal = ideal_equal(bwd_sat, I_M.ideal, budget)
     except BudgetExceeded as exc:
         return SaturationReport("skipped", None, None, None, None, f"budget: {exc}")

@@ -1,26 +1,32 @@
 """Each derived object of an instance is computed once per command.
 
-Counting wrappers replace `saturate_by_variables`, `colon`, `regularity_dim1`,
-`conductor_data` and `implicitize` in every `jonq.*` module that binds
-them; the commands then run through the CLI entry point.
+Counting wrappers replace `saturate_by_variables`, `colon`, `eliminate`,
+`regularity_dim1`, `conductor_data`, `implicitize`, `oracle_implicitize`
+and `rees_ideal` in every `jonq.*` module that binds them; the commands
+then run through the CLI entry point.
 """
 
 import sys
 
 import pytest
 
+from jonq import cli
 from jonq.cli import main  # imports every layer module
 from jonq.fixtures import fixture_path, load_fixture
-from jonq.groebner import colon, saturate_by_variables
-from jonq.implicitize import implicitize
+from jonq.groebner import colon, eliminate, saturate_by_variables
+from jonq.implicitize import implicitize, oracle_implicitize
+from jonq.rees import rees_ideal
 from jonq.syzygies import conductor_data, regularity_dim1
 
 COUNTED = {
     "saturate_by_variables": saturate_by_variables,
     "colon": colon,
+    "eliminate": eliminate,
     "regularity_dim1": regularity_dim1,
     "conductor_data": conductor_data,
     "implicitize": implicitize,
+    "oracle_implicitize": oracle_implicitize,
+    "rees_ideal": rees_ideal,
 }
 
 
@@ -80,3 +86,29 @@ def test_implicitize_derives_each_object_once(fixture, calls, capsys):
         "conductor_data": 1,
         "implicitize": 1,
     }
+
+
+@pytest.mark.parametrize("fixture, tuples", [("plane", 3), ("identity", 2)])
+def test_rees_builds_each_rees_ideal_once(fixture, tuples, calls, capsys):
+    # plane: the Cremona base ideal, the monoid M and the de Jonquieres
+    # map; over the identity Cremona map M is the de Jonquieres map
+    assert main(["rees", fixture_path(fixture), "--machine"]) == 0
+    built = [tuple(a[0]) for a in calls["rees_ideal"]]
+    assert len(built) == len(set(built)) == tuples
+    assert calls["oracle_implicitize"] == []
+
+
+@pytest.mark.parametrize("fixture", ["plane", "nzd"])
+def test_oracle_is_one_elimination_of_one_variable(fixture, calls, monkeypatch, capsys):
+    spans = []
+    oracle = cli.oracle_implicitize
+
+    def spanning(*args, **kwargs):
+        start = len(calls["eliminate"])
+        out = oracle(*args, **kwargs)
+        spans.append([len(a[1]) for a in calls["eliminate"][start:]])
+        return out
+
+    monkeypatch.setattr(cli, "oracle_implicitize", spanning)
+    assert main(["implicitize", fixture_path(fixture), "--oracle", "--machine"]) == 0
+    assert spans == [[1]]

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jonq.birational import RationalMapData, verify_cremona
 from jonq.errors import HypothesisViolation
+from jonq.groebner import IdealHandle, eliminate
 from jonq.implicitize import (
     JonquieresData,
     eulerian_equation,
@@ -15,7 +17,14 @@ from jonq.implicitize import (
     syzygetic_polynomials,
     verify_inverse_representative,
 )
-from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    monomials_of_degree,
+    parse_polynomial,
+    poly_gcd,
+    random_form,
+)
 from jonq.syzygies import conductor_data
 
 
@@ -301,6 +310,86 @@ class TestOracle:
         ]
         with pytest.raises(HypothesisViolation):
             oracle_implicitize(coords)
+
+    @pytest.mark.parametrize(
+        "texts, want",
+        [
+            (("x0^2", "x1^2", "0"), "y2"),
+            (("x0^2", "0", "x0*x1"), "y1"),
+            (("x0^2 - x1^2", "0", "0"), None),
+            (("0", "0", "x0^2"), None),
+        ],
+    )
+    def test_zero_coordinates(self, texts, want):
+        # a zero coordinate contributes y_i itself to the elimination
+        R2 = VariableSet(["x0", "x1"])
+        coords = [parse_polynomial(t, R2) for t in texts]
+        Y = VariableSet(["y0", "y1", "y2"])
+        if want is None:
+            with pytest.raises(HypothesisViolation, match=r"not principal \(2 generators\)"):
+                oracle_implicitize(coords)
+        else:
+            assert oracle_implicitize(coords) == parse_polynomial(want, Y)
+        assert _outcome(oracle_implicitize, coords) == _outcome(_graph_oracle, coords)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_graph_elimination(self, data):
+        coords = data.draw(equal_degree_tuples())
+        got = _outcome(oracle_implicitize, coords)
+        assert got == _outcome(_graph_oracle, coords)
+        if got[0] == "F":
+            assert got[1].substitute(coords).is_zero()
+
+
+def _graph_oracle(coords, target_ring=None):
+    """The graph elimination: every source variable from (y_i - coord_i)."""
+    ring = coords[0].ring
+    target_ring = target_ring or VariableSet([f"y{i}" for i in range(len(coords))])
+    big = ring.union(target_ring)
+    gens = [
+        Polynomial.variable(big, nm) - c.map_ring(big)
+        for nm, c in zip(target_ring.names, coords)
+    ]
+    gb = eliminate(IdealHandle(big, gens), ring.names).gb()
+    if len(gb.generators) != 1:
+        raise HypothesisViolation(
+            "the image is not a hypersurface: elimination ideal is not "
+            f"principal ({len(gb.generators)} generators)"
+        )
+    return gb.generators[0].canonical()
+
+
+def _outcome(oracle, coords):
+    try:
+        return ("F", oracle(coords))
+    except HypothesisViolation as exc:
+        return ("raises", str(exc))
+
+
+@st.composite
+def equal_degree_tuples(draw):
+    """n+2 forms of one degree (up to 3, resp. 2) over n+1 = 2 or 3 variables.
+
+    Each coordinate is zero (one draw in six) or a form in the first `used`
+    variables (all of them three times in four) with seeded coefficients
+    in [-3, 3], so images of lower dimension (no hypersurface) are drawn
+    too.
+    """
+    nvars = draw(st.sampled_from((2, 3)))
+    ring = VariableSet([f"x{i}" for i in range(nvars)])
+    degree = draw(st.sampled_from((2, 1, 3) if nvars == 2 else (2, 1)))
+    used = draw(st.sampled_from((nvars,) * 3 + tuple(range(1, nvars))))
+    zero = draw(st.lists(st.integers(0, 5), min_size=nvars + 1, max_size=nvars + 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    monos = [m for m in monomials_of_degree(nvars, degree) if not any(m[used:])]
+    coords = [
+        Polynomial(ring, {m: rng.randint(-3, 3) for m in monos} if z else {})
+        for z in zero
+    ]
+    if all(c.is_zero() for c in coords):
+        coords[0] = Polynomial.monomial(ring, monos[0], 1)
+    return coords
 
 
 class TestHypotheses:

@@ -248,7 +248,7 @@ class TestMonoidAssociation:
         # the composite monoid_association strips; its coordinate gcd reaches
         # poly_gcd's elimination fallback, and off identity it is not constant
         P = load_fixture(name).jonquieres()
-        M, _ = monoid_association(P, implicitize(P), check_oracle=False)
+        M, _ = monoid_association(P, implicitize(P))
         M_map = RationalMapData(P.source, P.monoid_ring, M.coords)
         raw = compose(P.cremona.forward, M_map, strip=False)
         assert raw.coordinate_gcd().is_constant() == (name == "identity")
@@ -267,7 +267,7 @@ class TestSaturationIdentities:
             identity2, p("x0 + 2*x1"), p("x0^2 + 3*x1*x2 - x2^2")
         )
         mon = implicitize(P)
-        M, _ = monoid_association(P, mon, check_oracle=False)
+        M, _ = monoid_association(P, mon)
         rep = saturation_identities(P, M)
         assert rep.status == "holds"
         assert rep.forward_exponents == (0,)
@@ -275,7 +275,7 @@ class TestSaturationIdentities:
 
     def test_plane_fixture(self, plane_instance):
         mon = implicitize(plane_instance)
-        M, _ = monoid_association(plane_instance, mon, check_oracle=False)
+        M, _ = monoid_association(plane_instance, mon)
         rep = saturation_identities(plane_instance, M)
         assert rep.status == "holds"
         assert rep.forward_equal and rep.backward_equal
@@ -283,7 +283,7 @@ class TestSaturationIdentities:
     def test_negative_control_without_saturation(self, plane_instance):
         """With C a nonunit, the raw transported ideal is strictly smaller."""
         mon = implicitize(plane_instance)
-        M, _ = monoid_association(plane_instance, mon, check_oracle=False)
+        M, _ = monoid_association(plane_instance, mon)
         I_F = rees_ideal(
             list(plane_instance.coordinates()),
             y_names=plane_instance.monoid_ring.names,

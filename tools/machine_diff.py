@@ -16,9 +16,10 @@ code counting as the key `exit`.  A differing key is sorted into one of:
     change-missing  absent at CHANGE only
     other           any other difference
 
-With `--check-default`, CHANGE also runs with no flags, and each
+With `--check-default`, CHANGE also runs with the flags less every
+budget flag (`--budget-pairs`, `--budget-sat` and their values), and each
 parent-skip or parent-missing key whose CHANGE value differs from that
-default value is counted as `not-default`.  The last line of output is one
+default-budget value is counted as `not-default`.  The last line of output is one
 JSON object with the counts; `--list` prints each differing key before
 it.  Exit code 0: no differing key; 1: some; 2: bad arguments.
 Standard library only.
@@ -72,6 +73,23 @@ def parse(code, text):
     return out
 
 
+BUDGET_FLAGS = ("--budget-pairs", "--budget-sat")
+
+
+def default_budget_flags(flags):
+    """`flags` less every budget flag and its value."""
+    out = []
+    skip = False
+    for flag in flags:
+        if skip:
+            skip = False
+        elif flag in BUDGET_FLAGS:
+            skip = True
+        elif not flag.startswith(tuple(f + "=" for f in BUDGET_FLAGS)):
+            out.append(flag)
+    return out
+
+
 def is_budget_skip(value):
     return value is not None and value.startswith("skipped(budget")
 
@@ -96,6 +114,11 @@ def classify(parent, change):
     return out
 
 
+def off_default(key, change, default):
+    """True if CHANGE's value of `key` (absent counts) is not its default-budget one."""
+    return default.get(key) != change.get(key)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
@@ -112,7 +135,9 @@ def main(argv=None):
     flags = shlex.split(args.flags)
     before = run_checkout(args.parent, args.command, flags, paths)
     after = run_checkout(args.change, args.command, flags, paths)
-    default = run_checkout(args.change, args.command, [], paths) if args.check_default else None
+    default = None
+    if args.check_default:
+        default = run_checkout(args.change, args.command, default_budget_flags(flags), paths)
     categories = ("parent-skip", "change-skip", "parent-missing", "change-missing", "other")
     counts = dict.fromkeys(categories, 0)
     if default is not None:
@@ -126,7 +151,7 @@ def main(argv=None):
             counts[category] += 1
             note = ""
             if default is not None and category in ("parent-skip", "parent-missing"):
-                if parse(*default[path]).get(key) != b[key]:
+                if off_default(key, b, parse(*default[path])):
                     counts["not-default"] += 1
                     note = " (not the default value)"
             if args.list:
