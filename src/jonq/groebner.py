@@ -4,11 +4,12 @@ Normal forms, membership, intersection, colon, saturation, elimination,
 lifting, and dimension/graded-piece computations.  Intersection, colon
 and saturation run on `eliminate`, which interreduces only the Block basis
 elements free of the dropped variables and caches the result, the reduced
-degrevlex basis, on its handle.  Saturation by the variables instead takes
-one degrevlex basis in coordinates where a certified linear form is the
-last variable (`saturate_by_variables`).  Generators are integer-primitive term
-lists keyed by additive order keys (see `jonq.orders`), sorted descending,
-with positive lead.  Pairs are pruned
+degrevlex basis, on its handle.  Saturation by the variables
+(`saturate_by_variables`) is saturation by one certified linear form, in
+the ideal's own coordinates: by x_n it is read off the ideal's cached
+basis, by any other form it is one `saturate` elimination.  Generators are
+integer-primitive term lists keyed by additive order keys (see
+`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
 tie-break).  Reduced bases are unique per (ideal, order).
 
@@ -585,8 +586,7 @@ def colon_ideal(I, J, budget=None):
     """I : J = intersection of I : (b) over the generators b of J.
 
     The generators are not minimalized: the link in `regularity_dim1` is
-    read only through its Groebner basis, which the last intersection
-    caches on the handle.
+    read only through its Groebner basis.
     """
     if J.is_zero_ideal():
         raise StructuralError("colon by the zero ideal")
@@ -605,9 +605,9 @@ def saturate(I, J, budget=None):
     at which the chain I : b^k stabilizes.  An exponent of `budget.sat_cap`
     or more raises BudgetExceeded; a cap of 0 raises before any Buchberger
     run.  The result is the intersection of the per-generator saturations.
-    The regularity stage of `analyze` saturates by the variables through
-    `saturate_by_variables`, one basis with no auxiliary variable; this
-    route serves `rees`, which reads the exponents.
+    `rees` reads the exponents; `saturate_by_variables` calls this with a
+    single certified linear form other than x_n, whose eliminated basis
+    is cached on the result.
     """
     if J.is_zero_ideal():
         raise StructuralError("saturation by the zero ideal")
@@ -655,40 +655,6 @@ def _linear_forms(n):
         c += 1
 
 
-def _form_last(ring, coeffs):
-    """Coordinates in which the form l = sum coeffs[k] x_k is the last variable.
-
-    Returns (S, there, back).  S lists the variables of `ring` with x_p, the
-    last one of coefficient 1, moved to the end, where it stands for l;
-    `there` maps a polynomial of `ring` into S and `back` maps one of S back.
-    For a variable both are permutations of the exponents.
-    """
-    n = len(ring)
-    p = max(k for k, c in enumerate(coeffs) if c == 1)
-    perm = [k for k in range(n) if k != p] + [p]
-    S = VariableSet(tuple(ring.names[k] for k in perm))
-    if sum(map(bool, coeffs)) == 1:
-        inv = [perm.index(k) for k in range(n)]
-
-        def there(g):
-            return Polynomial._clean(S, {tuple(m[k] for k in perm): c for m, c in g.items()})
-
-        def back(g):
-            return Polynomial._clean(ring, {tuple(m[k] for k in inv): c for m, c in g.items()})
-
-        return S, there, back
-    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    # x_p = l - sum_{k != p} c_k x_k, with l the last variable of S
-    x_p = Polynomial._clean(
-        S, {unit[-1]: 1, **{unit[s]: -coeffs[k] for s, k in enumerate(perm[:-1]) if coeffs[k]}}
-    )
-    images = Polynomial.gens(S)[:-1]
-    images.insert(p, x_p)
-    form = Polynomial._clean(ring, {unit[k]: c for k, c in enumerate(coeffs) if c})
-    back_images = [Polynomial.variable(ring, ring.names[k]) for k in perm[:-1]] + [form]
-    return S, (lambda g: g.substitute(images)), (lambda g: g.substitute(back_images))
-
-
 def _pure_powers(leads, nvars):
     """Whether each of the first `nvars` variables has a pure power among `leads`."""
     have = set()
@@ -705,20 +671,24 @@ def saturate_by_variables(I, budget=None):
     If dim R/(I + (l)) = 0 for a linear form l, then l lies in no associated
     prime of I but m, and I : m^infinity = I : l^infinity.  The candidates
     l come from `_linear_forms`; l is certified when the reduced basis of
-    I restricted to l = 0, in n variables, is the unit ideal or has a pure
-    power of every variable among its leads.  For l = x_n this is read
-    from the leads of I's own basis, since in(I + (x_n)) = in(I) + (x_n)
-    under degrevlex.  Every point of V(I) rules out at most n of the forms
-    sum c^k x_k, so for dim <= 1 some candidate is certified.
+    I restricted to l = 0 has a pure power of every variable but one among
+    its leads, or is the unit ideal.  For l = x_n this is read from the
+    leads of I's own basis, since in(I + (x_n)) = in(I) + (x_n) under
+    degrevlex.  For another l, the generators with x_p replaced by x_p - l
+    (x_p the last variable of coefficient 1 in l) take one basis, whose
+    leads are read without x_p.  Every point of V(I) rules out at most n
+    of the forms sum c^k x_k, so for dim <= 1 some candidate is certified.
 
-    In coordinates where l is the last variable, one degrevlex basis of I
-    gives I : l^infinity: in(I) : x_n = in(I : x_n) (Bayer-Stillman), so
-    each element divided by its largest power of x_n is a basis.  The
-    largest power divided out, the least k with l^k * (I : l^infinity)
-    inside I, raises BudgetExceeded when it reaches `budget.sat_cap`; a cap
-    of 0 raises before any Buchberger run.  The saturation is unique, so
-    which candidate wins cannot change the result.  dim(R/I) >= 2 raises
-    HypothesisViolation.
+    Nothing leaves the coordinates of I.  For x_n, I's own basis gives
+    I : x_n^infinity: in(I) : x_n = in(I : x_n) (Bayer-Stillman), so each
+    element divided by its largest power of x_n is a basis, and the
+    largest power divided out is the least k with
+    x_n^k * (I : x_n^infinity) inside I.  Another l is `saturate(I, (l))`,
+    one elimination that finds the same least k.  Either way the result
+    carries its reduced degrevlex basis, an exponent of `budget.sat_cap`
+    or more raises BudgetExceeded, and a cap of 0 raises before any
+    Buchberger run.  The saturation is unique, so which candidate wins
+    cannot change the result.  dim(R/I) >= 2 raises HypothesisViolation.
     """
     budget = budget or Budget()
     if budget.sat_cap == 0:
@@ -732,25 +702,24 @@ def saturate_by_variables(I, budget=None):
         return I
     if dim_and_codim(I, budget)[0] > 1:
         raise HypothesisViolation("saturation by the variables requires dim(R/I) <= 1")
+    xs = Polynomial.gens(ring)
     for coeffs in _linear_forms(n):
         if coeffs[-1] == 1 and not any(coeffs[:-1]):
-            S, basis = ring, gb
-            if not _pure_powers(gb.lead_exponents(), n - 1):
-                continue
-        else:
-            S, there, back = _form_last(ring, coeffs)
-            gens = [there(g) for g in I.gens]
-            cut = VariableSet(S.names[:-1])  # l = 0
-            on_l = [{m[:-1]: c for m, c in g.items() if not m[-1]} for g in gens]
-            small = buchberger([Polynomial._clean(cut, t) for t in on_l], budget=budget, ring=cut)
-            if not (small.contains_unit() or _pure_powers(small.lead_exponents(), n - 1)):
-                continue
-            basis = buchberger(gens, budget=budget, ring=S)
-        break
-    order = basis.order
+            if _pure_powers(gb.lead_exponents(), n - 1):
+                break
+            continue
+        form = sum((x * c for x, c in zip(xs, coeffs) if c), Polynomial.zero(ring))
+        p = max(k for k, c in enumerate(coeffs) if c == 1)
+        images = list(xs)
+        images[p] = xs[p] - form  # l = 0
+        cut = buchberger([g.substitute(images) for g in I.gens], budget=budget, ring=ring)
+        leads = [e[:p] + e[p + 1 :] for e in cut.lead_exponents()]
+        if cut.contains_unit() or _pure_powers(leads, n - 1):
+            return saturate(I, IdealHandle.of(form), budget)[0]
+    order = gb.order
     top = 0
     divided = []
-    for e in basis._elems:
+    for e in gb._elems:
         k = e.lm_exps[-1]  # a homogeneous element's lead has its least power of x_n
         top = max(top, k)
         shift = order.key((0,) * (n - 1) + (k,))
@@ -758,9 +727,7 @@ def saturate_by_variables(I, budget=None):
     if top >= budget.sat_cap:
         raise BudgetExceeded("saturation chain length", budget.sat_cap)
     elems = _reduced_basis(divided, order)
-    polys = [_to_polynomial(e.terms, order, S) for e in elems]
-    if S is not ring:
-        return IdealHandle(ring, [back(g) for g in polys])
+    polys = [_to_polynomial(e.terms, order, ring) for e in elems]
     out = IdealHandle(ring, polys)
     out._cache[order.signature()] = GroebnerBasis(polys, order, ring, elems)
     return out

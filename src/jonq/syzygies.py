@@ -384,7 +384,10 @@ def _local_cohomology_reg(I, Isat, budget):
     return reg
 
 
-def regularity_dim1(I, d=None, seed=0, budget=None, max_retries=16):
+ALPHA_ATTEMPTS = 16  # seeded draws of alpha before regularity_dim1 gives up
+
+
+def regularity_dim1(I, d=None, seed=0, budget=None):
     """Two-branch regularity formula plus the independent oracle value.
 
     Requires dim(R/I) <= 1 and generators in a single degree d.  `reg`
@@ -412,7 +415,7 @@ def regularity_dim1(I, d=None, seed=0, budget=None, max_retries=16):
     # alpha: n seeded random combinations of the generators, codim n
     rng = random.Random(seed)
     alpha = None
-    for _ in range(max_retries):
+    for _ in range(ALPHA_ATTEMPTS):
         cand = []
         for _k in range(n):
             acc = Polynomial.zero(ring)
@@ -432,10 +435,19 @@ def regularity_dim1(I, d=None, seed=0, budget=None, max_retries=16):
     if alpha is None:
         raise HypothesisViolation(
             "failed to draw a maximal regular sequence of d-forms "
-            f"after {max_retries} attempts"
+            f"after {ALPHA_ATTEMPTS} attempts"
         )
     A = IdealHandle(ring, alpha)
-    link = colon_ideal(A, I, budget)
+    # alpha : I = alpha : B for the generators B of I outside the span of
+    # alpha; for a Cremona base ideal B is one form
+    _, ntarget, cols = _evaluation_columns(list(alpha) + list(I.gens), d)
+    span = SpanTracker(ntarget)
+    grew = [span.add(vec) for vec in cols]  # alpha's columns first
+    missed = tuple(g for g, new in zip(I.gens, grew[n:]) if new)
+    if missed:
+        link = colon_ideal(A, IdealHandle(ring, missed), budget)
+    else:  # I inside alpha
+        link = IdealHandle(ring, (Polynomial.constant(ring, 1),))
     beg_link = _beg_quotient(link, I, budget)
     contains_I = link.contains_ideal(I, budget)
     branch_sat = (n + 1) * (d - 1) - beg_sat if beg_sat is not None else None

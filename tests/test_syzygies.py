@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_linalg import FractionSpan, fraction_kernel_basis
+from jonq import groebner
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import IdealHandle
 from jonq.implicitize import JonquieresData
@@ -417,6 +419,29 @@ class TestRegularity:
         assert rep.formula_matches_oracle
         assert rep.beg_sat is None  # saturated: +infinity convention
         assert rep.branch_saturation is None
+        assert rep.beg_link == 1
+
+    def test_plane_link_is_one_colon(self, involution):
+        # alpha spans two of the three conics, so alpha : I = alpha : (g)
+        # for the one conic g left over: one colon, whose one intersection
+        # is the only one run
+        counts = {"colon": 0, "intersect": 0}
+
+        def counting(name):
+            fn = getattr(groebner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        I = IdealHandle(R, involution.forward.coords)
+        with mock.patch.object(groebner, "colon", counting("colon")), mock.patch.object(
+            groebner, "intersect", counting("intersect")
+        ):
+            rep = regularity_dim1(I, 2, seed=1)
+        assert counts == {"colon": 1, "intersect": 1}
         assert rep.beg_link == 1
 
     def test_saturated_branch_drop(self):
