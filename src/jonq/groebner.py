@@ -597,17 +597,37 @@ def colon_ideal(I, J, budget=None):
     return result
 
 
+def saturation_exponent(I, gens, b, budget):
+    """The least k with b^k * gens inside I, or None if k reaches `budget.sat_cap`.
+
+    A cap of 0 gives None before any membership test.  With `gens` the
+    reduced basis of I : b^infinity, k is the exponent of that saturation.
+    """
+    if budget.sat_cap == 0:
+        return None
+    k = 0
+    pending = gens
+    while pending := [h for h in pending if not I.contains(h, budget)]:
+        k += 1
+        if k >= budget.sat_cap:
+            return None
+        pending = [h * b for h in pending]
+    return k
+
+
 def saturate(I, J, budget=None):
     """I : J^infinity and an exponent per generator b of J; (ideal, exponents).
 
     I : b^infinity is one elimination: of t from I + (1 - t*b) (Rabinowitsch).
     Its exponent is the least k with b^k * (I : b^infinity) inside I, the k
-    at which the chain I : b^k stabilizes.  An exponent of `budget.sat_cap`
-    or more raises BudgetExceeded; a cap of 0 raises before any Buchberger
+    at which the chain I : b^k stabilizes (`saturation_exponent`, over the
+    reduced basis of the saturation).  An exponent of `budget.sat_cap` or
+    more raises BudgetExceeded; a cap of 0 raises before any Buchberger
     run.  The result is the intersection of the per-generator saturations.
-    `rees` reads the exponents; `saturate_by_variables` calls this with a
-    single certified linear form other than x_n, whose eliminated basis
-    is cached on the result.
+    `rees` falls back on it when its saturation identities cannot be
+    certified by primality; `saturate_by_variables` calls it with a single
+    certified linear form other than x_n, whose eliminated basis is cached
+    on the result.
     """
     if J.is_zero_ideal():
         raise StructuralError("saturation by the zero ideal")
@@ -624,12 +644,9 @@ def saturate(I, J, budget=None):
             gens = [g.map_ring(aux) for g in I.gens]
             gens.append(Polynomial.constant(aux, 1) - t * b.map_ring(aux))
             piece = eliminate(IdealHandle(aux, gens), (tname,), budget=budget)
-            pending = piece.gens
-            while pending := [h for h in pending if not I.contains(h, budget)]:
-                k += 1
-                if k >= budget.sat_cap:
-                    raise BudgetExceeded("saturation chain length", budget.sat_cap)
-                pending = [h * b for h in pending]
+            k = saturation_exponent(I, piece.gens, b, budget)
+            if k is None:
+                raise BudgetExceeded("saturation chain length", budget.sat_cap)
         pieces.append(piece)
         exponents.append(k)
     result = pieces[0]

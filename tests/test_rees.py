@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from jonq import groebner
+from jonq import groebner, rees
 from jonq.birational import RationalMapData, compose
-from jonq.errors import StructuralError
+from jonq.errors import BudgetExceeded, StructuralError
 from jonq.fixtures import load_fixture
-from jonq.groebner import IdealHandle, ideal_equal
+from jonq.groebner import Budget, IdealHandle, ideal_equal, saturate
 from jonq.implicitize import JonquieresData, implicitize
 from jonq.rees import (
     downgrade,
@@ -19,7 +19,7 @@ from jonq.rees import (
     saturation_identities,
     x_framing,
 )
-from jonq.ring import Polynomial, VariableSet, parse_polynomial, random_form
+from jonq.ring import Polynomial, VariableSet, monomials_of_degree, parse_polynomial, poly_gcd, random_form
 from jonq.syzygies import conductor_data
 
 R = VariableSet(["x0", "x1", "x2"])
@@ -273,12 +273,16 @@ class TestSaturationIdentities:
         assert rep.forward_exponents == (0,)
         assert rep.backward_exponents == (0,)
 
-    def test_plane_fixture(self, plane_instance):
+    def test_plane_fixture(self, plane_instance, monkeypatch):
         mon = implicitize(plane_instance)
         M, _ = monoid_association(plane_instance, mon)
+        calls = []
+        real = rees.saturate
+        monkeypatch.setattr(rees, "saturate", lambda *a: calls.append(a) or real(*a))
         rep = saturation_identities(plane_instance, M)
         assert rep.status == "holds"
         assert rep.forward_equal and rep.backward_equal
+        assert calls == []  # both identities certified by primality
 
     def test_negative_control_without_saturation(self, plane_instance):
         """With C a nonunit, the raw transported ideal is strictly smaller."""
@@ -304,3 +308,96 @@ class TestSaturationIdentities:
             amb, tuple(h.substitute(images) for h in I_M.generators)
         )
         assert not ideal_equal(transported, I_F.ideal)
+
+
+def _seeded_involution_instances(involution, count, seed):
+    """Plane-involution instances, deg f = 1: g through the base points or missing them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        through = len(out) % 2 == 0
+        f = random_form(R, 1, rng.randrange(1 << 30))
+        g = Polynomial(R, {
+            m: rng.choice((-3, -2, -1, 1, 2, 3))
+            for m in monomials_of_degree(3, 3)
+            if not (through and max(m) == 3)
+        })
+        if poly_gcd(f, g).is_constant():
+            out.append(JonquieresData.build(involution, f, g))
+    return out
+
+
+def _identity_arguments(P, monkeypatch):
+    """The (T, target, b) of each identity `saturation_identities` checks on P."""
+    M, _ = monoid_association(P, implicitize(P))
+    seen = []
+    route = rees._saturates_to
+    monkeypatch.setattr(
+        rees, "_saturates_to", lambda *a: seen.append(a[:3]) or route(*a)
+    )
+    rep = saturation_identities(P, M)
+    monkeypatch.undo()
+    return seen, rep
+
+
+def _by_saturate(T, target, b, sat_cap):
+    """`saturate` + `ideal_equal` on a fresh handle of T; BudgetExceeded as a value."""
+    fresh = IdealHandle(T.ring, T.gens)
+    try:
+        sat, exps = saturate(fresh, IdealHandle.of(b), Budget(sat_cap=sat_cap))
+    except BudgetExceeded as exc:
+        return type(exc)
+    return ideal_equal(sat, target.ideal), tuple(exps)
+
+
+def _by_route(T, target, b, sat_cap):
+    try:
+        return rees._saturates_to(T, target, b, Budget(sat_cap=sat_cap))
+    except BudgetExceeded as exc:
+        return type(exc)
+
+
+class TestSaturationByPrimality:
+    """`_saturates_to` gives what `saturate` + `ideal_equal` give, with fewer eliminations."""
+
+    @pytest.mark.parametrize("name", ["identity", "nzd", "plane", "space"])
+    def test_fixtures_match_saturate(self, name, monkeypatch):
+        seen, rep = _identity_arguments(load_fixture(name).jonquieres(), monkeypatch)
+        assert len(seen) == 2 and rep.status == "holds"
+        for T, target, b in seen:
+            for cap in (0, 1, 2, 32):
+                assert _by_route(T, target, b, cap) == _by_saturate(T, target, b, cap)
+
+    def test_seeded_instances_match_saturate(self, involution, monkeypatch):
+        for P in _seeded_involution_instances(involution, 4, 16_016):
+            seen, rep = _identity_arguments(P, monkeypatch)
+            assert rep.status == "holds"
+            assert (rep.forward_exponents, rep.backward_exponents) == tuple(
+                _by_saturate(T, target, b, 32)[1] for T, target, b in seen
+            )
+            for T, target, b in seen:
+                for cap in (1, 2):
+                    assert _by_route(T, target, b, cap) == _by_saturate(T, target, b, cap)
+
+    def test_fallbacks_give_saturates_answer(self, plane_instance, monkeypatch):
+        seen, _ = _identity_arguments(plane_instance, monkeypatch)
+        _, target, b = seen[0]  # I_F and C
+        amb = target.ambient
+        # (h) with h outside I_F: the containment test fails
+        wider = IdealHandle(amb, target.ideal.gens + (Polynomial.variable(amb, "x0"),))
+        # c * I_F, c an x-form coprime to b: inside I_F, but saturates to c * I_F
+        c = parse_polynomial("x0 + 2*x1 + 5*x2", amb)
+        assert poly_gcd(c, b).is_constant()
+        narrower = IdealHandle(amb, tuple(c * h for h in target.ideal.gens))
+        calls = []
+        real = rees.saturate
+        monkeypatch.setattr(rees, "saturate", lambda *a: calls.append(a) or real(*a))
+        for ideal in (wider, narrower):
+            for cap in (0, 1, 2, 32):
+                calls.clear()
+                want = _by_saturate(ideal, target, b, cap)
+                assert _by_route(ideal, target, b, cap) == want
+                assert len(calls) == 1
+                if cap == 32:
+                    assert want[0] is False
+        assert _by_saturate(wider, target, b, 1) is BudgetExceeded
