@@ -795,6 +795,7 @@ def lift(p, gens, budget=None):
 
     Tracked Buchberger plus division-with-tracking; for homogeneous data
     each h_i is homogeneous of degree deg(p) - deg(gens_i) (or zero).
+    Each S-pair it reduces is charged to `budget`.
     """
     if not gens:
         raise MembershipError("no generators to lift against")
@@ -815,6 +816,7 @@ def lift(p, gens, budget=None):
         basis.append((g, reps))
     if not basis:
         raise MembershipError("cannot lift a nonzero polynomial over zeros")
+    budget = budget or Budget()
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         pairs.sort(key=lambda ij: _lift_pair_key(basis, ij, order))
@@ -826,6 +828,7 @@ def lift(p, gens, budget=None):
         lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
         if lcm == tuple(a + b for a, b in zip(lmf, lmg)):
             continue  # coprime leads
+        budget.charge_pair()
         mf = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, lmf)), Fraction(1, 1) / lcf)
         mg = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, lmg)), Fraction(1, 1) / lcg)
         s = f * mf - g * mg

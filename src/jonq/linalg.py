@@ -1,101 +1,93 @@
-"""Small exact linear algebra over Q by fraction-free elimination.
+"""Small exact linear algebra over Q by sparse fraction-free elimination.
 
-Vectors come in as lists of ints and Fractions.  Each one is scaled by
-the lcm of its denominators to a primitive integer row, and every
-elimination step divides the result by its content again, so no
-`Fraction` arithmetic runs while eliminating and the entries stay small
-(integer-preserving elimination in the sense of Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968).  The rows are kept in reduced echelon form; that form is
-unique up to the scale of each row, so ranks and span decisions are
-exactly those of Gauss-Jordan elimination over Q.
+Vectors come in as sparse rows, dicts {column: entry} of ints and
+Fractions (zero entries are dropped).  Each one is scaled by the lcm of
+its denominators to a primitive integer row, and every elimination step
+divides the result by its content again, so no `Fraction` arithmetic
+runs while eliminating and the entries stay small (integer-preserving
+elimination in the sense of Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968).  The rows
+are kept in row echelon form, not reduced form: an incoming row is
+reduced against the stored rows and a stored row is never rewritten.
+The row space is exactly the one Gauss elimination over Q spans, so
+ranks and span decisions are exact.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
-
-_denominator = attrgetter("denominator")
-_pivot_of = itemgetter(0)
-
-
-def _primitive(v):
-    """The integer vector `v` divided by its content."""
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
-def _integer_row(vec):
-    """`vec` scaled by the lcm of its denominators, as a primitive integer list."""
-    den = lcm(*map(_denominator, vec))
-    if den == 1:
-        return _primitive(list(map(int, vec)))
-    return _primitive([x.numerator * (den // x.denominator) for x in vec])
-
-
-def _eliminate(v, rows):
-    """`v` with the pivot columns of `rows` cleared, divided by its content.
-
-    `rows` are (pivot column, primitive integer row) pairs in reduced
-    echelon form: each row is zero in the pivot columns of the others, so
-    one pass clears them all, in any order.
-    """
-    for pc, row in rows:
-        c = v[pc]
-        if c:
-            p = row[pc]
-            g = gcd(c, p)
-            a, b = p // g, c // g
-            v = _primitive([a * x - b * y for x, y in zip(v, row)])
-    return v
 
 
 class SpanTracker:
-    """Incremental row space: primitive integer rows in reduced echelon form.
+    """Incremental row space: sparse primitive integer rows in row echelon form.
 
-    `rows` is a list of (pivot column, row) pairs sorted by pivot; every
-    row has content 1 and a positive pivot entry, and is zero in the pivot
-    columns of the other rows.
+    `rows` maps the pivot column of each stored row to the row, a dict
+    {column: nonzero int} with content 1, a positive entry at the pivot
+    and no entry in a column before it.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
+        self.rows = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
+    def _remainder(self, vec):
+        """`vec` reduced by the stored rows: a primitive integer dict, empty when
+        `vec` lies in the span, else led by a column no stored row has as pivot.
+
+        The lowest column of the row is cleared, while a stored row has its
+        pivot there, by one fraction-free step a*v - b*row.
+        """
+        den = lcm(*(x.denominator for x in vec.values()))
+        v = {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
+        g = gcd(*v.values())
+        rows = self.rows
+        while v:
+            if g > 1:
+                for c in v:
+                    v[c] //= g
+            pc = min(v)
+            row = rows.get(pc)
+            if row is None:
+                break
+            x, p = v[pc], row[pc]
+            g = gcd(x, p)
+            a, b = p // g, x // g
+            if a != 1:
+                for c in v:
+                    v[c] *= a
+            for c, y in row.items():
+                z = v.get(c, 0) - b * y
+                if z:
+                    v[c] = z
+                else:
+                    del v[c]
+            g = gcd(*v.values())
+        return v
+
     def add(self, vec):
-        """Insert the vector; returns True when it enlarged the span."""
-        v = _eliminate(_integer_row(vec), self.rows)
-        pivot = next((k for k, x in enumerate(v) if x), -1)
-        if pivot < 0:
+        """Insert the sparse row; returns True when it enlarged the span."""
+        v = self._remainder(vec)
+        if not v:
             return False
+        pivot = min(v)
         if v[pivot] < 0:
-            v = [-x for x in v]
-        new = ((pivot, v),)
-        self.rows = [(pc, _eliminate(row, new)) for pc, row in self.rows]
-        insort(self.rows, (pivot, v), key=_pivot_of)
+            v = {c: -x for c, x in v.items()}
+        self.rows[pivot] = v
         return True
 
     def contains(self, vec):
-        return not any(_eliminate(_integer_row(vec), self.rows))
-
-
-def _echelon(rows, ncols):
-    """A tracker of the row space of `rows`; once that is all of Q^ncols,
-    the remaining rows are not read."""
-    tracker = SpanTracker(ncols)
-    for r in rows:
-        if tracker.rank == ncols:
-            break
-        tracker.add(r)
-    return tracker
+        return not self._remainder(vec)
 
 
 def rank(rows, ncols):
-    """Rank of the matrix with the given rows of length ncols."""
-    return _echelon(rows, ncols).rank
+    """Rank of the matrix with the given sparse rows over ncols columns; once
+    that is ncols, the remaining rows are not read."""
+    tracker = SpanTracker(ncols)
+    for r in rows:
+        if tracker.add(r) and tracker.rank == ncols:
+            break
+    return tracker.rank

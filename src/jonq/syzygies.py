@@ -142,26 +142,25 @@ def _slots(gens, mu):
 
 
 def _shifted_vectors(col, k, index):
-    """Coefficient vectors of m*col for every monomial m of degree k.
+    """Sparse coefficient rows of m*col for every monomial m of degree k.
 
     `col` is a tuple of polynomials; `index` maps (entry position,
-    monomial) to a coordinate of the vectors.
+    monomial) to a coordinate.  Each row is a dict {coordinate:
+    coefficient} holding the terms of m*col only: distinct terms of col
+    stay distinct after the shift by m, so no two share a coordinate.
     """
-    entries = [(gi, list(entry.items())) for gi, entry in enumerate(col) if not entry.is_zero()]
+    terms = [(gi, m2, c2) for gi, entry in enumerate(col) for m2, c2 in entry.items()]
     for mono in monomials_of_degree(len(col[0].ring), k):
-        vec = [0] * len(index)
-        for gi, terms in entries:
-            for m2, c2 in terms:
-                vec[index[gi, tuple(map(add, m2, mono))]] += c2
-        yield vec
+        yield {index[gi, tuple(map(add, m2, mono))]: c2 for gi, m2, c2 in terms}
 
 
 def _evaluation_columns(gens, mu):
     """Slots of degree mu, and the image of each slot in R_mu.
 
     The image of the slot m*g_i is the coefficient vector of m*g_i over
-    the `ntarget` monomials of degree mu; the list of images, in slot
-    order, is the column list of the evaluation map (m*g_i) -> R_mu.
+    the `ntarget` monomials of degree mu, as a sparse row {monomial
+    position: coefficient}; the list of images, in slot order, is the
+    column list of the evaluation map (m*g_i) -> R_mu.
     """
     target = monomials_of_degree(len(gens[0].ring), mu)
     index = {(0, m): r for r, m in enumerate(target)}

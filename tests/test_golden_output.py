@@ -54,6 +54,15 @@ ANALYZE_DEG9_GOLDEN = {
 }
 
 
+# `analyze --deg-bound 16` builds evaluation matrices of a few hundred
+# columns; recorded while `jonq.linalg` still kept dense rows in reduced
+# echelon form.
+ANALYZE_DEG16_GOLDEN = {
+    "plane": "0dd2ae4c8c4341b29f38977afed75eae7ff9266e930c72d8674e3ad74afbeb5d",
+    "space": "beb286500534db58f8c796490eb296865154c8dacf521d7c7ed6042a7cf51220",
+}
+
+
 # `analyze --deg-bound B` for B = 0..8.  B sets both the twist bound of
 # `syzygy_basis` and the last degree the span check covers; recorded while
 # `syzygy_basis` still took a kernel basis of the evaluation map in every
@@ -136,6 +145,12 @@ def test_selftest_output_unchanged():
 def test_analyze_deg_bound_9_output_unchanged(name):
     digest = _digest(["analyze", fixture_path(name), "--deg-bound", "9"])
     assert digest == ANALYZE_DEG9_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DEG16_GOLDEN))
+def test_analyze_deg_bound_16_output_unchanged(name):
+    digest = _digest(["analyze", fixture_path(name), "--deg-bound", "16"])
+    assert digest == ANALYZE_DEG16_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name, bound", sorted(ANALYZE_DEG_BOUND_GOLDEN))

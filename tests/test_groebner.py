@@ -440,6 +440,16 @@ class TestLift:
         with pytest.raises(MembershipError):
             lift(p("x2^3"), [p("x0"), p("x1")])
 
+    def test_budget_bounds_the_tracked_buchberger(self):
+        gens = [p("x0^2 - x1*x2"), p("x0*x1 - x2^2")]
+        target = p("x1") * gens[0] + p("x2") * gens[1]
+        with pytest.raises(BudgetExceeded):
+            lift(target, gens, budget=Budget(max_pairs=0))
+        budget = Budget()
+        h = lift(target, gens, budget=budget)
+        assert budget.pairs_used > 0
+        assert h[0] * gens[0] + h[1] * gens[1] == target
+
 
 class TestDimension:
     def test_maximal_ideal(self):
@@ -489,7 +499,7 @@ class TestGradedPieces:
                     vec = [0] * len(basis)
                     for m, c in prod.items():
                         vec[index[m]] += c
-                    tracker.add(vec)
+                    tracker.add(dict(enumerate(vec)))
             assert graded_piece_dim(I, mu) == tracker.rank
 
 

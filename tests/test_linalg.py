@@ -1,7 +1,9 @@
-"""The fraction-free elimination engine of `jonq.linalg` against `Fraction` Gauss-Jordan.
+"""The sparse fraction-free elimination engine of `jonq.linalg` against `Fraction` Gauss-Jordan.
 
-The reduced row echelon form over Q is unique, so ranks and span
-decisions must agree exactly with the reference in `fraction_linalg`.
+Ranks and span decisions over Q do not depend on how a row space is
+written down, so they must agree exactly with the reference in
+`fraction_linalg`.  The engine takes sparse rows; a dense test row `row`
+goes in as `dict(enumerate(row))`.
 """
 
 from fractions import Fraction
@@ -41,8 +43,9 @@ def matrices(draw, max_dim=7):
 @given(matrices())
 def test_rank_matches_fraction_gauss_jordan(mat):
     rows, ncols = mat
-    assert rank(rows, ncols) == fraction_rank(rows, ncols)
-    assert rank(iter(rows), ncols) == fraction_rank(rows, ncols)
+    sparse = [dict(enumerate(row)) for row in rows]
+    assert rank(sparse, ncols) == fraction_rank(rows, ncols)
+    assert rank(iter(sparse), ncols) == fraction_rank(rows, ncols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -51,23 +54,90 @@ def test_span_tracker_matches_fraction_span(mat, probes):
     rows, ncols = mat
     tracker, ref = SpanTracker(ncols), FractionSpan(ncols)
     for row in rows:
-        assert tracker.contains(row) == ref.contains(row)
-        assert tracker.add(row) == ref.add(row)
+        sparse = dict(enumerate(row))
+        assert tracker.contains(sparse) == ref.contains(row)
+        assert tracker.add(sparse) == ref.add(row)
         assert tracker.rank == ref.rank
-        assert tracker.contains(row)
+        assert tracker.contains(sparse)
     for probe in probes:
         probe = probe[:ncols]
-        assert tracker.contains(probe) == ref.contains(probe)
-    # the invariant the engine keeps: primitive integer rows with a
-    # positive pivot, in reduced echelon form sorted by pivot
-    pivots = [pc for pc, _ in tracker.rows]
-    assert pivots == sorted(pivots) == [pc for pc, _ in ref.rows]
-    for pc, row in tracker.rows:
-        assert all(type(x) is int for x in row)
-        assert gcd(*row) == 1 and row[pc] > 0
-        assert not any(row[:pc])
-        assert all(row[other] == 0 for other in pivots if other != pc)
-        assert [Fraction(x, row[pc]) for x in row] == dict(ref.rows)[pc]
+        assert tracker.contains(dict(enumerate(probe))) == ref.contains(probe)
+    _assert_echelon_invariant(tracker, ref)
+
+
+def _assert_echelon_invariant(tracker, ref):
+    """The rows the engine keeps: sparse primitive integer rows in row
+    echelon form, one per pivot, spanning the reference's row space."""
+    for pc, row in tracker.rows.items():
+        assert min(row) == pc  # no entry before the pivot
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1 and row[pc] > 0
+    assert tracker.rank == ref.rank
+    assert all(tracker.contains(dict(enumerate(row))) for _, row in ref.rows)
+
+
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw, max_cols=60, max_rows=40):
+    """(rows, ncols): wide sparse rows with 1 to 5 nonzeros each, the shape
+    of the syzygy-span matrices, with zero, repeated and scaled rows mixed in."""
+    ncols = draw(st.integers(1, max_cols))
+    column = st.integers(0, ncols - 1)
+    row = st.dictionaries(column, nonzero, min_size=1, max_size=5)
+    rows = draw(st.lists(row, max_size=max_rows))
+    extra = draw(st.lists(st.sampled_from(("zero", "repeat", "scaled")), max_size=6))
+    for kind in extra:
+        if kind == "zero" or not rows:
+            rows.append(draw(st.sampled_from(({}, {draw(column): 0}))))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = 1 if kind == "repeat" else draw(st.sampled_from((-2, Fraction(3, 5), 2**70)))
+            rows.append({c: scale * x for c, x in row.items()})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+def _dense(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_rows_match_fraction_gauss_jordan(mat, data):
+    rows, ncols = mat
+    dense = [_dense(row, ncols) for row in rows]
+    assert rank(rows, ncols) == fraction_rank(dense, ncols)
+    tracker, ref = SpanTracker(ncols), FractionSpan(ncols)
+    for row, full in zip(rows, dense):
+        assert tracker.contains(row) == ref.contains(full)
+        assert tracker.add(row) == ref.add(full)
+        assert tracker.rank == ref.rank
+        assert tracker.contains(row)
+    column = st.integers(0, ncols - 1)
+    probes = data.draw(st.lists(st.dictionaries(column, nonzero, min_size=1, max_size=5), max_size=4))
+    for probe in probes:
+        assert tracker.contains(probe) == ref.contains(_dense(probe, ncols))
+    _assert_echelon_invariant(tracker, ref)
+
+
+def _then_fail(rows):
+    yield from rows
+    raise AssertionError("rank read a row after reaching full rank")
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_rank_stops_reading_at_full_rank(mat, data):
+    # a triangular basis, one row per column with up to 4 entries after
+    # its pivot, shuffled in among the sparse rows
+    noise, ncols = mat
+    later = lambda pc: st.dictionaries(st.integers(pc, ncols - 1), nonzero, max_size=4)
+    basis = [{**data.draw(later(pc)), pc: data.draw(nonzero)} for pc in range(ncols)]
+    rows = noise + basis
+    rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+    assert rank(_then_fail(rows), ncols) == ncols
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 4])
@@ -75,10 +145,11 @@ def test_empty_row_list(ncols):
     assert rank([], ncols) == 0
     tracker = SpanTracker(ncols)
     assert tracker.rank == 0
-    assert tracker.contains([0] * ncols)
-    assert not tracker.add([0] * ncols)
+    assert tracker.contains({})
+    assert tracker.contains(dict.fromkeys(range(ncols), 0))
+    assert not tracker.add(dict.fromkeys(range(ncols), 0))
 
 
 def test_full_rank_stops_early_with_the_same_answer():
-    rows = [[1, 0], [0, 1], [5, 7], [2**70, Fraction(1, 3)]]
+    rows = [{0: 1}, {1: 1}, {0: 5, 1: 7}, {0: 2**70, 1: Fraction(1, 3)}]
     assert rank(rows, 2) == 2
