@@ -1,17 +1,18 @@
 """Buchberger-based ideal arithmetic.
 
 Normal forms, membership, intersection, colon, saturation, elimination,
-lifting, and dimension/graded-piece computations.  Intersection, colon
-and saturation run on `eliminate`, which interreduces only the Block basis
-elements free of the dropped variables and caches the result, the reduced
-degrevlex basis, on its handle.  Saturation by the variables
-(`saturate_by_variables`) is saturation by one certified linear form, in
-the ideal's own coordinates: by x_n it is read off the ideal's cached
-basis, by any other form it is one `saturate` elimination.  Generators are
-integer-primitive term lists keyed by additive order keys (see
-`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
-by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
-tie-break).  Reduced bases are unique per (ideal, order).
+lifting, and the Hilbert-Poincare numerator of the lead ideal (dimension,
+graded pieces).  Intersection, colon and saturation run on `eliminate`,
+which interreduces only the Block basis elements free of the dropped
+variables and caches the result, the reduced degrevlex basis, on its
+handle.  Saturation by the variables (`saturate_by_variables`) is
+saturation by one certified linear form, in the ideal's own coordinates:
+by x_n it is read off the ideal's cached basis, by any other form it is
+one `saturate` elimination.  Generators are integer-primitive term lists
+keyed by additive order keys (see `jonq.orders`), sorted descending, with
+positive lead.  Pairs are pruned by Gebauer-Moeller and chosen by normal
+selection (lcm degree, sugar tie-break).  Reduced bases are unique per
+(ideal, order).
 
 All division runs on one engine, `jonq.ring._Accumulator`: a dict from
 packed monomial (order key over exponent vector, one int; see
@@ -32,9 +33,9 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd as int_gcd
-from operator import sub
+from operator import ge, sub
 
 from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
 from jonq.orders import Block, DegRevLex, MonomialOrder
@@ -46,7 +47,7 @@ from jonq.ring import (
     _divide,
     _lower,
     _with_wide_keys,
-    monomials_of_degree,
+    count_monomials,
 )
 
 
@@ -864,48 +865,76 @@ def _lift_pair_key(basis, ij, order):
     return (sum(lcm), order.key(lcm), i, j)
 
 
-# -- combinatorics on leading terms ------------------------------------------
+# -- the Hilbert-Poincare numerator of the lead ideal ------------------------
+
+
+def hilbert_numerator(I, budget=None):
+    """N(s), lowest coefficient first, with HS(k[x]/in(I)) = N(s)/(1-s)^n.
+
+    in(I) is read from the leads of I's cached degrevlex basis.  The zero
+    ideal gives [1] without a basis, the unit ideal the zero polynomial [].
+    """
+    if I.is_zero_ideal():
+        return [1]
+    return _numerator(I.gb(budget=budget).lead_exponents())
+
+
+def _numerator(monos):
+    """The numerator of the monomial ideal spanned by `monos` (Bigatti, JPAA 119, 1997).
+
+    N(M) = N(M + (x^e)) + s^e N(M : x^e), x the variable in the most minimal
+    generators, e its least positive exponent among them; once no two share
+    a variable, N is the product of the 1 - s^deg(m), 0 for a unit m.
+    """
+    gens = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(ge, m, g)) for g in gens):
+            gens.append(m)
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    x = max(range(len(counts)), key=counts.__getitem__)
+    if counts[x] < 2:
+        out = [1]
+        for m in gens:
+            out = _shifted_sum(out, out, sum(m), -1)
+        return out
+    e = min(m[x] for m in gens if m[x])
+    bigger = [m for m in gens if not m[x]] + [tuple(e * (i == x) for i in range(len(counts)))]
+    quotient = [m[:x] + (max(m[x] - e, 0),) + m[x + 1 :] for m in gens]
+    return _shifted_sum(_numerator(bigger), _numerator(quotient), e)
+
+
+def _shifted_sum(a, b, shift=0, sign=1):
+    """a + sign * s^shift * b, with no zero top coefficient."""
+    out = list(a) + [0] * (shift + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[shift + k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def dim_and_codim(I, budget=None):
     """Krull dimension of R/I and the codimension of I.
 
-    Combinatorial algorithm on the leading-term ideal: the dimension is
-    the largest size of a variable subset containing no lead-monomial
-    support.  Errors on the unit ideal.
+    The codimension is the order of the zero of `hilbert_numerator` at s = 1.
+    Errors on the unit ideal.
     """
-    n = len(I.ring)
-    if I.is_zero_ideal():
-        return n, 0
-    gb = I.gb(budget=budget)
-    if gb.contains_unit():
+    N = hilbert_numerator(I, budget)
+    if not N:
         raise StructuralError("dimension of the unit ideal is undefined")
-    supports = []
-    for exps in gb.lead_exponents():
-        supports.append(frozenset(i for i, e in enumerate(exps) if e))
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = set(subset)
-            if not any(sup <= sset for sup in supports):
-                return size, n - size
-    return 0, n
+    codim = 0
+    while not sum(N):  # N(1) = 0: N / (1-s) has the prefix sums of N
+        N = list(accumulate(N))[:-1]
+        codim += 1
+    return len(I.ring) - codim, codim
 
 
 def graded_piece_dim(I, mu, budget=None):
-    """dim_k of the degree-mu piece of a homogeneous ideal."""
+    """dim_k of the degree-mu piece of a homogeneous ideal, from its `hilbert_numerator`."""
     if mu < 0:
-        return 0
-    n = len(I.ring)
-    if I.is_zero_ideal():
         return 0
     if not I.homogeneous():
         raise StructuralError("graded_piece_dim needs a homogeneous ideal")
-    gb = I.gb(budget=budget)
-    lms = gb.lead_exponents()
-    total = 0
-    standard = 0
-    for mono in monomials_of_degree(n, mu):
-        total += 1
-        if not any(all(a >= b for a, b in zip(mono, lm)) for lm in lms):
-            standard += 1
-    return total - standard
+    n = len(I.ring)
+    N = hilbert_numerator(I, budget)
+    return count_monomials(n, mu) - sum(c * count_monomials(n, mu - k) for k, c in enumerate(N))

@@ -17,10 +17,11 @@ from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
+    _shifted_sum,
     colon,
     colon_ideal,
     dim_and_codim,
-    graded_piece_dim,
+    hilbert_numerator,
     ideal_equal,
     is_unit_ideal,
     lift,
@@ -28,7 +29,7 @@ from jonq.groebner import (
 )
 from jonq.linalg import SpanTracker, rank
 from jonq.rees import rees_ideal
-from jonq.ring import Polynomial, count_monomials, monomials_of_degree
+from jonq.ring import Polynomial, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,10 @@ def _beg_quotient(big, small, budget=None):
 def regularity_oracle(I, budget=None):
     """reg(R/I) for dim(R/I) <= 1 via graded local cohomology sizes.
 
-    reg = max(end(Isat/I), stabilization onset of the Hilbert function of
-    R/Isat); for an empty projective locus it is end(R/I).
+    reg = max(end(Isat/I), reg(R/Isat), 0) from the Hilbert-Poincare numerators
+    of I and its saturation Isat: HS(Isat/I) = (N_I - N_sat)/(1-s)^n has degree
+    end(Isat/I), the h-polynomial N_sat/(1-s)^(n-1) degree reg(R/Isat), as
+    Isat/I has finite length and dim R/Isat = 1 unless Isat is the unit ideal.
     """
     if I.is_zero_ideal():
         raise StructuralError("regularity oracle needs a nonzero proper ideal")
@@ -343,44 +346,9 @@ def regularity_oracle(I, budget=None):
 def _local_cohomology_reg(I, Isat, budget):
     """`regularity_oracle` given Isat, the saturation of I by the variables."""
     n = len(I.ring)
-    if is_unit_ideal(Isat, budget):
-        # finite length: reg = last degree where I_mu != R_mu
-        mu = 0
-        last_diff = -1
-        while True:
-            full = count_monomials(n, mu)
-            if graded_piece_dim(I, mu, budget) == full:
-                return max(last_diff, 0) if last_diff >= 0 else 0
-            last_diff = mu
-            mu += 1
-    max_sat_deg = max(h.total_degree() for h in Isat.gb(budget=budget).generators)
-    end0 = -1
-    has_h0 = False
-    mu = 0
-    while True:
-        di = graded_piece_dim(I, mu, budget)
-        ds = graded_piece_dim(Isat, mu, budget)
-        if ds > di:
-            end0 = mu
-            has_h0 = True
-        elif mu >= max_sat_deg:
-            break
-        mu += 1
-    # Hilbert function stabilization of R/Isat
-    prev = None
-    mu = 0
-    stab = None
-    while True:
-        hf = count_monomials(n, mu) - graded_piece_dim(Isat, mu, budget)
-        if prev is not None and hf == prev:
-            stab = mu - 1
-            break
-        prev = hf
-        mu += 1
-    reg = stab
-    if has_h0:
-        reg = max(reg, end0)
-    return reg
+    sat = hilbert_numerator(Isat, budget)
+    h0 = _shifted_sum(hilbert_numerator(I, budget), sat, sign=-1)
+    return max(len(h0) - 1 - n, len(sat) - n, 0)
 
 
 ALPHA_ATTEMPTS = 16  # seeded draws of alpha before regularity_dim1 gives up

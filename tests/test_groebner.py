@@ -1,10 +1,10 @@
 import itertools
 import random
-from operator import add, mul
+from operator import add, ge, mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jonq import groebner
 from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
@@ -17,6 +17,7 @@ from jonq.groebner import (
     dim_and_codim,
     eliminate,
     graded_piece_dim,
+    hilbert_numerator,
     ideal_equal,
     intersect,
     is_unit_ideal,
@@ -29,7 +30,15 @@ from jonq.groebner import (
 )
 from jonq.orders import DegRevLex, Lex
 from jonq.rees import rees_ideal
-from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    count_monomials,
+    monomials_of_degree,
+    parse_polynomial,
+    poly_gcd,
+    random_form,
+)
 
 R = VariableSet(["x0", "x1", "x2"])
 
@@ -483,7 +492,6 @@ class TestGradedPieces:
         # independent oracle: for homogeneous generators, I_mu is exactly
         # the span of the monomial multiples of the generators
         from jonq.linalg import SpanTracker
-        from jonq.ring import monomials_of_degree
 
         I = ideal("x0^2 - x1*x2", "x1^3")
         for mu in range(7):
@@ -501,6 +509,80 @@ class TestGradedPieces:
                         vec[index[m]] += c
                     tracker.add(dict(enumerate(vec)))
             assert graded_piece_dim(I, mu) == tracker.rank
+
+
+def _standard_count(leads, n, mu):
+    """Monomials of degree mu outside the monomial ideal of `leads`, one by one."""
+    return sum(
+        1 for m in monomials_of_degree(n, mu) if not any(all(map(ge, m, lm)) for lm in leads)
+    )
+
+
+def _dim_by_subsets(leads, n):
+    """The largest size of a set of variables that holds no lead's support."""
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leads]
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(sup <= set(subset) for sup in supports):
+                return size
+    return None  # the unit ideal
+
+
+def _numerator_by_counting(leads, n):
+    """(1-s)^n * sum_mu HF(mu) s^mu through the degree of lcm(leads), which bounds deg N."""
+    top = sum(max((lm[i] for lm in leads), default=0) for i in range(n))
+    series = [_standard_count(leads, n, mu) for mu in range(top + 1)]
+    for _ in range(n):
+        series = [c - (series[k - 1] if k else 0) for k, c in enumerate(series)]
+    while series and not series[-1]:
+        series.pop()
+    return series
+
+
+@st.composite
+def small_homogeneous_ideals(draw):
+    """Monomial ideals, or up to three sparse forms of degree <= 3, in 1-5 variables."""
+    n = draw(st.integers(1, 5))
+    ring = VariableSet([f"x{i}" for i in range(n)])
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+        return IdealHandle(ring, [Polynomial.monomial(ring, e) for e in exps])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = list(monomials_of_degree(n, draw(st.integers(1, 3))))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        gens.append(Polynomial(ring, {m: draw(coeffs) for m in support}))
+    return IdealHandle(ring, gens)
+
+
+class TestHilbertNumerator:
+    """`hilbert_numerator` and its readers against standard-monomial counting."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_homogeneous_ideals())
+    @example(IdealHandle(R, ()))
+    @example(ideal("1"))
+    def test_matches_enumeration_and_subset_search(self, I):
+        n = len(I.ring)
+        leads = [] if I.is_zero_ideal() else I.gb().lead_exponents()
+        N = hilbert_numerator(I)
+        assert N == _numerator_by_counting(leads, n)
+        for mu in range(len(N) + 2):
+            assert graded_piece_dim(I, mu) == count_monomials(n, mu) - _standard_count(
+                leads, n, mu
+            )
+        dim = _dim_by_subsets(leads, n)
+        if dim is None:
+            assert N == []
+            with pytest.raises(StructuralError):
+                dim_and_codim(I)
+        else:
+            assert dim_and_codim(I) == (dim, n - dim)
+
+    def test_three_coordinate_points(self):
+        # 1 - 3s^2 + 2s^3 = (1-s)^2 (1 + 2s): codim 2, three points
+        assert hilbert_numerator(ideal("x0*x1", "x0*x2", "x1*x2")) == [1, 0, -3, 2]
 
 
 class TestColonTransferLaw:

@@ -1,9 +1,12 @@
 """`tools/machine_diff.py`: key classification and the default-budget rerun."""
 
 import importlib.util
+import json
 import os
 
 import pytest
+
+from jonq.fixtures import fixture_text
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "machine_diff.py")
 _spec = importlib.util.spec_from_file_location("machine_diff", _PATH)
@@ -74,3 +77,13 @@ def test_off_default_takes_an_absent_key():
 )
 def test_default_budget_flags_keep_every_other_flag(flags, want):
     assert machine_diff.default_budget_flags(flags) == want
+
+
+def test_a_one_word_dash_led_flags_value_parses(tmp_path, capsys):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    (tmp_path / "identity.jonq").write_text(fixture_text("identity"))
+    argv = [root, root, str(tmp_path), "--command", "implicitize", "--flags", "--oracle"]
+    assert machine_diff.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["flags"] == "--oracle"
+    assert summary["instances"] == 1

@@ -1,4 +1,5 @@
 import random
+from operator import ge
 from unittest import mock
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from fraction_linalg import FractionSpan, fraction_kernel_basis
 from jonq import groebner
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import IdealHandle
+from jonq.groebner import IdealHandle, dim_and_codim, saturate_by_variables
 from jonq.implicitize import JonquieresData
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
 from jonq.ring import (
     Polynomial,
     VariableSet,
+    count_monomials,
     monomials_of_degree,
     parse_polynomial,
     poly_gcd,
@@ -503,6 +505,81 @@ class TestRegularity:
         # R/(x0^2, x1^2, x2^2) has socle degree 3
         I = IdealHandle(R, (p("x0^2"), p("x1^2"), p("x2^2")))
         assert regularity_oracle(I) == 3
+
+
+def _piece_dim(I, mu):
+    """dim I_mu by enumeration: the degree-mu monomials that some lead divides."""
+    leads = I.gb().lead_exponents()
+    monos = monomials_of_degree(len(I.ring), mu)
+    return sum(1 for m in monos if any(all(map(ge, m, lm)) for lm in leads))
+
+
+def _degree_walking_reg(I, Isat):
+    """reg(R/I) for dim(R/I) <= 1 by walking degrees: the oracle's former route.
+
+    end(Isat/I) is the last degree where the two Hilbert functions differ,
+    walked until they agree past the generators of Isat; reg(R/Isat) is
+    where the Hilbert function of R/Isat stops rising; a unit Isat walks
+    until I_mu = R_mu.
+    """
+    n = len(I.ring)
+    if Isat.gb().contains_unit():
+        mu = 0
+        while _piece_dim(I, mu) < count_monomials(n, mu):
+            mu += 1
+        return max(mu - 1, 0)
+    max_sat_deg = max(h.total_degree() for h in Isat.gb().generators)
+    end0 = -1
+    mu = 0
+    while True:
+        if _piece_dim(Isat, mu) > _piece_dim(I, mu):
+            end0 = mu
+        elif mu >= max_sat_deg:
+            break
+        mu += 1
+    prev = None
+    mu = 0
+    while True:
+        hf = count_monomials(n, mu) - _piece_dim(Isat, mu)
+        if hf == prev:
+            return max(mu - 1, end0)
+        prev = hf
+        mu += 1
+
+
+class TestRegularityAgainstDegreeWalk:
+    """The numerator-based oracle against the degree walk it replaced."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_ideals(self, name):
+        P = load_fixture(name).jonquieres()
+        I = P.base_ideal_I()
+        checked = 0
+        for X in (I, P.ideal_J(), conductor_data(I, P.g).ideal):
+            if X.gb().contains_unit():
+                with pytest.raises(StructuralError):
+                    regularity_oracle(X)
+                continue
+            if dim_and_codim(X)[0] > 1:
+                with pytest.raises(HypothesisViolation):
+                    regularity_oracle(X)
+                continue
+            want = _degree_walking_reg(X, saturate_by_variables(X))
+            assert regularity_oracle(X) == want
+            assert regularity_dim1(X).reg == want
+            checked += 1
+        assert checked == {"identity": 2, "plane": 3, "space": 0, "nzd": 3}[name]
+
+    def test_local_cohomology_term_dominates(self):
+        # I = (x1, x2) * (x0, x1, x2)^3: Isat = (x1, x2), so reg(R/Isat) = 0,
+        # while Isat/I is nonzero up to degree 3
+        cube = list(monomials_of_degree(3, 3))
+        gens = [x * Polynomial.monomial(R, m) for x in (p("x1"), p("x2")) for m in cube]
+        I = IdealHandle(R, gens)
+        Isat = saturate_by_variables(I)
+        assert regularity_oracle(Isat) == 0
+        assert regularity_oracle(I) == _degree_walking_reg(I, Isat) == 3
+        assert regularity_dim1(I).reg == 3
 
 
 class TestBoundChecks:

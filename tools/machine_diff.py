@@ -119,6 +119,19 @@ def off_default(key, change, default):
     return default.get(key) != change.get(key)
 
 
+def join_flags(argv):
+    """`argv` with `--flags VALUE` as `--flags=VALUE`.
+
+    argparse takes a dash-led VALUE as an option unless it holds a space,
+    so `--flags --oracle` would fail to parse.
+    """
+    argv = list(argv)
+    if "--flags" in argv[:-1]:
+        i = argv.index("--flags")
+        argv[i : i + 2] = ["--flags=" + argv[i + 1]]
+    return argv
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
@@ -128,7 +141,7 @@ def main(argv=None):
     ap.add_argument("--flags", default="", help="one shell-quoted flag string")
     ap.add_argument("--check-default", action="store_true")
     ap.add_argument("--list", action="store_true")
-    args = ap.parse_args(argv)
+    args = ap.parse_args(join_flags(sys.argv[1:] if argv is None else argv))
     paths = sorted(glob.glob(os.path.join(os.path.abspath(args.instances), "*.jonq")))
     if not paths:
         ap.error(f"no *.jonq files in {args.instances}")
