@@ -14,6 +14,16 @@ positive lead.  Pairs are pruned by Gebauer-Moeller and chosen by normal
 selection (lcm degree, sugar tie-break).  Reduced bases are unique per
 (ideal, order).
 
+An elimination can be told the weights that make its generators
+homogeneous and their Hilbert series (`rees` does so for y_i - t*c_i,
+a regular sequence).  Pairs then go by the weighted degree of their lcm,
+and the engine counts the leads a degree lacks: [s^k] of (N(in G) - N(I))
+/ prod(1 - s^w), with N(in G) kept by N(M + (m)) = N(M) - s^w(m) N(M : m).
+In(G)_k lies in in(I)_k, so at a count of 0 they are equal and every
+pair left in degree k reduces to zero; it is dropped and not charged
+(Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
+1996).  A degree is counted only when a second pair of it is pending.
+
 All division runs on one engine, `jonq.ring._Accumulator`: a dict from
 packed monomial (order key over exponent vector, one int; see
 `jonq.ring._Packing`) to coefficient plus a max-heap of them, after
@@ -29,13 +39,14 @@ maxima by integer operations, divisibility is the same mask test.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd as int_gcd
-from operator import ge, sub
+from operator import ge, mul, sub
 
 from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
 from jonq.orders import Block, DegRevLex, MonomialOrder
@@ -240,11 +251,15 @@ def _lead_data(elems):
     return sorted(range(len(elems)), key=lambda k: elems[k].lm_okey)
 
 
-def _buchberger_core(inputs, order, budget, seed=None):
+def _buchberger_core(inputs, order, budget, seed=None, hilbert=None):
     """Run Buchberger; `seed` is an existing basis whose mutual pairs are done.
 
-    A run that outgrows its fields starts over with wider ones and with
-    the S-pair budget as it found it.
+    `hilbert` is (weights, numerator): the inputs are homogeneous under the
+    variable weights, and the ideal's Hilbert series is numerator / prod(1 -
+    s^w).  Pairs then go by the weighted degree of their lcm, and once the
+    leads fill a degree the rest of its pairs are dropped uncharged
+    (`_LeadCount`).  A run that outgrows its fields starts over with wider
+    ones and with the S-pair budget as it found it.
     """
     if not seed and not any(inputs):
         return []
@@ -252,12 +267,78 @@ def _buchberger_core(inputs, order, budget, seed=None):
 
     def run(packing):
         budget.pairs_used = used
-        return _buchberger_packed(inputs, order, budget, seed, packing)
+        return _buchberger_packed(inputs, order, budget, seed, packing, hilbert)
 
     return _with_wide_keys(run, order)
 
 
-def _buchberger_packed(inputs, order, budget, seed, packing):
+@functools.lru_cache(maxsize=64)
+def _key_weights(order, weights):
+    """The weighted degree as a linear form on order keys.
+
+    An order's exponents are a linear function of its key (as `_Packing` uses).
+    """
+    nfields = len(order.key((0,) * order.nvars))
+    units = [tuple(int(i == f) for i in range(nfields)) for f in range(nfields)]
+    return [sum(map(mul, weights, order.exponents(u))) for u in units]
+
+
+class _LeadCount:
+    """The standard monomials of the lead ideal against the Hilbert function.
+
+    `missing(k)` is dim in(I)_k - dim in(G)_k, the leads of weighted degree
+    k that G lacks, read as [s^k] (N(in G) - N(I)) / prod(1 - s^w).  The
+    numerator of in(G) takes the leads in lazily, when a count is asked
+    for, each by N(M + (m)) = N(M) - s^w(m) N(M : m); M : m is generated by
+    the lcm(x, m) / m over the earlier leads x, from the lcms the pair
+    update built.
+    """
+
+    __slots__ = (
+        "weights", "target", "key_weights", "exponents", "guard", "numer", "pending", "series",
+    )
+
+    def __init__(self, hilbert, order, packing):
+        self.weights, self.target = hilbert
+        self.key_weights = _key_weights(order, tuple(self.weights))
+        self.exponents = packing.exponents
+        self.guard = packing.guard
+        self.numer = [1]  # of in(G), over the leads not pending
+        self.pending = []  # (exponent part of a lead, its lcms with the earlier leads)
+        self.series = [1]  # 1 / prod(1 - s^w), as far as it was needed
+
+    def degree(self, x):
+        """The weighted degree of an exponent part."""
+        return sum(map(mul, self.weights, self.exponents(x)))
+
+    def check_input(self, terms):
+        kw = self.key_weights
+        if len({sum(map(mul, kw, key)) for key, _ in terms}) > 1:
+            raise StructuralError("Hilbert-driven Buchberger needs weighted-homogeneous input")
+
+    def missing(self, k):
+        guard, weights, exponents, numer = self.guard, self.weights, self.exponents, self.numer
+        for xh, lcms in self.pending:
+            colon = []  # its minimal generators: a divisor is a smaller int
+            for c in sorted({L - xh for L in lcms}):
+                if all((c - g) & guard for g in colon):
+                    colon.append(c)
+            quotient = _numerator([exponents(c) for c in colon], weights)
+            numer = _shifted_sum(numer, quotient, self.degree(xh), -1)
+        self.numer = numer
+        self.pending = []
+        P = self.series
+        if len(P) <= k:  # recomputed to twice the degree, so each growth pays for itself
+            P = [1] + [0] * 2 * k
+            for w in weights:
+                for i in range(w, len(P)):
+                    P[i] += P[i - w]
+            self.series = P
+        diff = _shifted_sum(self.numer, self.target, 0, -1)
+        return sum(c * P[k - i] for i, c in enumerate(diff[: k + 1]))
+
+
+def _buchberger_packed(inputs, order, budget, seed, packing, hilbert=None):
     G: list[_GBPoly] = list(seed) if seed else []
     lead = [(G[j].lead(packing), j) for j in _lead_data(G)]
     xmask = packing.xmask
@@ -267,6 +348,11 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
     guard = packing.guard
     lcm = packing.lcm
     monomial = packing.monomial
+    count = None
+    if hilbert:
+        count = _LeadCount(hilbert, order, packing)
+        for j, x in enumerate(xs):
+            count.pending.append((x, [lcm(y, x) for y in xs[:j]]))
 
     def update(h):
         # Gebauer-Moeller: prune old pairs, build a minimal new pair set.
@@ -300,22 +386,40 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
             shift, deg = monomial(L)
             f = G[i]
             sugar = max(f.sugar + deg - sum(f.lm_exps), h.sugar + deg - deg_h)
-            heapq.heappush(heap, (deg, sugar, shift, i, k))
+            heapq.heappush(heap, (count.degree(L) if count else deg, sugar, shift, i, k))
         xs.append(xh)
+        if count:
+            count.pending.append((xh, new_lcm))
 
     prepared = []
     for terms in inputs:
         if terms:
             prepared.append(_GBPoly(terms, order))
+    if count:
+        for e in prepared:
+            count.check_input(e.terms)
     prepared.sort(key=lambda e: (sum(e.lm_exps), e.lm_okey))
     for h in prepared:
         r, _ = _reduce_acc(_Accumulator(packing, h.terms), G, lead)
         if r:
             update(_GBPoly._packed(r, order, packing, h.sugar))
+    current = missing = None  # the degree of the last pair, the leads it lacks
     while heap:
-        _, sugar, shift, i, j = heapq.heappop(heap)
+        degree, sugar, shift, i, j = heapq.heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
+        if count:
+            if degree != current:
+                current, missing = degree, None
+            # count only when another pair of this degree could be dropped
+            if missing is None and heap and heap[0][0] == degree:
+                missing = count.missing(degree)
+                if missing < 0:
+                    raise StructuralError(
+                        f"more leads in degree {degree} than the Hilbert series allows"
+                    )
+            if missing == 0:
+                continue
         budget.charge_pair()
         # S(f, g) = a*(lcm/lm f)*tail(f) - b*(lcm/lm g)*tail(g); the leads cancel
         f, g = G[i], G[j]
@@ -327,6 +431,8 @@ def _buchberger_packed(inputs, order, budget, seed, packing):
             continue
         r, _ = _reduce_acc(acc, G, lead)
         if r:
+            if missing is not None:
+                missing -= 1
             update(_GBPoly._packed(r, order, packing, sugar))
     return G
 
@@ -365,7 +471,7 @@ def _reduced_basis(G, order):
 class GroebnerBasis:
     """A reduced Groebner basis; generators are primitive with positive lead."""
 
-    __slots__ = ("generators", "order", "ring", "_elems", "_lead")
+    __slots__ = ("generators", "order", "ring", "_elems", "_lead", "_numer")
 
     def __init__(self, generators, order, ring, elems):
         self.generators = tuple(generators)
@@ -373,6 +479,7 @@ class GroebnerBasis:
         self.ring = ring
         self._elems = elems
         self._lead = _lead_data(elems)
+        self._numer = None  # `hilbert_numerator`'s, once asked for
 
     def __iter__(self):
         return iter(self.generators)
@@ -751,12 +858,14 @@ def saturate_by_variables(I, budget=None):
     return out
 
 
-def eliminate(I, drop_names, budget=None):
+def eliminate(I, drop_names, budget=None, hilbert=None):
     """I intersect k[remaining variables], via a block order.
 
     Block basis elements with leads (so all terms) free of the dropped
     variables form a Groebner basis of the result, keyed by degrevlex past
     the dropped block; only they are interreduced, and cached on the handle.
+    `hilbert` is `_buchberger_core`'s: the caller's promise of weights that
+    make the generators homogeneous and of the Hilbert series they give.
     """
     drop = tuple(drop_names)
     if not drop:
@@ -766,7 +875,9 @@ def eliminate(I, drop_names, budget=None):
     if len(drop_idx) >= len(ring):
         raise StructuralError("cannot eliminate every variable")
     block = Block(len(ring), drop_idx)
-    G = _buchberger_core([_to_internal(g, block) for g in I.gens], block, budget or Budget())
+    G = _buchberger_core(
+        [_to_internal(g, block) for g in I.gens], block, budget or Budget(), hilbert=hilbert
+    )
     small = VariableSet(tuple(n for n in ring.names if n not in drop))
     order = DegRevLex(len(small))
     cut = len(drop_idx)  # a Block key: the dropped block's key, then the kept one's
@@ -873,34 +984,43 @@ def hilbert_numerator(I, budget=None):
 
     in(I) is read from the leads of I's cached degrevlex basis.  The zero
     ideal gives [1] without a basis, the unit ideal the zero polynomial [].
+    The numerator is computed once per basis and cached on it.
     """
     if I.is_zero_ideal():
         return [1]
-    return _numerator(I.gb(budget=budget).lead_exponents())
+    gb = I.gb(budget=budget)
+    if gb._numer is None:
+        gb._numer = _numerator(gb.lead_exponents())
+    return list(gb._numer)
 
 
-def _numerator(monos):
+def _numerator(monos, weights=None):
     """The numerator of the monomial ideal spanned by `monos` (Bigatti, JPAA 119, 1997).
 
-    N(M) = N(M + (x^e)) + s^e N(M : x^e), x the variable in the most minimal
-    generators, e its least positive exponent among them; once no two share
-    a variable, N is the product of the 1 - s^deg(m), 0 for a unit m.
+    HS(k[x]/M) = N(M) / prod(1 - s^w_i), with variable weights w (all 1 by
+    default).  N(M) = N(M + (x^e)) + s^(e w_x) N(M : x^e), x the variable in
+    the most minimal generators, e its least positive exponent among them;
+    once no two share a variable, N is the product of the 1 - s^deg(m), 0
+    for a unit m.  No monomial gives [1].
     """
+    degree = sum if weights is None else (lambda m: sum(map(mul, weights, m)))
     gens = []
     for m in sorted(set(monos), key=sum):
         if not any(all(map(ge, m, g)) for g in gens):
             gens.append(m)
     counts = [sum(map(bool, column)) for column in zip(*gens)]
-    x = max(range(len(counts)), key=counts.__getitem__)
-    if counts[x] < 2:
+    top = max(counts, default=0)
+    if top < 2:
         out = [1]
         for m in gens:
-            out = _shifted_sum(out, out, sum(m), -1)
+            out = _shifted_sum(out, out, degree(m), -1)
         return out
+    x = counts.index(top)
     e = min(m[x] for m in gens if m[x])
     bigger = [m for m in gens if not m[x]] + [tuple(e * (i == x) for i in range(len(counts)))]
     quotient = [m[:x] + (max(m[x] - e, 0),) + m[x + 1 :] for m in gens]
-    return _shifted_sum(_numerator(bigger), _numerator(quotient), e)
+    w = 1 if weights is None else weights[x]
+    return _shifted_sum(_numerator(bigger, weights), _numerator(quotient, weights), e * w)
 
 
 def _shifted_sum(a, b, shift=0, sign=1):

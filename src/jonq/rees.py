@@ -28,6 +28,7 @@ from jonq.errors import BudgetExceeded, DivisibilityError, HypothesisViolation, 
 from jonq.groebner import (
     Budget,
     IdealHandle,
+    _shifted_sum,
     dim_and_codim,
     eliminate,
     ideal_equal,
@@ -97,9 +98,15 @@ def eliminate_rees_parameter(gens, y_names, budget=None):
     """(y_i - t*g_i) intersect k[x, y] over the x then the y variables.
 
     One elimination of t; a zero g_i contributes y_i.  The handle caches
-    its reduced degrevlex basis.
+    its reduced degrevlex basis.  When the g_i are forms and the y names
+    are new, weight 1 on x and t and deg(g_i) + 1 on y_i makes each
+    y_i - t*g_i homogeneous, and k[x, y, t]/(y_i - t*g_i) = k[x, t], so they
+    form a regular sequence and the Hilbert series of their ideal is
+    prod_i (1 - s^(deg(g_i) + 1)) / prod_v (1 - s^w_v).  The elimination
+    gets that series and drops the pairs it rules out.
     """
-    ambient = gens[0].ring.union(VariableSet(y_names))
+    xring = gens[0].ring
+    ambient = xring.union(VariableSet(y_names))
     tname = ambient.fresh_name("t")
     big = ambient.extended(tname)
     t = Polynomial.variable(big, tname)
@@ -107,7 +114,16 @@ def eliminate_rees_parameter(gens, y_names, budget=None):
         Polynomial.variable(big, nm) - t * g.map_ring(big)
         for nm, g in zip(y_names, gens)
     ]
-    return eliminate(IdealHandle(big, rel), (tname,), budget=budget)
+    hilbert = None
+    if len(ambient) == len(xring) + len(y_names) and all(g.is_homogeneous() for g in gens):
+        weights = [1] * len(big)
+        numerator = [1]
+        for nm, g in zip(y_names, gens):
+            w = 1 if g.is_zero() else g.total_degree() + 1
+            weights[big.index(nm)] = w
+            numerator = _shifted_sum(numerator, numerator, w, -1)
+        hilbert = (weights, numerator)
+    return eliminate(IdealHandle(big, rel), (tname,), budget=budget, hilbert=hilbert)
 
 
 def implicit_generator(ideal, x_names, y_ring, budget=None):

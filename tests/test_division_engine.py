@@ -312,9 +312,9 @@ def test_widened_buchberger_charges_its_pairs_once(monkeypatch):
     widths = []
     run = groebner._buchberger_packed
 
-    def spy(inputs, order, budget, seed, packing):
+    def spy(inputs, order, budget, seed, packing, hilbert=None):
         widths.append(packing.bits)
-        return run(inputs, order, budget, seed, packing)
+        return run(inputs, order, budget, seed, packing, hilbert)
 
     monkeypatch.setattr(groebner, "_buchberger_packed", spy)
     x0, x1, x2 = Polynomial.gens(R)
@@ -324,3 +324,36 @@ def test_widened_buchberger_charges_its_pairs_once(monkeypatch):
     assert widths == [16, 32]
     assert budget.pairs_used == 4
     assert all(is_member(g, gb) for g in gens)
+
+
+def test_widened_pruned_elimination_charges_its_pairs_once(monkeypatch):
+    """A Hilbert-pruned Rees elimination that outgrows 16-bit fields after
+    charging pairs starts over with the budget it found, and charges only
+    the pairs of its 32-bit run."""
+    from jonq import groebner, rees
+
+    runs = []
+    run = groebner._buchberger_packed
+
+    def spy(inputs, order, budget, seed, packing, hilbert=None):
+        runs.append([packing.bits, hilbert is not None, budget.pairs_used])
+        try:
+            return run(inputs, order, budget, seed, packing, hilbert)
+        finally:
+            runs[-1].append(budget.pairs_used)
+
+    monkeypatch.setattr(groebner, "_buchberger_packed", spy)
+    x0, x1, x2 = Polynomial.gens(R)
+    gens = [x0**1000 * x2, x1**1001, x2**1001]
+    budget = groebner.Budget(max_pairs=8)
+    pruned = rees.eliminate_rees_parameter(gens, ("y0", "y1", "y2"), budget)
+    # the 16-bit run charged pairs before it overflowed; they were given back
+    assert [r[:2] for r in runs] == [[16, True], [32, True]]
+    assert runs[0][3] > runs[0][2] == 0
+    assert runs[1][2] == 0 and runs[1][3] == budget.pairs_used == 8
+    monkeypatch.setattr(groebner, "_buchberger_packed", run)
+    monkeypatch.setattr(
+        rees, "eliminate", lambda I, drop, budget=None, hilbert=None: groebner.eliminate(I, drop, budget)
+    )
+    plain = rees.eliminate_rees_parameter(gens, ("y0", "y1", "y2"))
+    assert pruned.gens == plain.gens

@@ -1,0 +1,175 @@
+"""Hilbert-driven pair pruning in the Rees eliminations.
+
+`rees.eliminate_rees_parameter` hands its elimination the weights under
+which y_i - t*c_i is homogeneous and the Hilbert series of that regular
+sequence; `groebner._buchberger_core` then drops the pairs of a degree
+whose leads are complete.  These tests hold the pruned elimination to the
+plain one, the weighted `_numerator` to counting, and the engine to its
+refusal of input that breaks the promise.
+"""
+
+import itertools
+from operator import ge, mul
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from jonq import groebner, rees
+from jonq.errors import StructuralError
+from jonq.groebner import Budget, IdealHandle, _numerator, eliminate, hilbert_numerator
+from jonq.ring import Polynomial, VariableSet, monomials_of_degree, parse_polynomial
+
+
+def _plain_eliminate(I, drop, budget=None, hilbert=None):
+    return groebner.eliminate(I, drop, budget=budget)
+
+
+def _both(coords, y_names):
+    """(pruned handle, its budget, the hilbert it got), (plain handle, its budget)."""
+    seen = []
+
+    def spy(I, drop, budget=None, hilbert=None):
+        seen.append(hilbert)
+        return groebner.eliminate(I, drop, budget=budget, hilbert=hilbert)
+
+    b_pruned, b_plain = Budget(), Budget()
+    with mock.patch.object(rees, "eliminate", spy):
+        pruned = rees.eliminate_rees_parameter(coords, y_names, b_pruned)
+    with mock.patch.object(rees, "eliminate", _plain_eliminate):
+        plain = rees.eliminate_rees_parameter(coords, y_names, b_plain)
+    return (pruned, b_pruned, seen[0]), (plain, b_plain)
+
+
+@st.composite
+def rees_coordinates(draw):
+    """1-3 coordinates in n + 1 variables (n = 1..3): sparse forms of one
+    degree d = 1..3, or zero."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    ring = VariableSet([f"x{i}" for i in range(n + 1)])
+    monos = list(monomials_of_degree(n + 1, d))
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    coords = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            coords.append(Polynomial.zero(ring))
+            continue
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coords.append(Polynomial(ring, {m: draw(coeffs) for m in support}))
+    return coords
+
+
+_TWO = VariableSet(["x0", "x1"])
+
+
+class TestPrunedAgainstPlain:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rees_coordinates())
+    @example([parse_polynomial("x0^2", _TWO), Polynomial.zero(_TWO), parse_polynomial("x1^2", _TWO)])
+    @example([Polynomial.zero(_TWO), Polynomial.zero(_TWO)])
+    def test_same_basis_with_no_more_pairs(self, coords):
+        y_names = tuple(f"y{i}" for i in range(len(coords)))
+        (pruned, b_pruned, hilbert), (plain, b_plain) = _both(coords, y_names)
+        assert hilbert is not None
+        assert pruned.ring == plain.ring
+        assert pruned.gens == plain.gens
+        got, want = pruned.gb(), plain.gb()
+        assert got.generators == want.generators
+        assert [e.terms for e in got._elems] == [e.terms for e in want._elems]
+        assert b_pruned.pairs_used <= b_plain.pairs_used
+
+    def test_the_series_of_the_regular_sequence(self):
+        x0, x1 = Polynomial.gens(_TWO)
+        (_, _, hilbert), _ = _both([x0**2, Polynomial.zero(_TWO), x0 * x1], ("y0", "y1", "y2"))
+        weights, numerator = hilbert
+        # x0, x1, then y0, y1, y2, then t; a zero coordinate gives y_i weight 1
+        assert weights == [1, 1, 3, 1, 3, 1]
+        # (1 - s^3)^2 (1 - s)
+        assert numerator == [1, -1, 0, -2, 2, 0, 1, -1]
+
+    def test_no_series_for_a_coordinate_that_is_not_a_form(self):
+        x0, x1 = Polynomial.gens(_TWO)
+        (pruned, _, hilbert), (plain, _) = _both([x0**2 + x1, x1**2], ("y0", "y1"))
+        assert hilbert is None
+        assert pruned.gens == plain.gens
+
+
+def _series(monos, weights, top):
+    """The standard monomials of `monos`, counted by weighted degree 0..top."""
+    counts = [0] * (top + 1)
+    for e in itertools.product(*[range(top // w + 1) for w in weights]):
+        k = sum(map(mul, weights, e))
+        if k <= top and not any(all(map(ge, e, m)) for m in monos):
+            counts[k] += 1
+    return counts
+
+
+@st.composite
+def weighted_monomial_ideals(draw):
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    return monos, weights
+
+
+class TestWeightedNumerator:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(weighted_monomial_ideals())
+    @example(([], [2]))
+    @example(([(0, 0)], [1, 3]))
+    def test_matches_counting_by_weighted_degree(self, case):
+        """N / prod(1 - s^w) against counts of standard monomials.
+
+        deg N is at most the weighted degree of the lcm of the generators,
+        so the counts up to that degree, times prod(1 - s^w), give N.
+        """
+        monos, weights = case
+        n = len(weights)
+        top = sum(w * max((m[i] for m in monos), default=0) for i, w in enumerate(weights))
+        counts = _series(monos, weights, top)
+        for w in weights:  # multiply by (1 - s^w), truncated at `top`
+            counts = [c - (counts[k - w] if k >= w else 0) for k, c in enumerate(counts)]
+        while counts and not counts[-1]:
+            counts.pop()
+        assert _numerator(monos, weights) == counts
+        if weights == [1] * n:
+            assert _numerator(monos) == counts
+
+    def test_weights_shift_the_pivot(self):
+        # (x0^2, x0*x1) with x0: 2, x1: 3 -- 1 - s^4 - s^5 + s^7
+        assert _numerator([(2, 0), (1, 1)], [2, 3]) == [1, 0, 0, 0, -1, -1, 0, 1]
+
+
+class TestHilbertNumeratorCache:
+    def test_computed_once_per_basis_and_copied(self):
+        ring = VariableSet(["x0", "x1", "x2"])
+        I = IdealHandle(ring, [parse_polynomial(t, ring) for t in ("x0*x1", "x0*x2", "x1*x2")])
+        N = hilbert_numerator(I)
+        N.append(99)
+        with mock.patch.object(groebner, "_numerator", side_effect=AssertionError):
+            assert hilbert_numerator(I) == [1, 0, -3, 2]
+
+
+class TestBrokenPromise:
+    R = VariableSet(["t", "x0", "x1", "x2"])
+
+    def test_input_that_is_not_weighted_homogeneous(self):
+        gens = [parse_polynomial(t, self.R) for t in ("x0 - t*x1^2", "x1 - t*x2")]
+        hilbert = ([1, 2, 1, 1], [1, 0, -1, 0, -1, 0, 1])
+        with pytest.raises(StructuralError, match="weighted-homogeneous"):
+            eliminate(IdealHandle(self.R, gens), ("t",), hilbert=hilbert)
+        # the same ideal, eliminated without the promise
+        assert eliminate(IdealHandle(self.R, gens), ("t",)).gens
+
+    def test_more_leads_than_the_series_allows(self):
+        # three quadrics claimed to span the zero ideal: the first count, in
+        # degree 3, finds leads that the claimed series has no room for
+        gens = [
+            parse_polynomial(t, self.R)
+            for t in ("x0*x1 - x2^2", "x0*x2 - x1^2", "x1*x2 - x0^2")
+        ]
+        with pytest.raises(StructuralError, match="than the Hilbert series allows"):
+            eliminate(IdealHandle(self.R, gens), ("t",), hilbert=([1] * 4, [1]))
+        # without the claim the same elimination runs
+        assert eliminate(IdealHandle(self.R, gens), ("t",)).gens

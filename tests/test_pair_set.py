@@ -10,6 +10,10 @@ here as a different pair count or basis, even when the basis is only
 reordered.  `RECORDED_ELIMINATE` pins `eliminate` on the graph ideals the
 same way: the pairs it charges and a digest of the generators it returns,
 dropping the source variables, the target variables, or `x1` alone.
+`RECORDED_REES` pins `rees_ideal`, whose elimination of t drops the pairs
+its Hilbert series rules out, on a fixture's coordinates and on its
+Cremona coordinates.  Without that pruning the same bases took 23, 8, 57,
+8, 220, 37, 92 and 8 pairs, in the table's order.
 """
 
 import hashlib
@@ -19,6 +23,7 @@ import pytest
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
 from jonq.groebner import Budget, IdealHandle, buchberger, eliminate
 from jonq.orders import Block, DegRevLex, Lex, Weighted
+from jonq.rees import rees_ideal
 from jonq.ring import Polynomial
 
 RECORDED = {
@@ -69,6 +74,17 @@ RECORDED_ELIMINATE = {
     ("nzd", "source"): (122, 1, "34f84912ebdca8b6"),
     ("nzd", "target"): (0, 0, "e3b0c44298fc1c14"),
     ("nzd", "x1"): (131, 21, "8729960de03b4237"),
+}
+
+RECORDED_REES = {
+    ("identity", "coordinates"): (13, 7, "69654d759ea50f25"),
+    ("identity", "cremona"): (4, 3, "0b8c7865fa964de8"),
+    ("plane", "coordinates"): (23, 7, "c47d4ad6266eb906"),
+    ("plane", "cremona"): (3, 2, "dab0137c7b0aebd2"),
+    ("space", "coordinates"): (102, 9, "84a0e658f40cc233"),
+    ("space", "cremona"): (11, 5, "ba0c4a25b6359192"),
+    ("nzd", "coordinates"): (36, 8, "07ffc6baafd72082"),
+    ("nzd", "cremona"): (3, 2, "dab0137c7b0aebd2"),
 }
 
 
@@ -126,3 +142,17 @@ def test_eliminations_as_recorded(name):
         assert out.gb().generators == out.gens
         got = (budget.pairs_used, len(out.gens), _digest(out.gens))
         assert got == RECORDED_ELIMINATE[name, dname], (name, dname)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rees_ideals_as_recorded(name):
+    P = load_fixture(name).jonquieres()
+    cases = {
+        "coordinates": (list(P.coordinates()), P.monoid_ring.names),
+        "cremona": (list(P.cremona.forward.coords), P.cremona.target.names),
+    }
+    for kind, (gens, y_names) in cases.items():
+        budget = Budget()
+        pres = rees_ideal(gens, y_names=y_names, budget=budget)
+        got = (budget.pairs_used, len(pres.generators), _digest(pres.generators))
+        assert got == RECORDED_REES[name, kind], (name, kind)
