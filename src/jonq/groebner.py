@@ -7,12 +7,13 @@ which interreduces only the Block basis elements free of the dropped
 variables and caches the result, the reduced degrevlex basis, on its
 handle.  Saturation by the variables (`saturate_by_variables`) is
 saturation by one certified linear form, in the ideal's own coordinates:
-by x_n it is read off the ideal's cached basis, by any other form it is
-one `saturate` elimination.  Generators are integer-primitive term lists
-keyed by additive order keys (see `jonq.orders`), sorted descending, with
-positive lead.  Pairs are pruned by Gebauer-Moeller and chosen by normal
-selection (lcm degree, sugar tie-break).  Reduced bases are unique per
-(ideal, order).
+by x_n it is read off the ideal's cached basis; another form that the
+Hilbert numerator certifies a nonzerodivisor leaves the ideal as it is,
+and a zero divisor takes one `saturate` elimination.  Generators are
+integer-primitive term lists keyed by additive order keys (see
+`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
+by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
+tie-break).  Reduced bases are unique per (ideal, order).
 
 An elimination can be told the weights that make its generators
 homogeneous and their Hilbert series (`rees` does so for y_i - t*c_i,
@@ -734,8 +735,8 @@ def saturate(I, J, budget=None):
     run.  The result is the intersection of the per-generator saturations.
     `rees` falls back on it when its saturation identities cannot be
     certified by primality; `saturate_by_variables` calls it with a single
-    certified linear form other than x_n, whose eliminated basis is cached
-    on the result.
+    certified linear form other than x_n that is a zero divisor on R/I,
+    whose eliminated basis is cached on the result.
     """
     if J.is_zero_ideal():
         raise StructuralError("saturation by the zero ideal")
@@ -780,14 +781,25 @@ def _linear_forms(n):
         c += 1
 
 
-def _pure_powers(leads, nvars):
-    """Whether each of the first `nvars` variables has a pure power among `leads`."""
+def _pure_variables(monos):
+    """The variables with a pure power among the exponent vectors `monos`."""
     have = set()
-    for exps in leads:
+    for exps in monos:
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
             have.add(support[0])
-    return have.issuperset(range(nvars))
+    return have
+
+
+def _pure_powers(leads, nvars):
+    """Whether each of the first `nvars` variables has a pure power among `leads`."""
+    return _pure_variables(leads).issuperset(range(nvars))
+
+
+def _coordinate_points(gens, nvars):
+    """The k with e_k on V(gens), for homogeneous `gens`: no generator has a
+    pure power of x_k, so each vanishes at e_k (a zero generator anywhere)."""
+    return set(range(nvars)) - _pure_variables(m for g in gens for m, _ in g.items())
 
 
 def saturate_by_variables(I, budget=None):
@@ -803,17 +815,26 @@ def saturate_by_variables(I, budget=None):
     (x_p the last variable of coefficient 1 in l) take one basis, whose
     leads are read without x_p.  Every point of V(I) rules out at most n
     of the forms sum c^k x_k, so for dim <= 1 some candidate is certified.
+    A coordinate point e_k lies on V(I) when no generator has a pure power
+    of x_k; a candidate with k-th coefficient 0 vanishes there, so it
+    cannot be certified and is skipped before its basis.
 
     Nothing leaves the coordinates of I.  For x_n, I's own basis gives
     I : x_n^infinity: in(I) : x_n = in(I : x_n) (Bayer-Stillman), so each
     element divided by its largest power of x_n is a basis, and the
     largest power divided out is the least k with
-    x_n^k * (I : x_n^infinity) inside I.  Another l is `saturate(I, (l))`,
-    one elimination that finds the same least k.  Either way the result
-    carries its reduced degrevlex basis, an exponent of `budget.sat_cap`
-    or more raises BudgetExceeded, and a cap of 0 raises before any
-    Buchberger run.  The saturation is unique, so which candidate wins
-    cannot change the result.  dim(R/I) >= 2 raises HypothesisViolation.
+    x_n^k * (I : x_n^infinity) inside I.  For another l, the cut basis
+    does not involve x_p, so HS(R/cut) = HS(R/(I + (l)))/(1 - s), and
+    0 -> ((I:l)/I)(-1) -> (R/I)(-1) -> R/I -> R/(I + (l)) -> 0 shows that
+    l is a nonzerodivisor on R/I exactly when the cut basis has the
+    Hilbert numerator of I (Bruns-Herzog, ch. 4).  Then I : l^infinity
+    = I, with exponent 0, and I is returned with its own basis; else the
+    result is `saturate(I, (l))`, one elimination that finds the least k.
+    Either way the result carries its reduced degrevlex basis, an exponent
+    of `budget.sat_cap` or more raises BudgetExceeded, and a cap of 0
+    raises before any Buchberger run.  The saturation is unique, so which
+    candidate wins cannot change the result.  dim(R/I) >= 2 raises
+    HypothesisViolation.
     """
     budget = budget or Budget()
     if budget.sat_cap == 0:
@@ -828,7 +849,10 @@ def saturate_by_variables(I, budget=None):
     if dim_and_codim(I, budget)[0] > 1:
         raise HypothesisViolation("saturation by the variables requires dim(R/I) <= 1")
     xs = Polynomial.gens(ring)
+    points = _coordinate_points(I.gens, n)
     for coeffs in _linear_forms(n):
+        if any(not coeffs[k] for k in points):
+            continue  # l vanishes at e_k, a point of V(I)
         if coeffs[-1] == 1 and not any(coeffs[:-1]):
             if _pure_powers(gb.lead_exponents(), n - 1):
                 break
@@ -840,6 +864,8 @@ def saturate_by_variables(I, budget=None):
         cut = buchberger([g.substitute(images) for g in I.gens], budget=budget, ring=ring)
         leads = [e[:p] + e[p + 1 :] for e in cut.lead_exponents()]
         if cut.contains_unit() or _pure_powers(leads, n - 1):
+            if _numerator(cut.lead_exponents()) == hilbert_numerator(I, budget):
+                return I  # l is a nonzerodivisor on R/I: I is saturated
             return saturate(I, IdealHandle.of(form), budget)[0]
     order = gb.order
     top = 0

@@ -251,14 +251,15 @@ KINDS = ("last", "variable", "pair", "sum", "l2", "primary", "embedded")
 
 
 @st.composite
-def ideals_of_dimension_at_most_one(draw, kind):
+def ideals_of_dimension_at_most_one(draw, kind, times_m=None):
     """(generators, points of V(I)) of a homogeneous ideal with dim <= 1.
 
     The kinds make each kind of candidate win: the last variable, another
     variable, a pair x_i + x_j, the sum of the variables and l_2 = sum
     2^k x_k.  "primary" is an m-primary ideal; "embedded", and any other
     kind half the time, is an ideal of points times m, which has an
-    embedded m-primary component.
+    embedded m-primary component.  `times_m` fixes the power of m the
+    ideal of points is multiplied by instead.
     """
     n = draw(st.sampled_from((3, 4)))
     ring = VariableSet([f"x{i}" for i in range(n)])
@@ -283,8 +284,10 @@ def ideals_of_dimension_at_most_one(draw, kind):
             c = draw(scale)
             points.append(tuple(map(add, _unit(n, i, c), _unit(n, j, -c))))
     gens = list(_points_ideal(ring, points).gens)
-    if kind == "embedded" or draw(st.booleans()):
-        gens = [g * x for g in gens for x in xs]
+    if times_m is None:
+        times_m = int(kind == "embedded" or draw(st.booleans()))
+    for _ in range(times_m):
+        gens = list(dict.fromkeys(g * x for g in gens for x in xs))
     return gens, points
 
 
@@ -362,6 +365,100 @@ class TestSaturateByVariables:
             saturate_by_variables(ideal(*gens), Budget(sat_cap=2))
         got = saturate_by_variables(ideal(*gens), Budget(sat_cap=3))
         assert got.gb().generators == ideal(*sat).gb().generators
+
+
+def _first_certified(gens):
+    """The first candidate form l with dim R/(I + (l)) = 0, by the Hilbert numerator."""
+    ring = gens[0].ring
+    xs = Polynomial.gens(ring)
+    for coeffs in groebner._linear_forms(len(ring)):
+        form = sum((x * c for x, c in zip(xs, coeffs) if c), Polynomial.zero(ring))
+        if dim_and_codim(IdealHandle(ring, [*gens, form]))[0] == 0:
+            return form
+
+
+def _spy(calls, owner, name):
+    """Patch `owner.name` to record its positional arguments in `calls`."""
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append((name, args))
+        return real(*args, **kwargs)
+
+    return mock.patch.object(owner, name, recording)
+
+
+class TestSaturationCertificates:
+    """The nonzerodivisor and coordinate-point certificates of `saturate_by_variables`."""
+
+    @pytest.mark.parametrize(
+        "kind, times_m",
+        [(k, t) for k in ("last", "variable", "pair", "sum", "l2") for t in (0, 1, 2)]
+        + [("variable", 3), ("pair", 3), ("primary", None)],
+    )
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_saturation_by_the_maximal_ideal(self, kind, times_m, data):
+        # times_m = 0: a saturated ideal of points; k > 0: the same times m^k,
+        # saturated by the winner l with exponent k; "pair" and "sum" pass
+        # through coordinate points, and "primary" saturates to the unit ideal
+        gens, _ = data.draw(ideals_of_dimension_at_most_one(kind, times_m))
+        ring = gens[0].ring
+        m = IdealHandle(ring, Polynomial.gens(ring))
+        want = saturate(IdealHandle(ring, gens), m)[0].gb().generators
+        assert saturate_by_variables(IdealHandle(ring, gens)).gb().generators == want
+        form = _first_certified(gens)
+        _, (k,) = saturate(IdealHandle(ring, gens), IdealHandle.of(form))
+        if times_m is not None:
+            assert k == times_m
+        for cap in (1, 2, 3):
+            try:
+                saturate_by_variables(IdealHandle(ring, gens), Budget(sat_cap=cap))
+                raised = False
+            except BudgetExceeded:
+                raised = True
+            assert raised == (k >= cap)  # the exponent of the winner, as `saturate` finds it
+
+    def test_a_saturated_ideal_takes_no_elimination(self):
+        # V(I) = (1:1:0), (1:2:0): x2 vanishes there, x1 wins and is a nonzerodivisor
+        gens = _points_ideal(R, [(1, 1, 0), (1, 2, 0)]).gens
+        calls = []
+        with _spy(calls, groebner, "saturate"), _spy(calls, groebner, "eliminate"):
+            with _spy(calls, Polynomial, "substitute"):
+                got = saturate_by_variables(IdealHandle(R, gens))
+        x0, x1, x2 = Polynomial.gens(R)
+        assert calls and all(
+            name == "substitute" and args[1] == [x0, x1 - x1, x2] for name, args in calls
+        )
+        assert got.gb().generators == buchberger(gens).generators
+
+    def test_candidates_through_a_coordinate_point_are_skipped(self):
+        # V(I) = e0, e1, e2: each variable and each pair vanishes at one, the sum wins
+        I = ideal("x1*x2", "x0*x2", "x0*x1")
+        I.gb()
+        calls = []
+        with _spy(calls, Polynomial, "substitute"), _spy(calls, groebner, "buchberger"):
+            got = saturate_by_variables(I)
+        x0, x1, x2 = Polynomial.gens(R)
+        images = [x0, x1, x2 - (x0 + x1 + x2)]
+        subs = [args for name, args in calls if name == "substitute"]
+        assert len(subs) == 3 and all(args[1] == images for args in subs)
+        assert [name for name, _ in calls].count("buchberger") == 1
+        assert got is I  # three reduced points: the sum is a nonzerodivisor
+
+    def test_coordinate_points_with_a_zero_generator_and_mixed_degrees(self):
+        gens = [p("x0^2 + x1*x2"), Polynomial.zero(R), p("x2^3 - x0*x1*x2")]
+        assert groebner._coordinate_points(gens, 3) == {1}
+        assert groebner._coordinate_points([Polynomial.zero(R)], 3) == {0, 1, 2}
+        assert groebner._coordinate_points([p("x0^3 + x1^3 + x2^3")], 3) == set()
+        # e1 lies on V(I), so x2 is never tried: x1 wins, with x1 = 0 as its cut
+        calls = []
+        with _spy(calls, Polynomial, "substitute"):
+            got = saturate_by_variables(IdealHandle(R, gens))
+        x0, x1, x2 = Polynomial.gens(R)
+        assert [args[1] for _, args in calls] == [[x0, x1 - x1, x2]] * 2
+        want = saturate(IdealHandle(R, gens), IdealHandle(R, [x0, x1, x2]))[0]
+        assert got.gb().generators == want.gb().generators
 
 
 class TestSeededBases:

@@ -311,6 +311,18 @@ class TestCli:
         assert all(data[k].startswith("skipped(budget: ") for k in bounds)
         assert data["syzygy_spans.all_match"] == "holds"
 
+    def test_analyze_pair_budget_reaches_the_bounds(self, capsys):
+        # the plane fixture's base ideal is saturated, so its saturation by
+        # the variables takes no elimination and 60 pairs reach every bound
+        analyze = ["analyze", fixture_path("plane"), "--machine"]
+        code, out = run_cli([*analyze, "--budget-pairs", "60"], capsys)
+        data = parse_report(out)
+        bounds = sorted(k for k in data if k.startswith("bounds."))
+        assert code == 0 and len(bounds) == 8
+        assert not any(data[k].startswith("skipped(budget") for k in bounds)
+        want = parse_report(run_cli(analyze, capsys)[1])
+        assert [data[k] for k in bounds] == [want[k] for k in bounds]
+
     @pytest.mark.parametrize(
         "argv",
         [

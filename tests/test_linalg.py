@@ -127,16 +127,36 @@ def _then_fail(rows):
     raise AssertionError("rank read a row after reaching full rank")
 
 
+def _nonzero_entry(rng):
+    """A draw like `nonzero`: small half the time, else a 70-bit integer or fraction."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    big = rng.choice((-1, 1)) * rng.randint(1, 2**70)
+    return big if kind == 2 else Fraction(big, rng.randint(1, 2**40))
+
+
+@st.composite
+def full_rank_matrices(draw):
+    """(rows, ncols): a triangular basis, one row per column with up to 4
+    entries after its pivot, shuffled in among the rows of `sparse_matrices`.
+
+    The basis and the shuffle come from one Hypothesis-driven `Random`:
+    a strategy drawn per entry cost most of the test's time."""
+    noise, ncols = draw(sparse_matrices())
+    rng = draw(st.randoms(use_true_random=False))
+    rows = list(noise)
+    for pc in range(ncols):
+        row = {rng.randint(pc, ncols - 1): _nonzero_entry(rng) for _ in range(rng.randint(0, 4))}
+        rows.append({**row, pc: _nonzero_entry(rng)})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
 @settings(max_examples=100, deadline=None)
-@given(sparse_matrices(), st.data())
-def test_rank_stops_reading_at_full_rank(mat, data):
-    # a triangular basis, one row per column with up to 4 entries after
-    # its pivot, shuffled in among the sparse rows
-    noise, ncols = mat
-    later = lambda pc: st.dictionaries(st.integers(pc, ncols - 1), nonzero, max_size=4)
-    basis = [{**data.draw(later(pc)), pc: data.draw(nonzero)} for pc in range(ncols)]
-    rows = noise + basis
-    rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+@given(full_rank_matrices())
+def test_rank_stops_reading_at_full_rank(mat):
+    rows, ncols = mat
     assert rank(_then_fail(rows), ncols) == ncols
 
 

@@ -49,6 +49,54 @@ def test_classify_a_skip_against_an_absent_key():
     assert machine_diff.classify({}, {"k": SKIP}) == [("k", "change-skip")]
 
 
+# `rees --budget-pairs 50` on two instances of the seed-3 benchmark set: the
+# parent ran out of pairs in the monoid association, so it skipped the
+# saturation identities for want of its output; the change finished the
+# association and then ran out of pairs in the identities (plane2.f1.0) or
+# finished them too (identity2.f2.0).
+MONOID_SKIPPED = """command = rees
+monoid.same_implicit_equation = skipped(budget: Groebner S-pair limit (limit 50))
+saturation.identities = skipped(monoid association unavailable)
+"""
+MONOID_DONE = """command = rees
+monoid.composition_holds = holds
+monoid.composition_order = cremona_then_monoid
+monoid.paper_sign_vanishes = no
+monoid.same_implicit_equation = holds
+monoid.sign = +
+"""
+IDENTITIES_SKIPPED = MONOID_DONE + (
+    "saturation.identities = skipped(budget: budget exceeded: Groebner S-pair limit (limit 50))\n"
+)
+IDENTITIES_DONE = MONOID_DONE + """saturation.backward_equal = holds
+saturation.backward_exponents = 0
+saturation.forward_equal = holds
+saturation.forward_exponents = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "change", [IDENTITIES_SKIPPED, IDENTITIES_DONE], ids=["identities-skipped", "identities-done"]
+)
+def test_a_skip_a_budget_skip_upstream_caused_is_a_parent_skip(change):
+    parent = machine_diff.parse(0, MONOID_SKIPPED)
+    found = dict(machine_diff.classify(parent, machine_diff.parse(0, change)))
+    assert found.pop("saturation.identities") == "parent-skip"
+    assert found.pop("monoid.same_implicit_equation") == "parent-skip"
+    assert set(found.values()) == {"parent-missing"}
+    # the same reports the other way round: the change got less far
+    back = dict(machine_diff.classify(machine_diff.parse(0, change), parent))
+    assert back["saturation.identities"] == "change-skip"
+    assert set(back.values()) <= {"change-skip", "change-missing"}
+
+
+def test_a_skip_without_a_budget_skip_is_a_value():
+    # no budget skip in either report: a skipped verdict is an ordinary value
+    parent = {"bounds.k": "skipped(g is a zero-divisor on R/I)"}
+    assert machine_diff.classify(parent, {"bounds.k": "holds"}) == [("bounds.k", "other")]
+    assert machine_diff.classify(parent, {}) == [("bounds.k", "change-missing")]
+
+
 def test_parse_reads_keys_and_the_exit_code():
     text = "command = rees\nmonoid.sign = +\nnot a key line\n"
     assert machine_diff.parse(1, text) == {

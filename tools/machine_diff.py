@@ -8,10 +8,15 @@ PARENT and CHANGE are checkout roots (each holds `src/jonq`); DIR holds
 `*.jonq` instance files.  Each checkout runs `jonq <command> <file>
 <flags> --machine` on every file in one interpreter process, with its
 own `src` on the path.  The reports are compared key by key, the exit
-code counting as the key `exit`.  A differing key is sorted into one of:
+code counting as the key `exit`.  A key is skipped for the budget when
+its value is `skipped(budget ...)`, or when it is any other `skipped(...)`
+in a report that holds a budget skip: a stage whose input an earlier
+budget skip left unavailable (`saturation.identities = skipped(monoid
+association unavailable)`).  That upstream skip got less far than a
+budget skip of the key itself.  A differing key is sorted into one of:
 
-    parent-skip     skipped(budget ...) at PARENT only
-    change-skip     skipped(budget ...) at CHANGE only
+    parent-skip     skipped at PARENT for the budget, CHANGE got further
+    change-skip     skipped at CHANGE for the budget, PARENT got further
     parent-missing  absent at PARENT only (a stage a skip cut short)
     change-missing  absent at CHANGE only
     other           any other difference
@@ -94,6 +99,16 @@ def is_budget_skip(value):
     return value is not None and value.startswith("skipped(budget")
 
 
+def skip_depth(value, report):
+    """How far a key skipped for the budget got: 0 upstream, 1 at the key; None if not skipped."""
+    if is_budget_skip(value):
+        return 1
+    if value is not None and value.startswith("skipped("):
+        if any(map(is_budget_skip, report.values())):
+            return 0
+    return None
+
+
 def classify(parent, change):
     """(key, category) for every key whose values differ."""
     out = []
@@ -101,9 +116,10 @@ def classify(parent, change):
         a, b = parent.get(key), change.get(key)
         if a == b:
             continue
-        if is_budget_skip(a) and not is_budget_skip(b):
+        da, db = skip_depth(a, parent), skip_depth(b, change)
+        if da is not None and (db is None or da < db):
             out.append((key, "parent-skip"))
-        elif is_budget_skip(b) and not is_budget_skip(a):
+        elif db is not None and (da is None or db < da):
             out.append((key, "change-skip"))
         elif a is None:
             out.append((key, "parent-missing"))
