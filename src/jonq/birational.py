@@ -45,11 +45,22 @@ class RationalMapData:
         return next(c.total_degree() for c in self.coords if not c.is_zero())
 
     def coordinate_gcd(self):
-        g = Polynomial.zero(self.source)
+        """gcd of the coordinates, canonical; 1 when they are coprime.
+
+        Every common factor of c_0, ..., c_n divides c_0 and the weighted
+        sum c_1 + 2*c_2 + ... + n*c_n, so their gcd g is a multiple of the
+        coordinate gcd.  One `poly_gcd` usually settles a coprime map (by
+        its mod-p certificate); otherwise g is refined against each
+        coordinate until it is constant.  That ends at the gcd of all the
+        coordinates, also when c_0 or the sum is zero.
+        """
+        c0, *rest = self.coords
+        weighted = sum((c * k for k, c in enumerate(rest, 1)), Polynomial.zero(self.source))
+        g = poly_gcd(c0, weighted)
         for c in self.coords:
-            g = poly_gcd(g, c)
-            if g.is_constant():
+            if g.is_constant() and not g.is_zero():
                 break
+            g = poly_gcd(g, c)
         return g
 
     def is_gcd_stripped(self):
@@ -152,7 +163,13 @@ def verify_cremona(G, Ginv):
 
 
 def compose(A, B, strip=True):
-    """The composite map 'apply A, then B' (coordinatewise substitution)."""
+    """The composite map 'apply A, then B' (coordinatewise substitution).
+
+    With `strip`, the coordinates are divided by their `coordinate_gcd`.
+    A caller that only tests `projectively_equal` passes `strip=False`:
+    a common factor c scales every 2x2 cross-product by c, so the verdict
+    is the same without the gcd.
+    """
     if len(A.coords) != len(B.source):
         raise StructuralError(
             f"cannot compose: first map has {len(A.coords)} coordinates, "

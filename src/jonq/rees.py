@@ -350,7 +350,10 @@ def monoid_association(P, monoid, budget=None):
     (a) M has the same implicit equation F: the x-free part of the Rees
     ideal of M, which M carries for `saturation_identities`;
     (b) the de Jonquieres map factors as the Cremona map followed by M,
-    testing both composition orders and recording which one holds.
+    testing both composition orders and recording which one holds.  Each
+    order compares the unstripped composite with the parametrization by
+    `projectively_equal`; a common factor of the composite scales every
+    cross-product and so cannot change the verdict, and no gcd is taken.
     The last coordinate's sign is chosen so that F(M) = 0; the report also
     records whether the opposite (paper display) sign vanishes.
     """
@@ -385,7 +388,7 @@ def monoid_association(P, monoid, budget=None):
     order = None
     holds = False
     try:
-        comp = compose(P.cremona.forward, M_map, strip=True)
+        comp = compose(P.cremona.forward, M_map, strip=False)
         if projectively_equal(list(comp.coords), list(j_coords)):
             order = "cremona_then_monoid"
             holds = True
@@ -393,7 +396,7 @@ def monoid_association(P, monoid, budget=None):
         pass
     if not holds:
         try:
-            comp = compose(M_map, P.cremona.forward, strip=True)
+            comp = compose(M_map, P.cremona.forward, strip=False)
             if projectively_equal(list(comp.coords), list(j_coords)):
                 order = "monoid_then_cremona"
                 holds = True

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from jonq import birational
 from jonq.birational import (
     RationalMapData,
     base_ideal,
@@ -9,7 +11,14 @@ from jonq.birational import (
 )
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import dim_and_codim
-from jonq.ring import Polynomial, parse_polynomial
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    divide_exact,
+    monomials_of_degree,
+    parse_polynomial,
+    poly_gcd,
+)
 
 
 def test_identity_factors(identity2):
@@ -60,14 +69,17 @@ def test_not_mutually_inverse(R3, Y3):
         verify_cremona(fwd, bad)
 
 
-def test_common_factor_rejected(R3, Y3):
-    fwd = RationalMapData(
-        R3, Y3, tuple(parse_polynomial(t, R3) for t in ("x0*x1", "x0*x2", "x0^2"))
-    )
+@pytest.mark.parametrize(
+    "coords",
+    [("x0*x1", "x0*x2", "x0^2"), ("0", "x0*x2", "x0*x1")],
+    ids=["nonzero", "zero_first"],
+)
+def test_common_factor_rejected(R3, Y3, coords):
+    fwd = RationalMapData(R3, Y3, tuple(parse_polynomial(t, R3) for t in coords))
     inv = RationalMapData(
         Y3, R3, tuple(parse_polynomial(t, Y3) for t in ("y0", "y1", "y2"))
     )
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation, match="common factor"):
         verify_cremona(fwd, inv)
 
 
@@ -112,3 +124,83 @@ class TestBaseIdeal:
         # the base locus contains lines, so the ideal has codimension 2
         I = space_instance.base_ideal_I()
         assert dim_and_codim(I) == (2, 2)
+
+
+X = VariableSet(["x0", "x1", "x2"])
+
+
+def chained_coordinate_gcd(coords):
+    """The coordinatewise gcd chain: gcd(...gcd(gcd(0, c_0), c_1)..., c_n),
+    stopping at the first nonzero constant: when c_0 is zero, gcd(0, 0) = 0
+    is constant but not yet the gcd."""
+    g = Polynomial.zero(X)
+    for c in coords:
+        g = poly_gcd(g, c)
+        if g.is_constant() and not g.is_zero():
+            break
+    return g
+
+
+_big = st.builds(
+    lambda sign, v: sign * v, st.sampled_from([1, -1]), st.integers(2**70 - 3, 2**70 + 3)
+)
+_coeffs = st.one_of(st.integers(-4, 4).filter(bool), _big)
+
+
+def _forms(degree, min_size=0):
+    monos = list(monomials_of_degree(len(X), degree))
+    return st.dictionaries(st.sampled_from(monos), _coeffs, min_size=min_size, max_size=3).map(
+        lambda terms: Polynomial(X, terms)
+    )
+
+
+@st.composite
+def planted_coordinates(draw):
+    """h * (q_0, ..., q_n) with a planted factor h of degree 0-2; the shape
+    makes q_0 zero, or the weighted sum q_1 + 2*q_2 + ... + n*q_n zero."""
+    h = draw(_forms(draw(st.integers(0, 2)), min_size=1))
+    degree = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 4))
+    qs = [draw(_forms(degree)) for _ in range(n + 1)]
+    shape = draw(st.sampled_from(["free", "zero_first", "zero_sum"]))
+    if shape == "zero_first":
+        qs[0] = Polynomial.zero(X)
+    elif shape == "zero_sum" and n >= 2:
+        # n * sum_{k<n} k*q_k + n*(-sum_{k<n} k*q_k) = 0
+        last = sum((q * k for k, q in enumerate(qs[1:n], 1)), Polynomial.zero(X))
+        qs = [q * n for q in qs[:n]] + [-last]
+    assume(any(not q.is_zero() for q in qs))
+    return h, tuple(h * q for q in qs)
+
+
+def _map(coords):
+    return RationalMapData(X, VariableSet([f"y{i}" for i in range(len(coords))]), coords)
+
+
+def _xs(*texts):
+    return tuple(parse_polynomial(t, X) for t in texts)
+
+
+class TestCoordinateGcd:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(planted_coordinates())
+    @example((_xs("1")[0], _xs("x0", "2*x1", "-x1")))
+    @example((_xs("x2")[0], _xs("x0*x2", "2*x1*x2", "-x1*x2")))
+    @example((_xs("x1")[0], _xs("0", "x0*x1", "x1*x2")))
+    @example((_xs("x0")[0], _xs("0", "x0", "-x0")))
+    @example((_xs("x2")[0], _xs(f"{2**70}*x0*x2", f"{2**70 + 1}*x1*x2", "0")))
+    def test_matches_the_chain(self, planted):
+        h, coords = planted
+        G = _map(coords)
+        want = chained_coordinate_gcd(coords)
+        assert G.coordinate_gcd() == want
+        assert G.is_gcd_stripped() == want.is_constant()
+        divide_exact(want, h)  # the planted factor divides the gcd
+
+    def test_coprime_map_settled_by_one_gcd(self, monkeypatch):
+        calls = []
+        real = birational.poly_gcd
+        monkeypatch.setattr(birational, "poly_gcd", lambda *a: calls.append(a) or real(*a))
+        G = _map(_xs("x1*x2", "x0*x2", "x0*x1"))
+        assert G.is_gcd_stripped()
+        assert len(calls) == 1

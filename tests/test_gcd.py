@@ -140,11 +140,20 @@ def test_divisor_fast_path_matches_prs(a, b, unit):
             assert calls == [], "an exact divisor must skip the elimination"
 
 
-def test_same_degree_pair_without_divisor_runs_prs():
-    a = parse_polynomial("x0^2 + x0*x2 + x0*x1 + x1*x2", R)  # (x0 + x1) * (x0 + x2)
-    b = parse_polynomial("x0*x1 + x0*x2 + x1^2 + x1*x2", R)  # (x0 + x1) * (x1 + x2)
+@pytest.mark.parametrize(
+    "a, b, gcd",
+    [
+        # (x0 + x1) * (x0 + x2) and (x0 + x1) * (x1 + x2)
+        ("x0^2 + x0*x2 + x0*x1 + x1*x2", "x0*x1 + x0*x2 + x1^2 + x1*x2", "x0 + x1"),
+        # the shape of a composite's coordinates sharing a factor
+        ("x1*x2", "x0*x2", "x2"),
+    ],
+    ids=["linear_factor", "common_variable"],
+)
+def test_same_degree_pair_without_divisor_runs_prs(a, b, gcd):
+    a, b = parse_polynomial(a, R), parse_polynomial(b, R)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_intersect_calls(mp)
-        assert poly_gcd(a, b) == parse_polynomial("x0 + x1", R)
+        assert poly_gcd(a, b) == parse_polynomial(gcd, R)
     assert [(I.gens, J.gens) for I, J in calls] == [((a.canonical(),), (b.canonical(),))]
     assert poly_gcd(-a, b) == reference(a, b)

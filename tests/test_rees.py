@@ -245,8 +245,9 @@ class TestMonoidAssociation:
 
     @pytest.mark.parametrize("name", sorted(STRIPPED_COMPOSITE))
     def test_stripped_composite_pinned(self, name, monkeypatch):
-        # the composite monoid_association strips; its coordinate gcd reaches
-        # poly_gcd's elimination fallback, and off identity it is not constant
+        # off identity the composite's coordinate gcd is not constant, and
+        # refining the one-certificate gcd reaches poly_gcd's elimination
+        # once; on identity the certificate settles it
         P = load_fixture(name).jonquieres()
         M, _ = monoid_association(P, implicitize(P))
         M_map = RationalMapData(P.source, P.monoid_ring, M.coords)
@@ -256,9 +257,27 @@ class TestMonoidAssociation:
         meet = groebner.intersect
         monkeypatch.setattr(groebner, "intersect", lambda *a: calls.append(a) or meet(*a))
         comp = compose(P.cremona.forward, M_map, strip=True)
-        assert calls
+        assert len(calls) == (name != "identity")
         digest = hashlib.sha256("\n".join(map(str, comp.coords)).encode()).hexdigest()
         assert digest == self.STRIPPED_COMPOSITE[name]
+
+    @pytest.mark.parametrize("name", sorted(STRIPPED_COMPOSITE))
+    def test_no_gcd_elimination(self, name, monkeypatch):
+        # verify_cremona's coprimality and the composition verdict need no
+        # elimination: one certificate each, and no stripped composite
+        calls = []
+        meet = groebner.intersect
+        counting = lambda *a, **k: calls.append(a) or meet(*a, **k)  # noqa: E731
+        inst = load_fixture(name)
+        monkeypatch.setattr(groebner, "intersect", counting)
+        P = inst.jonquieres()
+        monkeypatch.setattr(groebner, "intersect", meet)
+        mon = implicitize(P)
+        monkeypatch.setattr(groebner, "intersect", counting)
+        M, rep = monoid_association(P, mon)
+        sat = saturation_identities(P, M)
+        assert rep.composition_holds and sat.status == "holds"
+        assert calls == []
 
 
 class TestSaturationIdentities:
