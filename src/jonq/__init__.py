@@ -44,7 +44,6 @@ from jonq.rees import (
     ReesPresentation,
     downgrade,
     downgraded_rees_ideal,
-    extraneous_factors,
     iterated_downgrades,
     monoid_association,
     rees_ideal,

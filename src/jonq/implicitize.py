@@ -13,11 +13,12 @@ TCS 392, 2008).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import IdealHandle, buchberger, normal_form
-from jonq.rees import eliminate_rees_parameter, implicit_generator
+from jonq.groebner import IdealHandle
+from jonq.rees import _quotient, eliminate_rees_parameter, implicit_generator
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
@@ -29,7 +30,11 @@ def monoid_ring_for(target):
 
 @dataclass(frozen=True)
 class JonquieresData:
-    """A de Jonquieres parametrization (g_0 f : ... : g_n f : g)."""
+    """A de Jonquieres parametrization (g_0 f : ... : g_n f : g).
+
+    The evaluations at the inverse map and their gcds are derived once, on
+    first use, and shared by every report of the instance.
+    """
 
     cremona: VerifiedCremona
     f: Polynomial
@@ -76,6 +81,29 @@ class JonquieresData:
     def ideal_J(self):
         return IdealHandle(self.source, self.coordinates())
 
+    @cached_property
+    def evaluations(self):
+        """(f(g'), g(g')), both nonzero by hypothesis."""
+        ginv = list(self.cremona.inverse.coords)
+        fg = self.f.substitute(ginv)
+        gg = self.g.substitute(ginv)
+        if fg.is_zero():
+            raise HypothesisViolation("hypothesis f(g') != 0 fails")
+        if gg.is_zero():
+            raise HypothesisViolation("hypothesis g(g') != 0 fails")
+        return fg, gg
+
+    @cached_property
+    def stripped_gcd(self):
+        """gcd(g(g'), f(g') D), the denominator of the closed form."""
+        fg, gg = self.evaluations
+        return poly_gcd(gg, fg * self.cremona.target_factor)
+
+    @cached_property
+    def evaluations_coprime(self):
+        """Whether gcd(f(g'), g(g')) = 1."""
+        return poly_gcd(*self.evaluations).is_constant()
+
 
 @dataclass(frozen=True)
 class ImplicitMonoid:
@@ -87,20 +115,16 @@ class ImplicitMonoid:
     stripped_gcd: Polynomial
     last_var: str
 
+    @classmethod
+    def of(cls, P, F_delta, F_dm1, stripped_gcd):
+        """The monoid equation of `P` with the given components."""
+        y_last = Polynomial.variable(P.monoid_ring, P.last_var)
+        F = F_delta.map_ring(P.monoid_ring) - y_last * F_dm1.map_ring(P.monoid_ring)
+        return cls(F, F_delta, F_dm1, stripped_gcd, P.last_var)
+
     @property
     def delta(self):
         return self.F.total_degree()
-
-
-def _evaluations(P):
-    ginv = list(P.cremona.inverse.coords)
-    fg = P.f.substitute(ginv)
-    gg = P.g.substitute(ginv)
-    if fg.is_zero():
-        raise HypothesisViolation("hypothesis f(g') != 0 fails")
-    if gg.is_zero():
-        raise HypothesisViolation("hypothesis g(g') != 0 fails")
-    return fg, gg
 
 
 def implicitize(P, budget=None):
@@ -109,18 +133,13 @@ def implicitize(P, budget=None):
     F = (g(g') - y_{n+1} f(g') D) / gcd(g(g'), f(g') D); irreducible by
     construction since the two components end up relatively prime.
     """
-    fg, gg = _evaluations(P)
-    D = P.cremona.target_factor
-    prod = fg * D
-    stripped = poly_gcd(gg, prod)
+    fg, gg = P.evaluations
+    stripped = P.stripped_gcd
     F_delta = divide_exact(gg, stripped)
-    F_dm1 = divide_exact(prod, stripped)
-    mring = P.monoid_ring
-    y_last = Polynomial.variable(mring, P.last_var)
-    F = F_delta.map_ring(mring) - y_last * F_dm1.map_ring(mring)
+    F_dm1 = divide_exact(fg * P.cremona.target_factor, stripped)
     if not poly_gcd(F_delta, F_dm1).is_constant():
         raise StructuralError("monoid components fail to be relatively prime")
-    return ImplicitMonoid(F, F_delta, F_dm1, stripped, P.last_var)
+    return ImplicitMonoid.of(P, F_delta, F_dm1, stripped)
 
 
 @dataclass(frozen=True)
@@ -138,7 +157,7 @@ class DegreeReport:
 
 def predicted_degree(P, monoid):
     """Both degree expressions of the closed form, plus the coprime window."""
-    fg, gg = _evaluations(P)
+    gg = P.evaluations[1]
     D = P.cremona.target_factor
     dprime = P.cremona.inverse_degree
     df = P.f.total_degree()
@@ -146,11 +165,10 @@ def predicted_degree(P, monoid):
     sdeg = monoid.stripped_gcd.total_degree()
     via_g = dg * dprime - sdeg
     via_f = df * dprime + D.total_degree() + 1 - sdeg
-    coprime = poly_gcd(fg, gg).is_constant()
     window = None
     window_holds = None
     via_D = None
-    if coprime:
+    if P.evaluations_coprime:
         # upper end attained exactly when gcd(g(g'), D) is constant (then
         # deg F = deg(g) deg(G^-1)), e.g. over the identity Cremona
         window = (df * dprime + 1, dg * dprime)
@@ -162,7 +180,7 @@ def predicted_degree(P, monoid):
         via_deg_f=via_f,
         upper_bound=dg * dprime,
         stripped_gcd_degree=sdeg,
-        evaluations_coprime=coprime,
+        evaluations_coprime=P.evaluations_coprime,
         window=window,
         window_holds=window_holds,
         via_target_factor_gcd=via_D,
@@ -174,20 +192,21 @@ class SyzygeticPolynomial:
     conductor_gen: Polynomial  # c_j, over the source variables
     content_column: tuple  # h_ij with c_j*g = sum h_ij g_i
     polynomial: Polynomial  # the evaluated form in the monoid ring
-    extraneous_factor: Polynomial  # polynomial / F
+    extraneous_factor: Polynomial | None  # polynomial / F; None if F does not divide it
 
 
 def syzygetic_polynomials(P, monoid, conductor):
     """One syzygetic polynomial per minimal conductor generator.
 
     `conductor` is the `conductor_data` of the base ideal and g.  Each is
-    sum h_ij(g') y_i - f(g') c_j(g') y_{n+1}; all are exact multiples of
-    F, and the quotients (extraneous factors) are returned.
+    sum h_ij(g') y_i - f(g') c_j(g') y_{n+1}, an exact multiple of F; it
+    is divided by F once, and the quotient (extraneous factor) is None
+    when F fails to divide it.
     """
     ginv = list(P.cremona.inverse.coords)
     mring = P.monoid_ring
     y_last = Polynomial.variable(mring, P.last_var)
-    fg = P.f.substitute(ginv)
+    fg = P.evaluations[0]
     out = []
     for j, cj in enumerate(conductor.conductors):
         col = [conductor.content.entries[i][j] for i in range(len(ginv))]
@@ -199,8 +218,7 @@ def syzygetic_polynomials(P, monoid, conductor):
                 mring, P.cremona.target.names[i]
             )
         acc = acc - y_last * (fg * cj.substitute(ginv)).map_ring(mring)
-        factor = divide_exact(acc, monoid.F)
-        out.append(SyzygeticPolynomial(cj, tuple(col), acc, factor))
+        out.append(SyzygeticPolynomial(cj, tuple(col), acc, _quotient(acc, monoid.F)))
     return out
 
 
@@ -221,8 +239,7 @@ def inclusion_case_equivalence(P, monoid, conductor):
     Applicable only when gcd(f(g'), g(g')) = 1; otherwise reported as
     not-applicable.
     """
-    fg, gg = _evaluations(P)
-    if not poly_gcd(fg, gg).is_constant():
+    if not P.evaluations_coprime:
         return InclusionReport(False, None, None, None)
     side_i = conductor.kind == "inclusion"
     target_deg = P.f.total_degree() * P.cremona.inverse_degree + 1
@@ -252,13 +269,13 @@ def nzd_case(P, monoid, conductor):
             "g is not a non-zero-divisor on R/I (case classified as "
             f"{conductor.kind})"
         )
-    fg, gg = _evaluations(P)
+    fg, gg = P.evaluations
     D = P.cremona.target_factor
     mring = P.monoid_ring
     y_last = Polynomial.variable(mring, P.last_var)
     cand = gg.map_ring(mring) - y_last * (fg * D).map_ring(mring)
     a = cand.proportional_to(monoid.F)
-    b = poly_gcd(gg, fg * D).is_constant()
+    b = P.stripped_gcd.is_constant()
     rhs = P.f.total_degree() * P.cremona.inverse_degree + D.total_degree() + 1
     c = monoid.delta == rhs
     return NzdReport(
@@ -297,50 +314,42 @@ def eulerian_equation(g, grad_inverse, lam):
     if f.is_zero():
         raise HypothesisViolation("f = sum lam_i x_i must be nonzero")
     P = JonquieresData.build(cremona, f, g)
-    fg, gg = _evaluations(P)
-    if not poly_gcd(fg, gg).is_constant():
+    if not P.evaluations_coprime:
         raise HypothesisViolation(
             "gcd(f(g'), g(g')) != 1: lambda is not general enough"
         )
     dplus1 = g.total_degree()
-    mring, last = P.monoid_ring, P.last_var
-    y_last = Polynomial.variable(mring, last)
     target = cremona.target
-    F = Polynomial.zero(mring)
     F_delta = Polynomial.zero(target)
     F_dm1 = Polynomial.zero(target)
-    for i, nm in enumerate(target.names):
-        gp = cremona.inverse.coords[i]
+    for li, nm, gp in zip(lam, target.names, cremona.inverse.coords):
         F_delta = F_delta + Polynomial.variable(target, nm) * gp
-        F_dm1 = F_dm1 + gp * (dplus1 * lam[i])
-        F = F + (
-            Polynomial.variable(mring, nm) - y_last * (dplus1 * lam[i])
-        ) * gp.map_ring(mring)
+        F_dm1 = F_dm1 + gp * (dplus1 * li)
     if not poly_gcd(F_delta, F_dm1).is_constant():
         raise HypothesisViolation(
             "Eulerian components share a factor: lambda is not general enough"
         )
-    return ImplicitMonoid(F, F_delta, F_dm1, Polynomial.constant(target, 1), last)
+    return ImplicitMonoid.of(P, F_delta, F_dm1, Polynomial.constant(target, 1))
 
 
-def verify_inverse_representative(P, monoid, budget=None):
+def verify_inverse_representative(P, monoid):
     """Check (g'_0 : ... : g'_n) represents the inverse, modulo (F).
 
     All 2x2 minors of the 2 x (n+2) matrix with rows (coords evaluated at
-    g') and (y_0, ..., y_{n+1}) must reduce to zero modulo F.
+    g') and (y_0, ..., y_{n+1}) must be multiples of F: the reduced basis
+    of the principal ideal (F) is F itself, so this is reduction to zero
+    modulo (F).
     """
     ginv = list(P.cremona.inverse.coords)
     mring = P.monoid_ring
     top = [c.substitute(ginv).map_ring(mring) for c in P.coordinates()]
     bottom = [Polynomial.variable(mring, nm) for nm in mring.names]
-    gb = buchberger([monoid.F], ring=mring, budget=budget)
     n2 = len(top)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            minor = top[i] * bottom[j] - top[j] * bottom[i]
-            if not normal_form(minor, gb).is_zero():
-                return False
-    return True
+    return all(
+        _quotient(top[i] * bottom[j] - top[j] * bottom[i], monoid.F) is not None
+        for i in range(n2)
+        for j in range(i + 1, n2)
+    )
 
 
 def oracle_implicitize(coords, target_ring=None, budget=None):

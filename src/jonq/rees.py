@@ -35,7 +35,29 @@ from jonq.groebner import (
     saturate,
     saturation_exponent,
 )
-from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
+from jonq.ring import Polynomial, VariableSet, divide_exact
+
+
+def _quotient(p, d):
+    """p / d when d divides p exactly, else None: one division read as a verdict."""
+    try:
+        return divide_exact(p, d)
+    except DivisibilityError:
+        return None
+
+
+def _kernel_images(ambient, y_names, carrier):
+    """The image of each ambient variable under x -> x, y_i -> t*carrier_i.
+
+    A polynomial maps to zero exactly when it lies in the Rees kernel of
+    the carrier forms.
+    """
+    xring = carrier[0].ring
+    aux = xring.extended(xring.fresh_name("t"))
+    t = Polynomial.variable(aux, aux.names[-1])
+    by_name = {nm: Polynomial.variable(aux, nm) for nm in xring.names}
+    by_name.update((nm, t * c.map_ring(aux)) for nm, c in zip(y_names, carrier))
+    return [by_name[nm] for nm in ambient.names]
 
 
 @dataclass(frozen=True)
@@ -43,8 +65,8 @@ class ReesPresentation:
     """Bigraded generators of a Rees-type ideal in k[x; y].
 
     `carrier` holds the parametrizing forms when the presentation is a
-    full kernel (roles other than 'downgraded'); kernel membership is then
-    a substitution test.  `ideal` is the handle of the generators, made
+    full kernel (as `rees_ideal` makes it); kernel membership is then a
+    substitution test.  `ideal` is the handle of the generators, made
     here unless given (`rees_ideal` passes the one `eliminate` returns).
     """
 
@@ -52,7 +74,6 @@ class ReesPresentation:
     x_names: tuple
     y_names: tuple
     generators: tuple
-    role: str
     carrier: tuple | None = None
     ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
@@ -71,27 +92,21 @@ class ReesPresentation:
     def x_indices(self):
         return tuple(self.ambient.index(n) for n in self.x_names)
 
-    def kernel_contains(self, h, budget=None):
+    def kernel_contains(self, h):
         """Membership in the presented kernel via substitution.
 
-        Valid because the presentation is ker(y_i -> t*carrier_i); for the
-        'downgraded' role (not a kernel) this is unavailable.
+        Valid because the presentation is ker(y_i -> t*carrier_i); without
+        a carrier (not a kernel) this is unavailable.
         """
         if self.carrier is None:
             raise StructuralError(
                 "kernel membership needs a carrier parametrization"
             )
-        return h.substitute(self._kernel_images).is_zero()
+        return h.substitute(self._images).is_zero()
 
     @cached_property
-    def _kernel_images(self):
-        """The image of each ambient variable under x -> x, y_i -> t*carrier_i."""
-        xring = self.carrier[0].ring
-        aux = xring.extended(xring.fresh_name("t"))
-        t = Polynomial.variable(aux, aux.names[-1])
-        by_name = {nm: Polynomial.variable(aux, nm) for nm in xring.names}
-        by_name.update((nm, t * c.map_ring(aux)) for nm, c in zip(self.y_names, self.carrier))
-        return [by_name[nm] for nm in self.ambient.names]
+    def _images(self):
+        return _kernel_images(self.ambient, self.y_names, self.carrier)
 
 
 def eliminate_rees_parameter(gens, y_names, budget=None):
@@ -143,7 +158,7 @@ def implicit_generator(ideal, x_names, y_ring, budget=None):
     return free[0].restrict_to(y_ring).canonical()
 
 
-def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
+def rees_ideal(gens, y_names=None, budget=None):
     """Defining ideal of the Rees algebra of (gens), by eliminating t."""
     gens = list(gens)
     if not gens:
@@ -164,7 +179,7 @@ def rees_ideal(gens, y_names=None, role="rees_ideal", budget=None):
     if len(y_names) != len(gens):
         raise StructuralError("one y variable per generator")
     elim = eliminate_rees_parameter(gens, y_names, budget)  # its ring: x then y
-    return ReesPresentation(elim.ring, xring.names, y_names, elim.gens, role, tuple(gens), elim)
+    return ReesPresentation(elim.ring, xring.names, y_names, elim.gens, tuple(gens), elim)
 
 
 # -- framing and downgrading --------------------------------------------------
@@ -235,7 +250,7 @@ class DowngradeReport:
     codim: int
     codim_expected: int
     codim_matches: bool
-    fully_downgraded: tuple
+    factors: tuple  # per chain, its last element / F in the monoid ring, or None
     all_divisible_by_F: bool
     chains: tuple  # tuple of downgrade chains (tuples of Polynomial)
 
@@ -246,18 +261,16 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     `conductor` is the `conductor_data` of the base ideal and g.
     Verifies: every generator lies in the Rees kernel of (If, g); the
     codimension is n+1; every fully downgraded element is a multiple of F.
+    Each fully downgraded element is divided by F once: `factors` holds
+    the quotient, or None when x is left in the element or F fails to
+    divide it.
     """
     budget = budget or Budget()
     n = P.n
     xring = P.source
     ambient = xring.union(P.monoid_ring)
     x_idx = tuple(ambient.index(nm) for nm in xring.names)
-    cre = rees_ideal(
-        list(P.cremona.forward.coords),
-        y_names=P.cremona.target.names,
-        role="cremona_rees",
-        budget=budget,
-    )
+    cre = rees_ideal(P.cremona.forward.coords, P.cremona.target.names, budget)
     gens = [g.map_ring(ambient) for g in cre.generators]
     H = [h.map_ring(ambient) for h in P.cremona.inverse.coords]
     y_last = Polynomial.variable(ambient, P.last_var)
@@ -272,53 +285,27 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
         chains.append(tuple(iterated_downgrades(Q, H, x_idx)))
     for chain in chains:
         gens.extend(chain)
-    pres = ReesPresentation(
-        ambient, xring.names, P.monoid_ring.names, tuple(gens), "downgraded"
-    )
+    pres = ReesPresentation(ambient, xring.names, P.monoid_ring.names, tuple(gens))
     # (i) containment in the Rees kernel of (If, g)
-    J_rees_stub = ReesPresentation(
-        ambient,
-        xring.names,
-        P.monoid_ring.names,
-        (),
-        "rees_ideal",
-        carrier=P.coordinates(),
-    )
-    contained = all(J_rees_stub.kernel_contains(g) for g in pres.generators)
+    images = _kernel_images(ambient, P.monoid_ring.names, P.coordinates())
+    contained = all(g.substitute(images).is_zero() for g in pres.generators)
     # (ii) codimension
     _, codim = dim_and_codim(pres.ideal, budget)
     # (iii) fully downgraded elements are multiples of F
-    F_amb = monoid.F.map_ring(ambient)
-    fully = tuple(chain[-1] for chain in chains)
-    divisible = True
-    for q in fully:
-        if q.degree_in(x_idx) != 0:
-            divisible = False
-            continue
-        try:
-            divide_exact(q, F_amb)
-        except DivisibilityError:
-            divisible = False
+    factors = tuple(
+        None if q.degree_in(x_idx) != 0 else _quotient(q.restrict_to(P.monoid_ring), monoid.F)
+        for q in (chain[-1] for chain in chains)
+    )
     report = DowngradeReport(
         contained_in_rees=contained,
         codim=codim,
         codim_expected=n + 1,
         codim_matches=(codim == n + 1),
-        fully_downgraded=fully,
-        all_divisible_by_F=divisible,
+        factors=factors,
+        all_divisible_by_F=all(q is not None for q in factors),
         chains=tuple(chains),
     )
     return pres, report
-
-
-def extraneous_factors(P, monoid, report):
-    """Quotients (fully downgraded element) / F, for inspection."""
-    out = []
-    for q in report.fully_downgraded:
-        restricted = q.restrict_to(P.monoid_ring)
-        factor = divide_exact(restricted, monoid.F)
-        out.append((restricted, factor))
-    return out
 
 
 # -- monoid association --------------------------------------------------------
@@ -330,7 +317,6 @@ class MonoidParametrization:
     h_delta_minus_1: Polynomial
     coords: tuple
     sign: int
-    K: IdealHandle
     rees: ReesPresentation = field(repr=False, compare=False)  # of `coords`
 
 
@@ -338,7 +324,6 @@ class MonoidParametrization:
 class MonoidAssociationReport:
     sign: int
     paper_sign_vanishes: bool
-    chosen_sign_vanishes: bool
     same_implicit_equation: bool
     composition_order: str | None  # which order reproduced the parametrization
     composition_holds: bool
@@ -355,60 +340,51 @@ def monoid_association(P, monoid, budget=None):
     `projectively_equal`; a common factor of the composite scales every
     cross-product and so cannot change the verdict, and no gcd is taken.
     The last coordinate's sign is chosen so that F(M) = 0; the report also
-    records whether the opposite (paper display) sign vanishes.
+    records whether the opposite (paper display) sign vanishes.  The two
+    components of `monoid` are coprime, as its constructor proved.
     """
     budget = budget or Budget()
     xring = P.source
     h_delta = monoid.F_delta.rename(xring)
     h_dm1 = monoid.F_delta_minus_1.rename(xring)
-    if not poly_gcd(h_delta, h_dm1).is_constant():
-        raise StructuralError("monoid components share a factor after renaming")
     xs = Polynomial.gens(xring)
 
     def coords_for(sign):
         return tuple(h_dm1 * x for x in xs) + (h_delta * sign,)
 
     def f_vanishes(sign):
-        subs = [c.map_ring(xring) for c in coords_for(sign)]
-        return monoid.F.substitute(list(subs)).is_zero()
+        return monoid.F.substitute(list(coords_for(sign))).is_zero()
 
     plus, minus = f_vanishes(1), f_vanishes(-1)
     if not (plus or minus):
         raise StructuralError("no sign makes F vanish on the monoid tuple")
     sign = 1 if plus else -1
     coords = coords_for(sign)
-    K = IdealHandle(xring, tuple(h_dm1 * x for x in xs) + (h_delta,))
-    I_M = rees_ideal(coords, y_names=P.monoid_ring.names, role="monoid_rees", budget=budget)
-    M = MonoidParametrization(h_delta, h_dm1, coords, sign, K, I_M)
+    I_M = rees_ideal(coords, y_names=P.monoid_ring.names, budget=budget)
+    M = MonoidParametrization(h_delta, h_dm1, coords, sign, I_M)
     F2 = implicit_generator(I_M.ideal, xring.names, P.monoid_ring, budget)
     same_F = F2.proportional_to(monoid.F)
 
     M_map = RationalMapData(xring, P.monoid_ring, coords)
-    j_coords = P.coordinates()
+    G = P.cremona.forward
     order = None
-    holds = False
-    try:
-        comp = compose(P.cremona.forward, M_map, strip=False)
-        if projectively_equal(list(comp.coords), list(j_coords)):
-            order = "cremona_then_monoid"
-            holds = True
-    except StructuralError:
-        pass
-    if not holds:
+    for name, first, second in (
+        ("cremona_then_monoid", G, M_map),
+        ("monoid_then_cremona", M_map, G),
+    ):
         try:
-            comp = compose(M_map, P.cremona.forward, strip=False)
-            if projectively_equal(list(comp.coords), list(j_coords)):
-                order = "monoid_then_cremona"
-                holds = True
+            comp = compose(first, second, strip=False)
+            if projectively_equal(list(comp.coords), list(P.coordinates())):
+                order = name
+                break
         except StructuralError:
             pass
     report = MonoidAssociationReport(
         sign=sign,
         paper_sign_vanishes=minus,
-        chosen_sign_vanishes=True,
         same_implicit_equation=same_F,
         composition_order=order,
-        composition_holds=holds,
+        composition_holds=order is not None,
     )
     return M, report
 
@@ -463,7 +439,7 @@ def saturation_identities(P, M, budget=None):
         I_M = M.rees
         coords = P.coordinates()
         I_F = I_M if M.coords == coords else rees_ideal(
-            coords, y_names=P.monoid_ring.names, role="jonquieres_rees", budget=budget
+            coords, y_names=P.monoid_ring.names, budget=budget
         )
         ambient = I_F.ambient
         x_named = {nm: Polynomial.variable(ambient, nm) for nm in ambient.names}

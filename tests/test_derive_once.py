@@ -1,9 +1,9 @@
 """Each derived object of an instance is computed once per command.
 
 Counting wrappers replace `saturate_by_variables`, `colon`, `eliminate`,
-`regularity_dim1`, `conductor_data`, `implicitize`, `oracle_implicitize`
-and `rees_ideal` in every `jonq.*` module that binds them; the commands
-then run through the CLI entry point.
+`regularity_dim1`, `conductor_data`, `implicitize`, `oracle_implicitize`,
+`rees_ideal`, `buchberger` and `poly_gcd` in every `jonq.*` module that
+binds them; the commands then run through the CLI entry point.
 """
 
 import sys
@@ -13,9 +13,10 @@ import pytest
 from jonq import cli
 from jonq.cli import main  # imports every layer module
 from jonq.fixtures import fixture_path, load_fixture
-from jonq.groebner import colon, eliminate, saturate_by_variables
+from jonq.groebner import buchberger, colon, eliminate, saturate_by_variables
 from jonq.implicitize import implicitize, oracle_implicitize
 from jonq.rees import rees_ideal
+from jonq.ring import poly_gcd
 from jonq.syzygies import conductor_data, regularity_dim1
 
 COUNTED = {
@@ -27,6 +28,8 @@ COUNTED = {
     "implicitize": implicitize,
     "oracle_implicitize": oracle_implicitize,
     "rees_ideal": rees_ideal,
+    "buchberger": buchberger,
+    "poly_gcd": poly_gcd,
 }
 
 
@@ -112,3 +115,48 @@ def test_oracle_is_one_elimination_of_one_variable(fixture, calls, monkeypatch, 
     monkeypatch.setattr(cli, "oracle_implicitize", spanning)
     assert main(["implicitize", fixture_path(fixture), "--oracle", "--machine"]) == 0
     assert spans == [[1]]
+
+
+def _calls_inside(monkeypatch, calls, name, counted):
+    """Per call of `cli.<name>`, the number of `counted` calls made inside it."""
+    spans = []
+    fn = getattr(cli, name)
+
+    def spanning(*args, **kwargs):
+        start = len(calls[counted])
+        out = fn(*args, **kwargs)
+        spans.append(len(calls[counted]) - start)
+        return out
+
+    monkeypatch.setattr(cli, name, spanning)
+    return spans
+
+
+@pytest.mark.parametrize("fixture", ["identity", "plane", "nzd", "space"])
+def test_no_proof_is_made_twice(fixture, calls, monkeypatch, capsys):
+    # F divides each minor: (F) needs no Groebner basis; the monoid's two
+    # components are coprime by the construction of the monoid
+    inverse = _calls_inside(monkeypatch, calls, "verify_inverse_representative", "buchberger")
+    monoid = _calls_inside(monkeypatch, calls, "monoid_association", "poly_gcd")
+    assert main(["implicitize", fixture_path(fixture), "--machine"]) == 0
+    assert main(["rees", fixture_path(fixture), "--machine"]) == 0
+    assert (inverse, monoid) == ([0], [0])
+
+
+# poly_gcd calls per command, parsing and Cremona verification included
+POLY_GCD_CALLS = {
+    "identity": {"implicitize": 8, "rees": 6, "analyze": 4},
+    "plane": {"implicitize": 8, "rees": 6, "analyze": 4},
+    "nzd": {"implicitize": 8, "rees": 6, "analyze": 4},
+    "space": {"implicitize": 7, "rees": 6, "analyze": 4},
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(POLY_GCD_CALLS))
+def test_poly_gcd_calls_pinned(fixture, calls, capsys):
+    counts = {}
+    for command, flags in (("implicitize", ["--oracle"]), ("rees", []), ("analyze", [])):
+        start = len(calls["poly_gcd"])
+        assert main([command, fixture_path(fixture), *flags, "--machine"]) == 0
+        counts[command] = len(calls["poly_gcd"]) - start
+    assert counts == POLY_GCD_CALLS[fixture]

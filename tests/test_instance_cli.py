@@ -1,13 +1,17 @@
+import dataclasses
 import io
+import re
 import sys
 
 import pytest
 
+from jonq import cli
 from jonq.cli import _build_parser, main
 from jonq.errors import ParseError
 from jonq.fixtures import FIXTURE_NAMES, fixture_path, fixture_text, load_fixture
 from jonq.instance import parse_instance
 from jonq.report import Report, parse_report, skipped, verdict
+from jonq.ring import Polynomial
 
 
 class TestInstanceParsing:
@@ -170,6 +174,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "input error" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, verdict_key",
+        [
+            ("implicitize", "syzygetic.all_divisible_by_F"),
+            ("rees", "downgraded.fully_downgraded_divisible"),
+        ],
+    )
+    def test_failed_division_by_F_exit_1(self, command, verdict_key, monkeypatch, capsys):
+        """A planted F that divides nothing is a `fails` verdict, not an input error."""
+        real = cli.implicitize
+
+        def planted(P, budget=None):
+            mon = real(P, budget)
+            y0, y1 = (Polynomial.variable(mon.F.ring, nm) for nm in ("y0", "y1"))
+            return dataclasses.replace(mon, F=mon.F * (y0 + y1))
+
+        monkeypatch.setattr(cli, "implicitize", planted)
+        code = main([command, fixture_path("plane"), "--machine"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        data = parse_report(captured.out)
+        assert data[verdict_key] == "fails"
+        factor = re.compile(r"syzygetic\.\d+\.extraneous_factor|downgraded\.factor\.\d+")
+        assert not [key for key in data if factor.fullmatch(key)]
 
     def test_missing_file_exit_2(self, capsys):
         code = main(["implicitize", "/nonexistent/foo.jonq"])

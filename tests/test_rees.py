@@ -12,7 +12,6 @@ from jonq.implicitize import JonquieresData, implicitize
 from jonq.rees import (
     downgrade,
     downgraded_rees_ideal,
-    extraneous_factors,
     iterated_downgrades,
     monoid_association,
     rees_ideal,
@@ -40,7 +39,7 @@ class TestReesIdeal:
         )
 
     def test_involution_rees(self, involution):
-        pres = rees_ideal(list(involution.forward.coords), role="cremona_rees")
+        pres = rees_ideal(list(involution.forward.coords))
         amb = pres.ambient
         # contains the bilinear relations, no pure-x and no pure-y forms
         x_idx = pres.x_indices()
@@ -55,7 +54,6 @@ class TestReesIdeal:
         pres = rees_ideal(
             list(plane_instance.coordinates()),
             y_names=plane_instance.monoid_ring.names,
-            role="jonquieres_rees",
         )
         pure_y = [
             g
@@ -180,7 +178,7 @@ class TestDowngradedReesIdeal:
         assert rep.contained_in_rees
         assert rep.codim_matches
         assert rep.all_divisible_by_F
-        for _, factor in extraneous_factors(P, mon, rep):
+        for factor in rep.factors:
             assert factor.is_constant()
 
     def test_plane_fixture(self, plane_instance):
@@ -190,8 +188,7 @@ class TestDowngradedReesIdeal:
         assert rep.contained_in_rees
         assert rep.codim == 3
         assert rep.all_divisible_by_F
-        factors = [f for _, f in extraneous_factors(plane_instance, mon, rep)]
-        assert sorted(str(f) for f in factors) == ["y0", "y1"]
+        assert sorted(str(f) for f in rep.factors) == ["y0", "y1"]
 
     def test_space_fixture(self, space_instance):
         mon = implicitize(space_instance)
@@ -200,10 +197,9 @@ class TestDowngradedReesIdeal:
         assert rep.contained_in_rees
         assert rep.codim == 4
         assert rep.all_divisible_by_F
-        factors = [f for _, f in extraneous_factors(space_instance, mon, rep)]
-        assert len(factors) == 1
+        assert len(rep.factors) == 1
         y3 = Polynomial.variable(space_instance.monoid_ring, "y3")
-        assert factors[0].proportional_to(y3)
+        assert rep.factors[0].proportional_to(y3)
 
 
 class TestMonoidAssociation:
