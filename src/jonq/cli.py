@@ -136,7 +136,7 @@ def cmd_implicitize(args):
     timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     with timer("implicitize"):
-        mon = implicitize(P, budget)
+        mon = implicitize(P)
     rep.set("implicit.F", mon.F)
     rep.set("implicit.delta", mon.delta)
     rep.set("implicit.F_delta", mon.F_delta)
@@ -170,7 +170,7 @@ def cmd_implicitize(args):
         rep.set_verdict(
             "syzygetic.all_divisible_by_F", all(s.extraneous_factor is not None for s in syz)
         )
-        incl = inclusion_case_equivalence(P, mon, data)
+        incl = inclusion_case_equivalence(P, mon, data, syz)
         if incl.applicable:
             rep.set_verdict("inclusion_equivalence.biconditional", bool(incl.equivalent))
             rep.set("inclusion_equivalence.g_in_I", "yes" if incl.side_inclusion else "no")
@@ -272,7 +272,7 @@ def cmd_rees(args):
     rep = Report("rees")
     timer = _timer(rep, args.timings)
     P = inst.jonquieres()
-    mon = implicitize(P, budget)
+    mon = implicitize(P)
     with _budget_skips(rep, "downgraded.contained_in_rees"):
         with timer("downgraded"):
             data = conductor_data(P.base_ideal_I(), P.g, budget=budget)
@@ -362,7 +362,7 @@ def cmd_selftest(args):
         label = f"run{k}.{family}"
         try:
             P = _selftest_instance(family, rng)
-            mon = implicitize(P, budget)
+            mon = implicitize(P)
             deg = predicted_degree(P, mon)
             ok_deg = deg.deg_F == deg.via_deg_g == deg.via_deg_f
             ok_window = deg.window_holds is not False

@@ -19,11 +19,13 @@ An elimination can be told the weights that make its generators
 homogeneous and their Hilbert series (`rees` does so for y_i - t*c_i,
 a regular sequence).  Pairs then go by the weighted degree of their lcm,
 and the engine counts the leads a degree lacks: [s^k] of (N(in G) - N(I))
-/ prod(1 - s^w), with N(in G) kept by N(M + (m)) = N(M) - s^w(m) N(M : m).
-In(G)_k lies in in(I)_k, so at a count of 0 they are equal and every
-pair left in degree k reduces to zero; it is dropped and not charged
-(Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
-1996).  A degree is counted only when a second pair of it is pending.
+/ prod(1 - s^w), with N(in G) kept by N(M + (m)) = N(M) - s^w(m) N(M : m);
+the variables among the generators of M : m split off as prod(1 - s^w),
+so only the rest of the colon takes Bigatti's recursion.  In(G)_k lies
+in in(I)_k, so at a count of 0 they are equal and every pair left in
+degree k reduces to zero; it is dropped and not charged (Traverso,
+"Hilbert functions and the Buchberger algorithm", JSC 22, 1996).  A
+degree is counted only when a second pair of it is pending.
 
 All division runs on one engine, `jonq.ring._Accumulator`: a dict from
 packed monomial (order key over exponent vector, one int; see
@@ -32,10 +34,13 @@ Monagan and Pearce (CASC 2007).  A reduction step pops the lead term,
 finds its reducer by one subtraction and mask test per basis lead, and
 adds the reducer's tail, cached on the basis element as packed offsets
 from its lead, so one step costs the reducer's length times O(log n),
-not the length of the whole remainder.  S-polynomials are built in the
-same accumulator, from the two cached tails.  The Gebauer-Moeller update
-works on the exponent parts of the packed leads: lcms are per-field
-maxima by integer operations, divisibility is the same mask test.
+not the length of the whole remainder.  A new basis element keeps the
+packed terms it was reduced to; only its lead is unpacked, and its other
+terms only when it is read as keys (in a reduced basis).  S-polynomials
+are built in the same accumulator, from the two cached tails.  The
+Gebauer-Moeller update works on the exponent parts of the packed leads:
+lcms are per-field maxima by integer operations, divisibility is the
+same mask test.
 """
 
 from __future__ import annotations
@@ -85,10 +90,18 @@ class Budget:
 
 
 class _GBPoly:
-    __slots__ = ("terms", "lm_okey", "lm_exps", "lc", "sugar", "_lead", "_tail", "_packing")
+    """A basis element: its lead (order key, exponents, coefficient) and terms.
+
+    An element made by `_packed` keeps its terms packed, as the lead and
+    the tail's offsets from it; `terms`, the (order key, coefficient) list,
+    is unpacked from them on first use, so only the elements that are read
+    as keys (those of a reduced basis) pay for it.
+    """
+
+    __slots__ = ("_terms", "lm_okey", "lm_exps", "lc", "sugar", "_lead", "_tail", "_packing")
 
     def __init__(self, terms, order, sugar=None):
-        self.terms = terms
+        self._terms = terms
         self.lm_okey, self.lc = terms[0]
         self.lm_exps = order.exponents(self.lm_okey)
         self.sugar = sugar if sugar is not None else sum(self.lm_exps)
@@ -98,8 +111,8 @@ class _GBPoly:
     def _packed(cls, r, order, packing, sugar):
         """An element from a primitive remainder `r` still packed in `packing`.
 
-        Its lead and tail are cached for `packing` from the packed ints its
-        terms are unpacked from: one packing, with no term packed again.
+        Its lead and tail are cached for `packing` from the packed ints of
+        `r`, and only the lead is unpacked.
         """
         if r[0][1] < 0:
             r = [(k, -c) for k, c in r]
@@ -107,17 +120,33 @@ class _GBPoly:
         for k, _ in r:
             if k & over:  # as `_Packing.pack` would refuse it
                 raise _KeyOverflow
-        unpack = packing.unpack
-        self = cls([(unpack(k), c) for k, c in r], order, sugar)
-        lead = r[0][0]
+        self = cls.__new__(cls)
+        lead, self.lc = r[0]
+        self._terms = None
+        self.lm_okey = packing.unpack(lead)
+        self.lm_exps = packing.exponents(lead)
+        self.sugar = sugar if sugar is not None else sum(self.lm_exps)
         self._lead, self._tail, self._packing = lead, [(k - lead, c) for k, c in r[1:]], packing
         return self
 
+    @property
+    def terms(self):
+        """The terms as (order key, coefficient), descending."""
+        if self._terms is None:
+            unpack, lead = self._packing.unpack, self._lead
+            self._terms = [(self.lm_okey, self.lc)] + [
+                (unpack(lead + k), c) for k, c in self._tail
+            ]
+        return self._terms
+
     def _pack(self, packing):
-        # both are built before either is stored: if the tail overflows the
-        # fields, the cache keeps the lead and tail of the last packing
+        # the terms are read in the packing they were made in, before it is
+        # replaced; both parts are built before either is stored: if the
+        # tail overflows the fields, the cache keeps the lead and tail of
+        # the last packing
+        terms = self.terms
         lead = packing.pack(self.lm_okey)
-        tail = packing.offsets(self.terms)
+        tail = packing.offsets(terms)
         self._lead, self._tail, self._packing = lead, tail, packing
 
     def lead(self, packing):
@@ -289,22 +318,35 @@ class _LeadCount:
 
     `missing(k)` is dim in(I)_k - dim in(G)_k, the leads of weighted degree
     k that G lacks, read as [s^k] (N(in G) - N(I)) / prod(1 - s^w).  The
-    numerator of in(G) takes the leads in lazily, when a count is asked
-    for, each by N(M + (m)) = N(M) - s^w(m) N(M : m); M : m is generated by
-    the lcm(x, m) / m over the earlier leads x, from the lcms the pair
-    update built.
+    difference N(in G) - N(I) is one running list; it takes the leads in
+    lazily, when a count is asked for, each by N(M + (m)) = N(M) -
+    s^w(m) N(M : m).  M : m is generated by the quotients lcm(x, m) / m
+    over the earlier leads x, from the lcms the pair update built.  The
+    quotients that are variables x_v give the factor prod(1 - s^w_v),
+    cached per tuple of weights.  Of the others, only those free of those
+    variables are minimal generators; a single one, q, adds the factor
+    1 - s^deg(q), and two or more go through `_numerator` (for an earlier
+    lead that divides m, the quotient 1 gives the unit ideal, whose
+    numerator 0 leaves N as it is).
     """
 
     __slots__ = (
-        "weights", "target", "key_weights", "exponents", "guard", "numer", "pending", "series",
+        "weights", "key_weights", "exponents", "guard", "variables", "diff", "pending", "series",
     )
 
     def __init__(self, hilbert, order, packing):
-        self.weights, self.target = hilbert
+        self.weights, target = hilbert
         self.key_weights = _key_weights(order, tuple(self.weights))
         self.exponents = packing.exponents
         self.guard = packing.guard
-        self.numer = [1]  # of in(G), over the leads not pending
+        bits, n = packing.bits, order.nvars
+        fmask = (1 << bits) - 1
+        # packed x_v -> (w_v, the mask of x_v's exponent field)
+        self.variables = {
+            1 << bits * (n - 1 - v): (w, fmask << bits * (n - 1 - v))
+            for v, w in enumerate(self.weights)
+        }
+        self.diff = _shifted_sum([1], target, 0, -1)  # N(in G) - N(I), leads not pending
         self.pending = []  # (exponent part of a lead, its lcms with the earlier leads)
         self.series = [1]  # 1 / prod(1 - s^w), as far as it was needed
 
@@ -318,25 +360,60 @@ class _LeadCount:
             raise StructuralError("Hilbert-driven Buchberger needs weighted-homogeneous input")
 
     def missing(self, k):
-        guard, weights, exponents, numer = self.guard, self.weights, self.exponents, self.numer
+        guard, variables, diff = self.guard, self.variables, self.diff
         for xh, lcms in self.pending:
-            colon = []  # its minimal generators: a divisor is a smaller int
-            for c in sorted({L - xh for L in lcms}):
-                if all((c - g) & guard for g in colon):
-                    colon.append(c)
-            quotient = _numerator([exponents(c) for c in colon], weights)
-            numer = _shifted_sum(numer, quotient, self.degree(xh), -1)
-        self.numer = numer
+            quotients = {L - xh for L in lcms}
+            degrees, vmask, rest = [], 0, []  # degrees: of the colon's factors 1 - s^d
+            for q in quotients:
+                hit = variables.get(q)
+                if hit is None:
+                    rest.append(q)
+                else:
+                    degrees.append(hit[0])
+                    vmask |= hit[1]
+            colon = []  # the other minimal generators: a divisor is a smaller int
+            for q in sorted(rest):
+                if not q & vmask and all((q - g) & guard for g in colon):
+                    colon.append(q)
+            if len(colon) == 1:  # a principal ideal: 1 - s^deg, like a variable
+                degrees.append(self.degree(colon[0]))
+            quotient = _coprime_numerator(tuple(sorted(degrees)))
+            if len(colon) > 1:
+                numer = _numerator([self.exponents(q) for q in colon], self.weights)
+                quotient = _product(quotient, numer)
+            shift = self.degree(xh)
+            diff.extend([0] * (shift + len(quotient) - len(diff)))
+            for i, c in enumerate(quotient, shift):
+                diff[i] -= c
         self.pending = []
         P = self.series
         if len(P) <= k:  # recomputed to twice the degree, so each growth pays for itself
             P = [1] + [0] * 2 * k
-            for w in weights:
+            for w in self.weights:
                 for i in range(w, len(P)):
                     P[i] += P[i - w]
             self.series = P
-        diff = _shifted_sum(self.numer, self.target, 0, -1)
         return sum(c * P[k - i] for i, c in enumerate(diff[: k + 1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _coprime_numerator(degrees):
+    """prod(1 - s^d) over `degrees`: the numerator of an ideal generated by
+    monomials of those degrees that share no variable."""
+    out = [1]
+    for d in degrees:
+        out = _shifted_sum(out, out, d, -1)
+    return tuple(out)
+
+
+def _product(a, b):
+    """The product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
 
 
 def _buchberger_packed(inputs, order, budget, seed, packing, hilbert=None):

@@ -127,7 +127,7 @@ class ImplicitMonoid:
         return self.F.total_degree()
 
 
-def implicitize(P, budget=None):
+def implicitize(P):
     """The implicit monoid equation in closed form.
 
     F = (g(g') - y_{n+1} f(g') D) / gcd(g(g'), f(g') D); irreducible by
@@ -152,12 +152,10 @@ class DegreeReport:
     evaluations_coprime: bool
     window: tuple | None
     window_holds: bool | None
-    via_target_factor_gcd: int | None
 
 
 def predicted_degree(P, monoid):
     """Both degree expressions of the closed form, plus the coprime window."""
-    gg = P.evaluations[1]
     D = P.cremona.target_factor
     dprime = P.cremona.inverse_degree
     df = P.f.total_degree()
@@ -167,13 +165,11 @@ def predicted_degree(P, monoid):
     via_f = df * dprime + D.total_degree() + 1 - sdeg
     window = None
     window_holds = None
-    via_D = None
     if P.evaluations_coprime:
         # upper end attained exactly when gcd(g(g'), D) is constant (then
         # deg F = deg(g) deg(G^-1)), e.g. over the identity Cremona
         window = (df * dprime + 1, dg * dprime)
         window_holds = window[0] <= monoid.delta <= window[1]
-        via_D = dg * dprime - poly_gcd(gg, D).total_degree()
     return DegreeReport(
         deg_F=monoid.delta,
         via_deg_g=via_g,
@@ -183,7 +179,6 @@ def predicted_degree(P, monoid):
         evaluations_coprime=P.evaluations_coprime,
         window=window,
         window_holds=window_holds,
-        via_target_factor_gcd=via_D,
     )
 
 
@@ -230,11 +225,13 @@ class InclusionReport:
     equivalent: bool | None
 
 
-def inclusion_case_equivalence(P, monoid, conductor):
+def inclusion_case_equivalence(P, monoid, conductor, syzygetic):
     """The inclusion-case biconditional, evaluated from both ends.
 
     g lies in I if and only if deg F = deg(f)*deg(G^-1) + 1 and some
-    syzygetic polynomial generates (F).
+    syzygetic polynomial generates (F).  `syzygetic` is
+    `syzygetic_polynomials(P, monoid, conductor)`; a polynomial generates
+    (F) exactly when its quotient by F is a nonzero constant.
 
     Applicable only when gcd(f(g'), g(g')) = 1; otherwise reported as
     not-applicable.
@@ -243,12 +240,10 @@ def inclusion_case_equivalence(P, monoid, conductor):
         return InclusionReport(False, None, None, None)
     side_i = conductor.kind == "inclusion"
     target_deg = P.f.total_degree() * P.cremona.inverse_degree + 1
-    side_ii = False
-    if monoid.delta == target_deg:
-        for syz in syzygetic_polynomials(P, monoid, conductor):
-            if syz.polynomial.proportional_to(monoid.F):
-                side_ii = True
-                break
+    side_ii = monoid.delta == target_deg and any(
+        q is not None and q.is_constant() and not q.is_zero()
+        for q in (syz.extraneous_factor for syz in syzygetic)
+    )
     return InclusionReport(True, side_i, side_ii, side_i == side_ii)
 
 

@@ -145,9 +145,9 @@ def test_no_proof_is_made_twice(fixture, calls, monkeypatch, capsys):
 
 # poly_gcd calls per command, parsing and Cremona verification included
 POLY_GCD_CALLS = {
-    "identity": {"implicitize": 8, "rees": 6, "analyze": 4},
-    "plane": {"implicitize": 8, "rees": 6, "analyze": 4},
-    "nzd": {"implicitize": 8, "rees": 6, "analyze": 4},
+    "identity": {"implicitize": 7, "rees": 6, "analyze": 4},
+    "plane": {"implicitize": 7, "rees": 6, "analyze": 4},
+    "nzd": {"implicitize": 7, "rees": 6, "analyze": 4},
     "space": {"implicitize": 7, "rees": 6, "analyze": 4},
 }
 

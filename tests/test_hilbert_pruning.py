@@ -4,7 +4,8 @@
 which y_i - t*c_i is homogeneous and the Hilbert series of that regular
 sequence; `groebner._buchberger_core` then drops the pairs of a degree
 whose leads are complete.  These tests hold the pruned elimination to the
-plain one, the weighted `_numerator` to counting, and the engine to its
+plain one, the weighted `_numerator` and the lead count to counting, the
+pair counts of the fixtures to pinned values, and the engine to its
 refusal of input that breaks the promise.
 """
 
@@ -17,8 +18,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from jonq import groebner, rees
 from jonq.errors import StructuralError
-from jonq.groebner import Budget, IdealHandle, _numerator, eliminate, hilbert_numerator
-from jonq.ring import Polynomial, VariableSet, monomials_of_degree, parse_polynomial
+from jonq.fixtures import load_fixture
+from jonq.groebner import (
+    Budget,
+    IdealHandle,
+    _GBPoly,
+    _LeadCount,
+    _numerator,
+    eliminate,
+    hilbert_numerator,
+)
+from jonq.orders import Block, DegRevLex
+from jonq.ring import Polynomial, VariableSet, _packing, monomials_of_degree, parse_polynomial
 
 
 def _plain_eliminate(I, drop, budget=None, hilbert=None):
@@ -105,6 +116,19 @@ def _series(monos, weights, top):
     return counts
 
 
+def _numerator_by_counting(monos, weights):
+    """N(monos) from counts of standard monomials, with trailing zeros.
+
+    deg N is at most the weighted degree of the lcm of the generators, so
+    the counts up to that degree, times prod(1 - s^w), give N.
+    """
+    top = sum(w * max((m[i] for m in monos), default=0) for i, w in enumerate(weights))
+    counts = _series(monos, weights, top)
+    for w in weights:  # multiply by (1 - s^w), truncated at `top`
+        counts = [c - (counts[k - w] if k >= w else 0) for k, c in enumerate(counts)]
+    return counts
+
+
 @st.composite
 def weighted_monomial_ideals(draw):
     n = draw(st.integers(1, 3))
@@ -119,17 +143,10 @@ class TestWeightedNumerator:
     @example(([], [2]))
     @example(([(0, 0)], [1, 3]))
     def test_matches_counting_by_weighted_degree(self, case):
-        """N / prod(1 - s^w) against counts of standard monomials.
-
-        deg N is at most the weighted degree of the lcm of the generators,
-        so the counts up to that degree, times prod(1 - s^w), give N.
-        """
+        """N / prod(1 - s^w) against counts of standard monomials."""
         monos, weights = case
         n = len(weights)
-        top = sum(w * max((m[i] for m in monos), default=0) for i, w in enumerate(weights))
-        counts = _series(monos, weights, top)
-        for w in weights:  # multiply by (1 - s^w), truncated at `top`
-            counts = [c - (counts[k - w] if k >= w else 0) for k, c in enumerate(counts)]
+        counts = _numerator_by_counting(monos, weights)
         while counts and not counts[-1]:
             counts.pop()
         assert _numerator(monos, weights) == counts
@@ -139,6 +156,93 @@ class TestWeightedNumerator:
     def test_weights_shift_the_pivot(self):
         # (x0^2, x0*x1) with x0: 2, x1: 3 -- 1 - s^4 - s^5 + s^7
         assert _numerator([(2, 0), (1, 1)], [2, 3]) == [1, 0, 0, 0, -1, -1, 0, 1]
+
+
+@st.composite
+def lead_sequences(draw):
+    """Weights, leads in the order a basis gains them, and the ideal the
+    series claims: n = 1..3 variables of weight 1..3, exponents 0..3."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    leads = draw(st.lists(monomial, min_size=1, max_size=6))
+    claimed = draw(st.lists(monomial, max_size=4))
+    return weights, leads, claimed
+
+
+class TestLeadCount:
+    """`_LeadCount.missing(k)` is the standard monomials of weighted degree
+    k of the leads so far less those of the claimed ideal."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(lead_sequences())
+    # every colon generated by variables: x0, x1, x2 in turn
+    @example(([1, 2, 3], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0)]))
+    # (x0^2) : x1^2 = (x0^2), principal; (x0^2, x1^2) : x0*x1 = (x0, x1)
+    @example(([2, 3], [(2, 0), (0, 2), (1, 1)], [(1, 0), (0, 2)]))
+    # (x0^2, x2^2, x0*x1) : x1^2 = (x0, x2^2): the variable x0 drops x0^2
+    @example(([1, 2, 1], [(2, 0, 0), (0, 0, 2), (1, 1, 0), (0, 2, 0)], []))
+    # (x0^2*x1, x0*x1^2, x2^3) : x2^2 = (x2) + (x0^2*x1, x0*x1^2), a recursion
+    @example(([1, 2, 3], [(2, 1, 0), (1, 2, 0), (0, 0, 3), (0, 0, 2)], [(0, 0, 1)]))
+    # a unit colon: an earlier lead divides a later one
+    @example(([3, 1], [(1, 0), (2, 1), (0, 3)], [(1, 0)]))
+    def test_matches_counting_by_weighted_degree(self, case):
+        weights, leads, claimed = case
+        n = len(weights)
+        order = DegRevLex(n)
+        packing = _packing(order, 16)
+        count = _LeadCount((weights, _numerator_by_counting(claimed, weights)), order, packing)
+        top = 3 * sum(weights) + 2
+        want_claimed = _series(claimed, weights, top)
+        xs = []
+        for j, m in enumerate(leads):
+            xh = packing.pack(order.key(m)) & packing.xmask
+            count.pending.append((xh, [packing.lcm(x, xh) for x in xs]))
+            xs.append(xh)
+            if j % 3 == 1 and j + 1 < len(leads):
+                continue  # two folds wait for one count
+            have = _series(leads[: j + 1], weights, top)
+            for k in range(top + 1) if j % 2 == 0 else (top, top // 2):
+                assert count.missing(k) == have[k] - want_claimed[k], (j, k)
+
+
+class TestLazyTerms:
+    @pytest.mark.parametrize("order", [DegRevLex(3), Block(3, (0,))], ids=["degrevlex", "block"])
+    def test_repacked_at_32_bits_keeps_the_eager_terms(self, order):
+        ring = VariableSet(["x0", "x1", "x2"])
+        p = parse_polynomial("-3*x0^2*x1 + x1^3 + 5*x0*x2^2 - x2^3 + 7*x1*x2^2", ring)
+        narrow, wide = _packing(order, 16), _packing(order, 32)
+        r = sorted(((narrow.pack(order.key(m)), c) for m, c in p.items()), reverse=True)
+        eager = [(narrow.unpack(k), -c) for k, c in r]  # made with a positive lead
+        assert eager[0][1] > 0
+        e = _GBPoly._packed(r, order, narrow, None)
+        assert (e.lm_okey, e.lc) == eager[0]
+        assert e.lm_exps == order.exponents(eager[0][0])
+        assert e.lead(narrow) == r[0][0]
+        # switched to 32-bit fields before its terms were ever read
+        assert e.lead(wide) == wide.pack(eager[0][0])
+        assert e.tail(wide) == wide.offsets(eager)
+        assert e.terms == eager
+        assert e.lead(narrow) == r[0][0] and e.tail(narrow) == narrow.offsets(eager)
+
+
+# `Budget.pairs_used` of each fixture's two Rees eliminations: its
+# coordinates (the oracle's), then its Cremona map's forward coordinates
+REES_PAIRS = {"identity": (13, 4), "nzd": (36, 3), "plane": (23, 3), "space": (102, 11)}
+
+
+@pytest.mark.parametrize("fixture", sorted(REES_PAIRS))
+def test_rees_pairs_pinned(fixture):
+    P = load_fixture(fixture).jonquieres()
+    used = []
+    for coords, y_names in (
+        (P.coordinates(), P.monoid_ring.names),
+        (P.cremona.forward.coords, P.cremona.target.names),
+    ):
+        budget = Budget()
+        rees.eliminate_rees_parameter(list(coords), y_names, budget)
+        used.append(budget.pairs_used)
+    assert tuple(used) == REES_PAIRS[fixture]
 
 
 class TestHilbertNumeratorCache:

@@ -202,6 +202,13 @@ class TestClassification:
             done += 1
 
 
+def _inclusion(P):
+    """`inclusion_case_equivalence` on the syzygetic polynomials `cmd_implicitize` builds."""
+    mon = implicitize(P)
+    data = conductor_data(P.base_ideal_I(), P.g)
+    return inclusion_case_equivalence(P, mon, data, syzygetic_polynomials(P, mon, data))
+
+
 class TestInclusionEquivalence:
     def test_identity_both_sides_true(self, identity2, R3):
         P = JonquieresData.build(
@@ -209,17 +216,11 @@ class TestInclusionEquivalence:
             parse_polynomial("x0 + x1", R3),
             parse_polynomial("x1^2 + x0*x2", R3),
         )
-        rep = inclusion_case_equivalence(
-            P, implicitize(P), conductor_data(P.base_ideal_I(), P.g)
-        )
+        rep = _inclusion(P)
         assert rep.applicable and rep.side_inclusion and rep.equivalent
 
     def test_space_example(self, space_instance):
-        rep = inclusion_case_equivalence(
-            space_instance,
-            implicitize(space_instance),
-            conductor_data(space_instance.base_ideal_I(), space_instance.g),
-        )
+        rep = _inclusion(space_instance)
         # the engine computes which branch applies; on this fixture the
         # evaluations share no factor, so the biconditional is asserted
         if rep.applicable:
@@ -237,9 +238,7 @@ class TestInclusionEquivalence:
             if not poly_gcd(f, g).is_constant():
                 continue
             P = JonquieresData.build(involution, f, g)
-            rep = inclusion_case_equivalence(
-                P, implicitize(P), conductor_data(P.base_ideal_I(), P.g)
-            )
+            rep = _inclusion(P)
             if not rep.applicable:
                 continue
             assert rep.side_inclusion is True

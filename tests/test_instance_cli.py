@@ -186,8 +186,8 @@ class TestCli:
         """A planted F that divides nothing is a `fails` verdict, not an input error."""
         real = cli.implicitize
 
-        def planted(P, budget=None):
-            mon = real(P, budget)
+        def planted(P):
+            mon = real(P)
             y0, y1 = (Polynomial.variable(mon.F.ring, nm) for nm in ("y0", "y1"))
             return dataclasses.replace(mon, F=mon.F * (y0 + y1))
 
