@@ -259,11 +259,20 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     """Assemble D = (I_rees, all iterated downgrades) and verify its facts.
 
     `conductor` is the `conductor_data` of the base ideal and g.
-    Verifies: every generator lies in the Rees kernel of (If, g); the
+    Verifies: every generator lies in the Rees kernel K of (If, g); the
     codimension is n+1; every fully downgraded element is a multiple of F.
     Each fully downgraded element is divided by F once: `factors` holds
     the quotient, or None when x is left in the element or F fails to
     divide it.
+
+    The codimension rests on a theorem plus two computed facts: the
+    containment D in K and a chain ending in a nonzero x-free form q.
+    D holds R_G S + (q), R_G the Rees ideal of the Cremona map G: prime,
+    of codimension n, and free of y-only elements since G is dominant, so
+    q is outside it and codim D >= n+1 (Krull).  K is the Rees ideal of a
+    nonzero ideal of k[x_0..x_n], of dimension n+2 (Vasconcelos, Arithmetic
+    of Blowup Algebras, 1994), so codim D <= codim K = n+1.  When either
+    fact fails, the codimension is read from a degrevlex basis of D.
     """
     budget = budget or Budget()
     n = P.n
@@ -289,12 +298,18 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     # (i) containment in the Rees kernel of (If, g)
     images = _kernel_images(ambient, P.monoid_ring.names, P.coordinates())
     contained = all(g.substitute(images).is_zero() for g in pres.generators)
-    # (ii) codimension
-    _, codim = dim_and_codim(pres.ideal, budget)
+    # (ii) codimension: certified n+1 when D lies in the Rees kernel and a
+    # chain ends in a nonzero x-free form, else computed
+    ends = [chain[-1] for chain in chains]
+    x_free = [q.degree_in(x_idx) == 0 for q in ends]
+    if contained and any(free and not q.is_zero() for q, free in zip(ends, x_free)):
+        codim = n + 1
+    else:
+        _, codim = dim_and_codim(pres.ideal, budget)
     # (iii) fully downgraded elements are multiples of F
     factors = tuple(
-        None if q.degree_in(x_idx) != 0 else _quotient(q.restrict_to(P.monoid_ring), monoid.F)
-        for q in (chain[-1] for chain in chains)
+        _quotient(q.restrict_to(P.monoid_ring), monoid.F) if free else None
+        for q, free in zip(ends, x_free)
     )
     report = DowngradeReport(
         contained_in_rees=contained,
@@ -329,6 +344,25 @@ class MonoidAssociationReport:
     composition_holds: bool
 
 
+def _standard_monoid(P, monoid):
+    """Whether F = F_delta - y_{n+1} F_{delta-1}, y_{n+1} the last monoid
+    variable, with F_delta and F_{delta-1} nonzero forms over the target
+    variables of degrees one apart.
+
+    Then, by homogeneity, F(F_{delta-1} x, s F_delta) = (1 - s) F_{delta-1}^delta
+    F_delta, so s = 1 makes F vanish and s = -1 does not.
+    """
+    ring = P.monoid_ring
+    top, low = monoid.F_delta, monoid.F_delta_minus_1
+    forms = all(
+        h.ring == P.cremona.target and h.is_homogeneous() and not h.is_zero() for h in (top, low)
+    )
+    if not forms or top.total_degree() != low.total_degree() + 1:
+        return False
+    y_last = Polynomial.variable(ring, ring.names[-1])
+    return monoid.F == top.map_ring(ring) - y_last * low.map_ring(ring)
+
+
 def monoid_association(P, monoid, budget=None):
     """Build the standard monoid parametrization M sharing F, and verify.
 
@@ -340,8 +374,11 @@ def monoid_association(P, monoid, budget=None):
     `projectively_equal`; a common factor of the composite scales every
     cross-product and so cannot change the verdict, and no gcd is taken.
     The last coordinate's sign is chosen so that F(M) = 0; the report also
-    records whether the opposite (paper display) sign vanishes.  The two
-    components of `monoid` are coprime, as its constructor proved.
+    records whether the opposite (paper display) sign vanishes.  For the
+    monoid `implicitize` builds, F = F_delta - y_{n+1} F_{delta-1} with forms
+    of degrees delta and delta - 1, the sign is `+` and the paper sign does
+    not vanish, by `_standard_monoid`; only another F is substituted.  The
+    two components of `monoid` are coprime, as its constructor proved.
     """
     budget = budget or Budget()
     xring = P.source
@@ -355,7 +392,10 @@ def monoid_association(P, monoid, budget=None):
     def f_vanishes(sign):
         return monoid.F.substitute(list(coords_for(sign))).is_zero()
 
-    plus, minus = f_vanishes(1), f_vanishes(-1)
+    if _standard_monoid(P, monoid):
+        plus, minus = True, False
+    else:
+        plus, minus = f_vanishes(1), f_vanishes(-1)
     if not (plus or minus):
         raise StructuralError("no sign makes F vanish on the monoid tuple")
     sign = 1 if plus else -1

@@ -23,7 +23,6 @@ from jonq.groebner import (
     dim_and_codim,
     hilbert_numerator,
     ideal_equal,
-    is_unit_ideal,
     lift,
     saturate_by_variables,
 )
@@ -95,25 +94,27 @@ class ConductorData:
 def conductor_data(I, g, budget=None):
     """Conductor I:(g) with its case and the content map columns.
 
-    When g lies in I the single conductor is 1; when I:(g) = I the
-    conductors are the generators of I themselves and the content map is
-    g times the identity (the non-zero-divisor shape).
+    g lies in I exactly when I:(g) is the unit ideal, so the inclusion case
+    is read by one membership test against I's cached basis: the single
+    conductor is 1, and no `colon` elimination runs.  Otherwise the colon
+    is computed; when I:(g) = I the conductors are the generators of I
+    themselves and the content map is g times the identity (the
+    non-zero-divisor shape).
     """
     if g.is_zero():
         raise StructuralError("conductor of the zero form")
     ring = I.ring
-    cond = colon(I, g, budget=budget)
     gens = list(I.gens)
     dg = g.total_degree()
-    if is_unit_ideal(cond, budget):
+    if I.contains(g, budget):
         kind = "inclusion"
         conductors = [Polynomial.constant(ring, 1)]
-    elif ideal_equal(cond, I, budget):
-        kind = "non_zero_divisor"
-        conductors = gens
+        cond = IdealHandle(ring, conductors)
     else:
-        kind = "general"
-        conductors = list(cond.gens)
+        cond = colon(I, g, budget=budget)
+        same = ideal_equal(cond, I, budget)
+        kind = "non_zero_divisor" if same else "general"
+        conductors = gens if same else list(cond.gens)
     zero = Polynomial.zero(ring)
     columns = []
     for j, cj in enumerate(conductors):

@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import os
+import random
 import shutil
 import subprocess
 import sysconfig
@@ -12,7 +13,7 @@ from jonq.birational import RationalMapData, identity_map, verify_cremona
 from jonq.implicitize import JonquieresData
 from jonq.fixtures import load_fixture
 from jonq.groebner import dim_and_codim
-from jonq.ring import VariableSet, parse_polynomial
+from jonq.ring import Polynomial, VariableSet, parse_polynomial, poly_gcd, random_form
 from jonq.syzygies import conductor_data, regularity_bound_checks, regularity_dim1
 
 
@@ -59,6 +60,38 @@ def nzd_instance(involution, R3):
     return JonquieresData.build(
         involution, p(R3, "x0 + 2*x1 + 3*x2"), p(R3, "x0^3 + x1^3 + x2^3")
     )
+
+
+@pytest.fixture(scope="session")
+def seeded_draws(R3, Y3, R4, involution):
+    """draw(family, count, seed): seeded instances of a `rees` benchmark family.
+
+    deg f = 1.  `identity2` and `identity3` are over the identity Cremona map
+    of P^2 and P^3; `plane` and `nzd` over the plane involution, with g
+    through its three base points or missing them.
+    """
+    cremonas = {
+        "identity2": identity_map(R3, Y3),
+        "identity3": identity_map(R4, VariableSet(["y0", "y1", "y2", "y3"])),
+        "plane": involution,
+        "nzd": involution,
+    }
+
+    def draw(family, count, seed):
+        cremona = cremonas[family]
+        ring, dg = cremona.source, cremona.degree + 1
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            f = random_form(ring, 1, rng.randrange(1 << 30))
+            g = random_form(ring, dg, rng.randrange(1 << 30))
+            if family == "plane":  # no pure power: g vanishes at each e_k
+                g = Polynomial(ring, {m: c for m, c in g.items() if max(m) < dg})
+            if poly_gcd(f, g).is_constant():
+                out.append(JonquieresData.build(cremona, f, g))
+        return out
+
+    return draw
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -7,8 +8,8 @@ from jonq import groebner, rees
 from jonq.birational import RationalMapData, compose
 from jonq.errors import BudgetExceeded, StructuralError
 from jonq.fixtures import load_fixture
-from jonq.groebner import Budget, IdealHandle, ideal_equal, saturate
-from jonq.implicitize import JonquieresData, implicitize
+from jonq.groebner import Budget, IdealHandle, dim_and_codim, ideal_equal, saturate
+from jonq.implicitize import ImplicitMonoid, JonquieresData, implicitize
 from jonq.rees import (
     downgrade,
     downgraded_rees_ideal,
@@ -416,3 +417,137 @@ class TestSaturationByPrimality:
                 if cap == 32:
                     assert want[0] is False
         assert _by_saturate(wider, target, b, 1) is BudgetExceeded
+
+
+FIXTURES = ["identity", "nzd", "plane", "space"]
+FAMILIES = ["identity2", "identity3", "plane", "nzd"]
+
+
+def _computed_codims(monkeypatch):
+    """The codimensions `downgraded_rees_ideal` reads from a basis, in call order."""
+    seen = []
+    real = rees.dim_and_codim
+    monkeypatch.setattr(rees, "dim_and_codim", lambda *a: seen.append(real(*a)[1]) or real(*a))
+    return seen
+
+
+def _downgraded(P, conductor=None):
+    """`downgraded_rees_ideal` of P, with the conductor data of its base ideal and g."""
+    conductor = conductor or conductor_data(P.base_ideal_I(), P.g)
+    return downgraded_rees_ideal(P, implicitize(P), conductor)
+
+
+def _basis_codim(pres):
+    """The codimension of D read from a fresh degrevlex basis of its generators."""
+    return dim_and_codim(IdealHandle(pres.ambient, pres.generators))[1]
+
+
+class TestCodimensionCertificate:
+    """codim D = n + 1 from the containment in K and an x-free chain end, as computed."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_the_basis(self, name, monkeypatch):
+        P = load_fixture(name).jonquieres()
+        computed = _computed_codims(monkeypatch)
+        pres, rep = _downgraded(P)
+        assert computed == []
+        assert rep.codim == _basis_codim(pres) == P.n + 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seeded_draws_match_the_basis(self, family, seeded_draws, monkeypatch):
+        computed = _computed_codims(monkeypatch)
+        for P in seeded_draws(family, 2, 25_025):
+            pres, rep = _downgraded(P)
+            assert rep.contained_in_rees
+            assert rep.codim == _basis_codim(pres) == P.n + 1
+        assert computed == []
+
+    def test_no_x_free_chain_end_is_computed(self, plane_instance, monkeypatch):
+        # chains cut to their first element, which has x left in it
+        real = rees.iterated_downgrades
+        monkeypatch.setattr(rees, "iterated_downgrades", lambda *a, **k: real(*a, **k)[:1])
+        computed = _computed_codims(monkeypatch)
+        pres, rep = _downgraded(plane_instance)
+        assert rep.contained_in_rees and rep.factors == (None, None)
+        assert computed == [rep.codim] == [_basis_codim(pres)]
+
+    def test_failed_containment_is_computed(self, plane_instance, monkeypatch):
+        # doubled conductors: c_j*g is no longer sum h_ij g_i, so D leaves K
+        data = conductor_data(plane_instance.base_ideal_I(), plane_instance.g)
+        planted = dataclasses.replace(data, conductors=tuple(c * 2 for c in data.conductors))
+        computed = _computed_codims(monkeypatch)
+        pres, rep = _downgraded(plane_instance, planted)
+        assert not rep.contained_in_rees
+        assert computed == [rep.codim] == [_basis_codim(pres)]
+
+
+def _sign_vanishes(P, mon, sign):
+    """Whether F vanishes on (F_{delta-1} x_0, ..., F_{delta-1} x_n, sign * F_delta)."""
+    low = mon.F_delta_minus_1.rename(P.source)
+    coords = [low * x for x in Polynomial.gens(P.source)]
+    return mon.F.substitute(coords + [mon.F_delta.rename(P.source) * sign]).is_zero()
+
+
+def _substituted_signs(monkeypatch):
+    """The `_standard_monoid` verdicts that `monoid_association` asks for."""
+    seen = []
+    real = rees._standard_monoid
+    monkeypatch.setattr(rees, "_standard_monoid", lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+class TestMonoidSign:
+    """The sign read off F's construction is the one substitution finds."""
+
+    def _check(self, P):
+        mon = implicitize(P)
+        assert rees._standard_monoid(P, mon)
+        assert (_sign_vanishes(P, mon, 1), _sign_vanishes(P, mon, -1)) == (True, False)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        self._check(load_fixture(name).jonquieres())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seeded_draws(self, family, seeded_draws):
+        for P in seeded_draws(family, 2, 25_026):
+            self._check(P)
+
+    def test_opposite_convention_takes_substitution(self, monkeypatch):
+        # F = F_delta + y_{n+1} F_{delta-1}: its components are forms of
+        # degrees delta and delta-1, but F is not built from them as the
+        # certificate needs, and the sign that vanishes is -
+        P = load_fixture("identity").jonquieres()
+        mon = implicitize(P)
+        y = Polynomial.variable(P.monoid_ring, P.last_var)
+        low = mon.F_delta_minus_1.map_ring(P.monoid_ring)
+        flipped = dataclasses.replace(mon, F=mon.F + y * low * 2)
+        verdicts = _substituted_signs(monkeypatch)
+        M, rep = monoid_association(P, flipped)
+        assert verdicts == [False]
+        assert (rep.sign, rep.paper_sign_vanishes) == (-1, True)
+        assert (_sign_vanishes(P, flipped, 1), _sign_vanishes(P, flipped, -1)) == (False, True)
+
+    def test_components_of_other_degrees_take_substitution(self, monkeypatch):
+        # both components times a linear form: degrees delta+1 and delta
+        P = load_fixture("identity").jonquieres()
+        mon = implicitize(P)
+        L = parse_polynomial("y0 + 2*y1 - y2", P.cremona.target)
+        scaled = dataclasses.replace(
+            mon, F_delta=mon.F_delta * L, F_delta_minus_1=mon.F_delta_minus_1 * L
+        )
+        verdicts = _substituted_signs(monkeypatch)
+        M, rep = monoid_association(P, scaled)
+        assert verdicts == [False]
+        assert (rep.sign, rep.paper_sign_vanishes) == (1, False)
+
+    def test_inhomogeneous_components_take_substitution(self, monkeypatch):
+        # F built from F_delta + 1 and F_{delta-1}: no sign makes it vanish
+        P = load_fixture("identity").jonquieres()
+        mon = implicitize(P)
+        top = mon.F_delta + Polynomial.constant(P.cremona.target, 1)
+        planted = ImplicitMonoid.of(P, top, mon.F_delta_minus_1, mon.stripped_gcd)
+        verdicts = _substituted_signs(monkeypatch)
+        with pytest.raises(StructuralError, match="no sign"):
+            monoid_association(P, planted)
+        assert verdicts == [False]

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from fraction_linalg import FractionSpan, fraction_kernel_basis
 from jonq import groebner
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import IdealHandle, dim_and_codim, saturate_by_variables
+from jonq.groebner import (
+    IdealHandle,
+    colon,
+    dim_and_codim,
+    ideal_equal,
+    lift,
+    saturate_by_variables,
+)
 from jonq.implicitize import JonquieresData
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
 from jonq.ring import (
@@ -72,6 +79,62 @@ class TestConductorData:
                     assert h == nzd_instance.g
                 else:
                     assert h.is_zero()
+
+
+def _colon_route(I, g):
+    """`conductor_data` read from colon(I, g) alone: kind, conductors,
+    content columns and the `case.conductor` text."""
+    cond = colon(I, g)
+    gens = list(I.gens)
+    if cond.gb().contains_unit():
+        kind, conductors = "inclusion", (Polynomial.constant(I.ring, 1),)
+    elif ideal_equal(cond, I):
+        kind, conductors = "non_zero_divisor", I.gens
+    else:
+        kind, conductors = "general", cond.gens
+    zero = Polynomial.zero(I.ring)
+    if kind == "non_zero_divisor":
+        columns = [tuple(g if k == j else zero for k in range(len(gens))) for j in range(len(gens))]
+    else:
+        columns = [tuple(lift(c * g, gens)) for c in conductors]
+    return kind, tuple(conductors), columns, "; ".join(str(c) for c in cond.gens) or "0"
+
+
+def _conductor_route(I, g):
+    data = conductor_data(I, g)
+    columns = [data.content.column(j) for j in range(data.content.ncols)]
+    text = "; ".join(str(c) for c in data.ideal.gens) or "0"
+    return data.kind, data.conductors, columns, text
+
+
+class TestInclusionShortcut:
+    """g in I read by one membership test gives what colon(I, g) gives."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_match_the_colon(self, name):
+        P = load_fixture(name).jonquieres()
+        I = P.base_ideal_I()
+        assert _conductor_route(I, P.g) == _colon_route(P.base_ideal_I(), P.g)
+
+    @pytest.mark.parametrize("family, kind", [
+        ("identity2", "inclusion"), ("identity3", "inclusion"),
+        ("plane", "inclusion"), ("nzd", "non_zero_divisor"),
+    ])
+    def test_seeded_draws_match_the_colon(self, family, kind, seeded_draws):
+        for P in seeded_draws(family, 3, 25_027):
+            got = _conductor_route(P.base_ideal_I(), P.g)
+            assert got[0] == kind
+            assert got == _colon_route(P.base_ideal_I(), P.g)
+
+    @pytest.mark.parametrize("name", ["identity", "space"])
+    def test_inclusion_makes_no_intersection(self, name, monkeypatch):
+        P = load_fixture(name).jonquieres()
+        calls = []
+        meet = groebner.intersect
+        counting = lambda *a, **k: calls.append(a) or meet(*a, **k)  # noqa: E731
+        monkeypatch.setattr(groebner, "intersect", counting)
+        assert conductor_data(P.base_ideal_I(), P.g).kind == "inclusion"
+        assert calls == []
 
 
 class TestGradedMatrix:
