@@ -379,7 +379,7 @@ class _LeadCount:
                 degrees.append(self.degree(colon[0]))
             quotient = _coprime_numerator(tuple(sorted(degrees)))
             if len(colon) > 1:
-                numer = _numerator([self.exponents(q) for q in colon], self.weights, minimal=True)
+                numer = _numerator([self.exponents(q) for q in colon], self.weights)
                 quotient = _product(quotient, numer)
             shift = self.degree(xh)
             diff.extend([0] * (shift + len(quotient) - len(diff)))
@@ -935,7 +935,7 @@ def saturate_by_variables(I, budget=None):
         cut = buchberger([g.substitute(images) for g in I.gens], budget=budget, ring=ring)
         leads = [e[:p] + e[p + 1 :] for e in cut.lead_exponents()]
         if cut.contains_unit() or _pure_powers(leads, n - 1):
-            if _numerator(cut.lead_exponents(), minimal=True) == hilbert_numerator(I, budget):
+            if _numerator(cut.lead_exponents()) == hilbert_numerator(I, budget):
                 return I  # l is a nonzerodivisor on R/I: I is saturated
             return saturate(I, IdealHandle.of(form), budget)[0]
     order = gb.order
@@ -1087,31 +1087,25 @@ def hilbert_numerator(I, budget=None):
         return [1]
     gb = I.gb(budget=budget)
     if gb._numer is None:
-        gb._numer = _numerator(gb.lead_exponents(), minimal=True)
+        gb._numer = _numerator(gb.lead_exponents())
     return list(gb._numer)
 
 
-def _numerator(monos, weights=None, minimal=False):
+def _numerator(monos, weights=None):
     """The numerator of the monomial ideal spanned by `monos` (Bigatti, JPAA 119, 1997).
 
     HS(k[x]/M) = N(M) / prod(1 - s^w_i), with variable weights w (all 1 by
     default).  N(M) = N(M + (x^e)) + s^(e w_x) N(M : x^e), x the variable in
-    the most minimal generators, e its least positive exponent among them;
-    once no two share a variable, N is the product of the 1 - s^deg(m), 0
-    for a unit m.  No monomial gives [1].  `minimal` promises that `monos`
-    are the distinct minimal generators of M (the leads of a reduced basis
-    are), and skips their minimalization.  The recursion keeps that promise
-    for M + (x^e): x^e divides no generator free of x, and none of those (not
-    units, as x is in two generators) divides it; only M : x^e is minimalized.
+    the most generators, e its least positive exponent among them; once no
+    two share a variable, N is the product of the 1 - s^deg(m), 0 for a
+    unit m.  No monomial gives [1].  The recursion is exact for any
+    generating set and takes `monos` as given; callers pass minimal ones
+    (the leads of a reduced basis are).  M + (x^e) keeps them minimal: x^e
+    divides no generator free of x, and none of those (not units, as x is
+    in two generators) divides it.  Only M : x^e is minimalized.
     """
     degree = sum if weights is None else (lambda m: sum(map(mul, weights, m)))
-    if minimal:
-        gens = list(monos)
-    else:
-        gens = []
-        for m in sorted(set(monos), key=sum):
-            if not any(all(map(ge, m, g)) for g in gens):
-                gens.append(m)
+    gens = list(monos)
     counts = [sum(map(bool, column)) for column in zip(*gens)]
     top = max(counts, default=0)
     if top < 2:
@@ -1122,11 +1116,18 @@ def _numerator(monos, weights=None, minimal=False):
     x = counts.index(top)
     e = min(m[x] for m in gens if m[x])
     bigger = [m for m in gens if not m[x]] + [tuple(e * (i == x) for i in range(len(counts)))]
-    quotient = [m[:x] + (max(m[x] - e, 0),) + m[x + 1 :] for m in gens]
+    quotient = _minimal_monomials(m[:x] + (max(m[x] - e, 0),) + m[x + 1 :] for m in gens)
     w = 1 if weights is None else weights[x]
-    return _shifted_sum(
-        _numerator(bigger, weights, minimal=True), _numerator(quotient, weights), e * w
-    )
+    return _shifted_sum(_numerator(bigger, weights), _numerator(quotient, weights), e * w)
+
+
+def _minimal_monomials(monos):
+    """The distinct monomials of `monos` that no other one divides, by degree."""
+    gens = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(ge, m, g)) for g in gens):
+            gens.append(m)
+    return gens
 
 
 def _shifted_sum(a, b, shift=0, sign=1):

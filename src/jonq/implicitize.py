@@ -126,6 +126,22 @@ class ImplicitMonoid:
     def delta(self):
         return self.F.total_degree()
 
+    @property
+    def sign(self):
+        """The sign s with F(F_{delta-1} x_0, ..., F_{delta-1} x_n, s F_delta) = 0,
+        read off the construction, or None when the components do not allow it.
+
+        `of` builds F = F_delta - y_{n+1} F_{delta-1}.  When F_delta and
+        F_{delta-1} are nonzero forms of degrees delta and delta - 1,
+        homogeneity gives F(F_{delta-1} x, s F_delta) = (1 - s)
+        F_{delta-1}^delta F_delta: s = 1 makes F vanish and s = -1 does not.
+        """
+        degrees = (self.delta, self.delta - 1)
+        for h, d in zip((self.F_delta, self.F_delta_minus_1), degrees):
+            if not h.is_homogeneous() or h.total_degree() != d:  # None for zero
+                return None
+        return 1
+
 
 def implicitize(P):
     """The implicit monoid equation in closed form.

@@ -344,25 +344,6 @@ class MonoidAssociationReport:
     composition_holds: bool
 
 
-def _standard_monoid(P, monoid):
-    """Whether F = F_delta - y_{n+1} F_{delta-1}, y_{n+1} the last monoid
-    variable, with F_delta and F_{delta-1} nonzero forms over the target
-    variables of degrees one apart.
-
-    Then, by homogeneity, F(F_{delta-1} x, s F_delta) = (1 - s) F_{delta-1}^delta
-    F_delta, so s = 1 makes F vanish and s = -1 does not.
-    """
-    ring = P.monoid_ring
-    top, low = monoid.F_delta, monoid.F_delta_minus_1
-    forms = all(
-        h.ring == P.cremona.target and h.is_homogeneous() and not h.is_zero() for h in (top, low)
-    )
-    if not forms or top.total_degree() != low.total_degree() + 1:
-        return False
-    y_last = Polynomial.variable(ring, ring.names[-1])
-    return monoid.F == top.map_ring(ring) - y_last * low.map_ring(ring)
-
-
 def monoid_association(P, monoid, budget=None):
     """Build the standard monoid parametrization M sharing F, and verify.
 
@@ -374,10 +355,9 @@ def monoid_association(P, monoid, budget=None):
     `projectively_equal`; a common factor of the composite scales every
     cross-product and so cannot change the verdict, and no gcd is taken.
     The last coordinate's sign is chosen so that F(M) = 0; the report also
-    records whether the opposite (paper display) sign vanishes.  For the
-    monoid `implicitize` builds, F = F_delta - y_{n+1} F_{delta-1} with forms
-    of degrees delta and delta - 1, the sign is `+` and the paper sign does
-    not vanish, by `_standard_monoid`; only another F is substituted.  The
+    records whether the opposite (paper display) sign vanishes.  When
+    `monoid.sign` reads the sign `+` off F's construction, the paper sign
+    does not vanish; only otherwise are both tuples substituted into F.  The
     two components of `monoid` are coprime, as its constructor proved.
     """
     budget = budget or Budget()
@@ -392,7 +372,7 @@ def monoid_association(P, monoid, budget=None):
     def f_vanishes(sign):
         return monoid.F.substitute(list(coords_for(sign))).is_zero()
 
-    if _standard_monoid(P, monoid):
+    if monoid.sign == 1:
         plus, minus = True, False
     else:
         plus, minus = f_vanishes(1), f_vanishes(-1)

@@ -152,10 +152,10 @@ class TestWeightedNumerator:
         assert _numerator(monos, weights) == counts
         if weights == [1] * n:
             assert _numerator(monos) == counts
-        # the minimal generators, in an order other than by degree, skip the
-        # minimalization and give the same numerator
+        # the minimal generators, in an order other than by degree, give the
+        # same numerator as the arbitrary ones above
         minimal = {m for m in monos if not any(g != m and all(map(ge, m, g)) for g in monos)}
-        assert _numerator(sorted(minimal, reverse=True), weights, minimal=True) == counts
+        assert _numerator(sorted(minimal, reverse=True), weights) == counts
 
     def test_weights_shift_the_pivot(self):
         # (x0^2, x0*x1) with x0: 2, x1: 3 -- 1 - s^4 - s^5 + s^7

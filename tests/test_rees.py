@@ -488,45 +488,40 @@ def _sign_vanishes(P, mon, sign):
     return mon.F.substitute(coords + [mon.F_delta.rename(P.source) * sign]).is_zero()
 
 
-def _substituted_signs(monkeypatch):
-    """The `_standard_monoid` verdicts that `monoid_association` asks for."""
+def _substitutions_of(F, monkeypatch):
+    """The calls that substitute into F itself, in call order."""
     seen = []
-    real = rees._standard_monoid
-    monkeypatch.setattr(rees, "_standard_monoid", lambda *a: seen.append(real(*a)) or seen[-1])
+    real = Polynomial.substitute
+
+    def spy(self, images):
+        if self is F:
+            seen.append(images)
+        return real(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", spy)
     return seen
 
 
 class TestMonoidSign:
     """The sign read off F's construction is the one substitution finds."""
 
-    def _check(self, P):
+    def _check(self, P, monkeypatch):
         mon = implicitize(P)
-        assert rees._standard_monoid(P, mon)
+        assert mon.sign == 1
         assert (_sign_vanishes(P, mon, 1), _sign_vanishes(P, mon, -1)) == (True, False)
+        substituted = _substitutions_of(mon.F, monkeypatch)
+        M, rep = monoid_association(P, mon)
+        assert (rep.sign, rep.paper_sign_vanishes, substituted) == (1, False, [])
+        monkeypatch.undo()
 
     @pytest.mark.parametrize("name", FIXTURES)
-    def test_fixtures(self, name):
-        self._check(load_fixture(name).jonquieres())
+    def test_fixtures(self, name, monkeypatch):
+        self._check(load_fixture(name).jonquieres(), monkeypatch)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_seeded_draws(self, family, seeded_draws):
+    def test_seeded_draws(self, family, seeded_draws, monkeypatch):
         for P in seeded_draws(family, 2, 25_026):
-            self._check(P)
-
-    def test_opposite_convention_takes_substitution(self, monkeypatch):
-        # F = F_delta + y_{n+1} F_{delta-1}: its components are forms of
-        # degrees delta and delta-1, but F is not built from them as the
-        # certificate needs, and the sign that vanishes is -
-        P = load_fixture("identity").jonquieres()
-        mon = implicitize(P)
-        y = Polynomial.variable(P.monoid_ring, P.last_var)
-        low = mon.F_delta_minus_1.map_ring(P.monoid_ring)
-        flipped = dataclasses.replace(mon, F=mon.F + y * low * 2)
-        verdicts = _substituted_signs(monkeypatch)
-        M, rep = monoid_association(P, flipped)
-        assert verdicts == [False]
-        assert (rep.sign, rep.paper_sign_vanishes) == (-1, True)
-        assert (_sign_vanishes(P, flipped, 1), _sign_vanishes(P, flipped, -1)) == (False, True)
+            self._check(P, monkeypatch)
 
     def test_components_of_other_degrees_take_substitution(self, monkeypatch):
         # both components times a linear form: degrees delta+1 and delta
@@ -536,9 +531,10 @@ class TestMonoidSign:
         scaled = dataclasses.replace(
             mon, F_delta=mon.F_delta * L, F_delta_minus_1=mon.F_delta_minus_1 * L
         )
-        verdicts = _substituted_signs(monkeypatch)
+        assert scaled.sign is None
+        substituted = _substitutions_of(scaled.F, monkeypatch)
         M, rep = monoid_association(P, scaled)
-        assert verdicts == [False]
+        assert len(substituted) == 2
         assert (rep.sign, rep.paper_sign_vanishes) == (1, False)
 
     def test_inhomogeneous_components_take_substitution(self, monkeypatch):
@@ -547,7 +543,8 @@ class TestMonoidSign:
         mon = implicitize(P)
         top = mon.F_delta + Polynomial.constant(P.cremona.target, 1)
         planted = ImplicitMonoid.of(P, top, mon.F_delta_minus_1, mon.stripped_gcd)
-        verdicts = _substituted_signs(monkeypatch)
+        assert planted.sign is None
+        substituted = _substitutions_of(planted.F, monkeypatch)
         with pytest.raises(StructuralError, match="no sign"):
             monoid_association(P, planted)
-        assert verdicts == [False]
+        assert len(substituted) == 2
