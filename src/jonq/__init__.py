@@ -38,7 +38,6 @@ from jonq.implicitize import (
     syzygetic_polynomials,
     verify_inverse_representative,
 )
-from jonq.orders import block_elim, degrevlex, lex, weighted
 from jonq.rees import (
     MonoidParametrization,
     ReesPresentation,

@@ -55,7 +55,7 @@ from math import gcd as int_gcd
 from operator import ge, mul, sub
 
 from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
-from jonq.orders import Block, DegRevLex, MonomialOrder
+from jonq.orders import Block, DegRevLex
 from jonq.ring import (
     Polynomial,
     VariableSet,
@@ -657,8 +657,9 @@ class IdealHandle:
     def homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
 
-    def gb(self, order=None, budget=None):
-        order = order or DegRevLex(len(self.ring))
+    def gb(self, budget=None):
+        """The reduced degrevlex basis, computed once and cached."""
+        order = DegRevLex(len(self.ring))
         sig = order.signature()
         got = self._cache.get(sig)
         if got is not None:

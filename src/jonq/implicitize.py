@@ -22,9 +22,14 @@ from jonq.rees import _quotient, eliminate_rees_parameter, implicit_generator
 from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
 
 
-def monoid_ring_for(target):
-    """The target variables plus one fresh monoid variable (y_{n+1})."""
-    fresh = target.fresh_name(f"y{len(target)}")
+def monoid_ring_for(target, source):
+    """The target variables plus one monoid variable (y_{n+1}).
+
+    Its name is fresh against the source names too: Rees ideals of the
+    parametrization live over the source and monoid variables together.
+    """
+    taken = target.extended(*(n for n in source.names if n not in target.names))
+    fresh = taken.fresh_name(f"y{len(target)}")
     return target.extended(fresh), fresh
 
 
@@ -60,7 +65,7 @@ class JonquieresData:
             )
         if not poly_gcd(f, g).is_constant():
             raise HypothesisViolation("f and g are not relatively prime")
-        mring, last = monoid_ring_for(cremona.target)
+        mring, last = monoid_ring_for(cremona.target, cremona.source)
         return cls(cremona, f, g, mring, last)
 
     @property

@@ -1,11 +1,13 @@
-"""Monomial orders.
+"""Monomial orders: degrevlex and a two-block elimination order.
 
-Every order maps an exponent vector to an integer tuple (`key`) such that
-the order relation is lexicographic comparison of keys and keys are
-*additive*: key(m1*m2) = key(m1) + key(m2) componentwise.  Additivity is
-what lets the Groebner engine shift whole term lists by adding one key.
-Each order can also invert its key back to exponents (`exponents`), so the
-engine only stores keys.
+Every basis the library reads is a reduced degrevlex basis; `Block`
+serves `groebner.eliminate`, which keeps the basis elements free of the
+first block.  Every order maps an exponent vector to an integer tuple
+(`key`) such that the order relation is lexicographic comparison of keys
+and keys are *additive*: key(m1*m2) = key(m1) + key(m2) componentwise.
+Additivity is what lets the Groebner engine shift whole term lists by
+adding one key.  Each order can also invert its key back to exponents
+(`exponents`), so the engine only stores keys.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from jonq.errors import StructuralError
 class MonomialOrder:
     """Base class; subclasses are immutable and hashable."""
 
-    kind = "abstract"
     nvars: int
 
     def key(self, exps):
@@ -51,8 +52,6 @@ def _drl_exponents(key):
 
 
 class DegRevLex(MonomialOrder):
-    kind = "degrevlex"
-
     def __init__(self, nvars):
         self.nvars = nvars
 
@@ -66,34 +65,19 @@ class DegRevLex(MonomialOrder):
         return ("degrevlex", self.nvars)
 
 
-class Lex(MonomialOrder):
-    kind = "lex"
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-
-    def key(self, exps):
-        return tuple(exps)
-
-    def exponents(self, key):
-        return tuple(key)
-
-    def signature(self):
-        return ("lex", self.nvars)
-
-
 class Block(MonomialOrder):
     """Elimination order: the first block dominates, degrevlex inside each.
 
     `first` is the tuple of variable indices forming the eliminated block;
     the remaining indices form the second block in their natural order.
+    Neither block is empty.
     """
-
-    kind = "block"
 
     def __init__(self, nvars, first):
         first = tuple(first)
-        if len(set(first)) != len(first) or any(i < 0 or i >= nvars for i in first):
+        if not 0 < len(set(first)) == len(first) < nvars or any(
+            i < 0 or i >= nvars for i in first
+        ):
             raise StructuralError("block order: bad index set")
         self.nvars = nvars
         self.first = first
@@ -105,60 +89,14 @@ class Block(MonomialOrder):
         return _drl_key(e1) + _drl_key(e2)
 
     def exponents(self, key):
-        # drl key of k exponents has length max(k, 1)
-        cut = max(len(self.first), 1)
-        if not self.first:
-            e1, e2 = (), _drl_exponents(key[cut:])
-        elif not self.second:
-            e1, e2 = _drl_exponents(key[:cut]), ()
-        else:
-            e1 = _drl_exponents(key[:cut])
-            e2 = _drl_exponents(key[cut:])
+        cut = len(self.first)  # a drl key of k >= 1 exponents has length k
         out = [0] * self.nvars
-        for i, e in zip(self.first, e1):
+        for i, e in zip(self.first, _drl_exponents(key[:cut])):
             out[i] = e
-        for i, e in zip(self.second, e2):
+        for i, e in zip(self.second, _drl_exponents(key[cut:])):
             out[i] = e
         return tuple(out)
 
     def signature(self):
         return ("block", self.nvars, self.first)
 
-
-class Weighted(MonomialOrder):
-    """Weighted degree first, ties broken by another order's key."""
-
-    kind = "weighted"
-
-    def __init__(self, weights, tiebreak=None):
-        self.weights = tuple(weights)
-        self.nvars = len(self.weights)
-        self.tiebreak = tiebreak if tiebreak is not None else DegRevLex(self.nvars)
-        if self.tiebreak.nvars != self.nvars:
-            raise StructuralError("weighted order: tiebreak arity mismatch")
-
-    def key(self, exps):
-        w = sum(wi * e for wi, e in zip(self.weights, exps))
-        return (w,) + self.tiebreak.key(exps)
-
-    def exponents(self, key):
-        return self.tiebreak.exponents(key[1:])
-
-    def signature(self):
-        return ("weighted", self.weights, self.tiebreak.signature())
-
-
-def degrevlex(nvars):
-    return DegRevLex(nvars)
-
-
-def lex(nvars):
-    return Lex(nvars)
-
-
-def block_elim(nvars, first_indices):
-    return Block(nvars, first_indices)
-
-
-def weighted(weights, tiebreak=None):
-    return Weighted(weights, tiebreak)

@@ -113,8 +113,8 @@ def eliminate_rees_parameter(gens, y_names, budget=None):
     """(y_i - t*g_i) intersect k[x, y] over the x then the y variables.
 
     One elimination of t; a zero g_i contributes y_i.  The handle caches
-    its reduced degrevlex basis.  When the g_i are forms and the y names
-    are new, weight 1 on x and t and deg(g_i) + 1 on y_i makes each
+    its reduced degrevlex basis.  The y names must be new.  When the g_i
+    are forms, weight 1 on x and t and deg(g_i) + 1 on y_i makes each
     y_i - t*g_i homogeneous, and k[x, y, t]/(y_i - t*g_i) = k[x, t], so they
     form a regular sequence and the Hilbert series of their ideal is
     prod_i (1 - s^(deg(g_i) + 1)) / prod_v (1 - s^w_v).  The elimination
@@ -130,7 +130,7 @@ def eliminate_rees_parameter(gens, y_names, budget=None):
         for nm, g in zip(y_names, gens)
     ]
     hilbert = None
-    if len(ambient) == len(xring) + len(y_names) and all(g.is_homogeneous() for g in gens):
+    if all(g.is_homogeneous() for g in gens):
         weights = [1] * len(big)
         numerator = [1]
         for nm, g in zip(y_names, gens):

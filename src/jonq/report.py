@@ -40,10 +40,6 @@ class Report:
     def set_skipped(self, key, reason):
         self.set(key, skipped(reason))
 
-    def merge(self, other):
-        self.data.update(other.data)
-        return self
-
     def has_failure(self):
         return any(v == "fails" or v.startswith("fails") for v in self.data.values())
 

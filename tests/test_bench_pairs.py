@@ -157,3 +157,28 @@ def test_out_appends_the_runs(tmp_path, capsys):
     first = record["results"][0]
     assert [p["first"] for p in first["runs"]] == ["parent", "change"]
     assert first["runs"][1]["change"]["metrics"]["instances_per_s"]["value"] == 55
+
+
+def test_out_records_commits_and_host(tmp_path, capsys):
+    import platform
+    import subprocess
+
+    p, c = checkouts(tmp_path, [result(50)], [result(55)])
+    git = ["git", "-C", p, "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "stub"], check=True)
+    head = subprocess.run(
+        git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    out = tmp_path / "bench.json"
+    argv = [p, c, "--workload", "rees", "--seed", "5", "--seconds", "0.5", "--pairs", "1"]
+    assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    (got,) = json.loads(out.read_text())["results"]
+    assert got["commits"] == {"parent": head, "change": None}
+    assert got["host"] == {
+        "node": platform.node(), "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
+    assert bench_pairs.commit_id(os.path.join(p, "perfbench")) is None  # inside a checkout

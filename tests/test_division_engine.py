@@ -27,7 +27,7 @@ from jonq.groebner import (
     is_member,
     normal_form,
 )
-from jonq.orders import Block, DegRevLex, Lex, Weighted
+from jonq.orders import Block, DegRevLex
 from jonq.ring import Polynomial, VariableSet, divide_exact, parse_polynomial
 
 
@@ -173,10 +173,8 @@ R = VariableSet(["x0", "x1", "x2"])
 
 ORDERS = [
     DegRevLex(3),
-    Lex(3),
     Block(3, (0,)),
     Block(3, (1, 2)),
-    Weighted((2, 1, 3)),
 ]
 
 coeffs = st.integers(-6, 6).filter(bool)
@@ -271,9 +269,10 @@ def test_huge_exponents(big):
 
 
 def test_keys_outgrowing_fields_mid_reduction():
-    """Under lex the remainder's degree can grow far past the input's."""
+    """Under an elimination order the remainder's degree can grow far past
+    the input's."""
     x0, x1, x2 = Polynomial.gens(R)
-    order = Lex(3)
+    order = Block(3, (0, 1))
     gens = [x0 - x1**5000, x1 - x2**3]
     gb = buchberger(gens, order)
     want = x2 ** (3 * 5000 * 3)
@@ -291,7 +290,7 @@ def test_cached_basis_whose_tail_outgrows_its_lead_fields():
     one of the packing its tail was built for, call after call.
     """
     x0, x1, x2 = Polynomial.gens(R)
-    order = Lex(3)
+    order = Block(3, (0, 1))
     gens = [x0 - x2**9000]
     gb = buchberger(gens, order)
     want = x1 * x2**9000
@@ -320,7 +319,7 @@ def test_widened_buchberger_charges_its_pairs_once(monkeypatch):
     x0, x1, x2 = Polynomial.gens(R)
     gens = [x0**2 * x1 - x2**5000, x0 * x1**2 - x2**3]
     budget = groebner.Budget(max_pairs=4)
-    gb = buchberger(gens, Lex(3), budget)
+    gb = buchberger(gens, Block(3, (0, 1)), budget)
     assert widths == [16, 32]
     assert budget.pairs_used == 4
     assert all(is_member(g, gb) for g in gens)

@@ -272,6 +272,30 @@ class TestCli:
         assert data["saturation.backward_equal"] == "holds"
         assert data["monoid.composition_order"] == "cremona_then_monoid"
 
+    def test_source_name_like_the_monoid_variable(self, tmp_path, capsys):
+        """A source variable named y3, the monoid variable's usual name, is
+        valid input: the monoid variable takes another name."""
+        inst = tmp_path / "clash.jonq"
+        inst.write_text(
+            "ring: x0, x1, y3\n"
+            "cremona: x1*y3, x0*y3, x0*x1\n"
+            "cremona_inverse: y1*y2, y0*y2, y0*y1\n"
+            "f: x0\n"
+            "g: x0^3 + x1^3 + y3^3\n"
+        )
+        checks = {
+            ("implicitize", "--oracle"): ("oracle.matches_formula",),
+            ("rees",): ("monoid.same_implicit_equation", "saturation.forward_equal"),
+            ("analyze",): ("syzygy_spans.all_match", "regularity.I.formula_matches_oracle"),
+        }
+        for command, keys in checks.items():
+            code, out = run_cli([*command, str(inst), "--machine"], capsys)
+            assert code == 0, command
+            data = parse_report(out)
+            assert [data[k] for k in keys] == ["holds"] * len(keys), command
+            if command[0] == "implicitize":
+                assert data["implicit.F"].endswith("*y30")
+
     def test_negative_instance_option_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "negative.jonq"
         bad.write_text(fixture_text("plane") + "option.max_pairs: -1\n")

@@ -1,9 +1,11 @@
 """Order-key laws and parity between the pure and compiled kernels."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq import _kernel as pure
-from jonq.orders import Block, DegRevLex, Lex, Weighted
+from jonq.errors import StructuralError
+from jonq.orders import Block, DegRevLex
 
 exps4 = st.tuples(*(st.integers(0, 6) for _ in range(4)))
 
@@ -11,10 +13,8 @@ exps4 = st.tuples(*(st.integers(0, 6) for _ in range(4)))
 def orders():
     return [
         DegRevLex(4),
-        Lex(4),
         Block(4, (0, 1)),
         Block(4, (2,)),
-        Weighted((1, 2, 3, 1)),
     ]
 
 
@@ -55,6 +55,12 @@ def test_block_order_eliminates_first_block():
     o = Block(3, (0,))
     # any monomial containing x0 beats any x0-free monomial
     assert o.key((1, 0, 0)) > o.key((0, 5, 5))
+
+
+@pytest.mark.parametrize("first", [(), (0, 1, 2), (0, 0), (3,), (-1,)])
+def test_block_order_rejects_a_bad_index_set(first):
+    with pytest.raises(StructuralError):
+        Block(3, first)
 
 
 def _random_terms(rng, n, count, order):

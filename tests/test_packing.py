@@ -11,16 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq.groebner import _GBPoly, buchberger
-from jonq.orders import Block, DegRevLex, Lex, Weighted
+from jonq.orders import Block, DegRevLex
 from jonq.ring import VariableSet, _Accumulator, _KeyOverflow, _packing, parse_polynomial
 
 ORDERS = [
     DegRevLex(4),
-    Lex(3),
     Block(4, (1,)),
     Block(5, (0, 2)),
-    Weighted((2, 1, 3)),
-    Weighted((3, 5), tiebreak=Lex(2)),
 ]
 PACKINGS = [(order, bits) for order in ORDERS for bits in (16, 32)]
 

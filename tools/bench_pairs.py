@@ -20,8 +20,10 @@ than PARENT's by more than PARENT's interquartile range (quartiles by
 CHANGE's median is worse than PARENT's by more than the metric's
 `bound`, a fraction of PARENT's median.
 
-The last line of output is one JSON object with the summary; `--out`
-appends the runs and the summary to a JSON file (`{"results": [...]}`).
+The last line of output is one JSON object with the summary, the
+commit id of each checkout (`git rev-parse HEAD`, null when the root is
+not a git checkout) and the host (name, Python version, CPU count);
+`--out` appends it, with the runs, to a JSON file (`{"results": [...]}`).
 Exit code 0: no regression and every run correct with no failed
 operation; 1: otherwise; 2: bad arguments or a run that printed no
 result.  Standard library only.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -69,6 +72,28 @@ def run_once(root, workload, seed, seconds):
         return json.loads(lines[-1])
     except ValueError:
         raise PairError(f"{root}: last line is not JSON: {lines[-1][:200]}") from None
+
+
+def commit_id(root):
+    """HEAD of the git checkout whose top level is `root`, else None."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", root, "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True,
+        )
+    except OSError:  # no git on the host
+        return None
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != 2 or not os.path.samefile(lines[0], root):
+        return None  # not a checkout, or a directory inside another one
+    return lines[1]
+
+
+def host():
+    return {
+        "node": platform.node(), "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def quartiles(values):
@@ -163,6 +188,7 @@ def main(argv=None):
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "ok": ok, "metrics": summary,
+        "commits": {side: commit_id(root) for side, root in roots.items()}, "host": host(),
     }
     print(describe(summary, pairs))
     print(json.dumps(result, sort_keys=True))
