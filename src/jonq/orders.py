@@ -75,13 +75,12 @@ class Block(MonomialOrder):
 
     def __init__(self, nvars, first):
         first = tuple(first)
-        if not 0 < len(set(first)) == len(first) < nvars or any(
-            i < 0 or i >= nvars for i in first
-        ):
+        taken = set(first)
+        if not 0 < len(taken) == len(first) < nvars or any(i < 0 or i >= nvars for i in first):
             raise StructuralError("block order: bad index set")
         self.nvars = nvars
         self.first = first
-        self.second = tuple(i for i in range(nvars) if i not in set(first))
+        self.second = tuple(i for i in range(nvars) if i not in taken)
 
     def key(self, exps):
         e1 = tuple(exps[i] for i in self.first)
