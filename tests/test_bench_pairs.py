@@ -5,6 +5,8 @@ prints fixed results."""
 import importlib.util
 import json
 import os
+import platform
+import subprocess
 import textwrap
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
@@ -160,9 +162,6 @@ def test_out_appends_the_runs(tmp_path, capsys):
 
 
 def test_out_records_commits_and_host(tmp_path, capsys):
-    import platform
-    import subprocess
-
     p, c = checkouts(tmp_path, [result(50)], [result(55)])
     git = ["git", "-C", p, "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
     subprocess.run(git + ["init", "-q"], check=True)
