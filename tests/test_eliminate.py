@@ -156,7 +156,7 @@ def test_eliminate_edge_cases(I, drop, want):
 # -- interreduction ------------------------------------------------------------
 
 R3 = VariableSet(["x0", "x1", "x2"])
-ORDERS = [DegRevLex(3), Block(3, (0,)), Block(3, (1, 2))]
+ORDERS = [DegRevLex(3), Block(3, (0,)), Block(3, (0, 1)), Block(3, (1, 2)), Block(3, (2,))]
 polys3 = st.dictionaries(
     st.lists(st.integers(0, 2), max_size=2).map(lambda v: tuple(v.count(i) for i in range(3))),
     coeffs,

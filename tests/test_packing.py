@@ -16,6 +16,9 @@ from jonq.ring import VariableSet, _Accumulator, _KeyOverflow, _packing, parse_p
 
 ORDERS = [
     DegRevLex(4),
+    Block(2, (0,)),
+    Block(3, (0, 1)),
+    Block(3, (2,)),
     Block(4, (1,)),
     Block(5, (0, 2)),
 ]
