@@ -22,7 +22,6 @@ from jonq.groebner import (
     graded_piece_dim,
     ideal_equal,
     intersect,
-    lift,
     normal_form,
     saturate,
 )
@@ -61,6 +60,7 @@ from jonq.syzygies import (
     ConductorData,
     GradedMatrix,
     conductor_data,
+    lift,
     mapping_cone_matrix,
     regularity_bound_checks,
     regularity_dim1,

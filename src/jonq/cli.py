@@ -297,13 +297,11 @@ def cmd_rees(args):
         rep.set("monoid.composition_order", ma.composition_order or "none")
         rep.set_verdict("monoid.composition_holds", ma.composition_holds)
     if M is not None:
-        with timer("saturation"):
-            sat = saturation_identities(P, M, budget)
-        if sat.status == "skipped":
-            rep.set_skipped("saturation.identities", sat.reason)
-        else:
-            rep.set_verdict("saturation.forward_equal", bool(sat.forward_equal))
-            rep.set_verdict("saturation.backward_equal", bool(sat.backward_equal))
+        with _budget_skips(rep, "saturation.identities"):
+            with timer("saturation"):
+                sat = saturation_identities(P, M, budget)
+            rep.set_verdict("saturation.forward_equal", sat.forward_equal)
+            rep.set_verdict("saturation.backward_equal", sat.backward_equal)
             rep.set(
                 "saturation.forward_exponents",
                 " ".join(str(e) for e in sat.forward_exponents),

@@ -1,7 +1,7 @@
 """Buchberger-based ideal arithmetic.
 
 Normal forms, membership, intersection, colon, saturation, elimination,
-lifting, and the Hilbert-Poincare numerator of the lead ideal (dimension,
+and the Hilbert-Poincare numerator of the lead ideal (dimension,
 graded pieces).  Intersection, colon and saturation run on `eliminate`,
 which interreduces only the Block basis elements free of the dropped
 variables and caches the result, the reduced degrevlex basis, on its
@@ -54,14 +54,13 @@ from itertools import accumulate, combinations
 from math import gcd as int_gcd
 from operator import ge, mul, sub
 
-from jonq.errors import BudgetExceeded, HypothesisViolation, MembershipError, StructuralError
+from jonq.errors import BudgetExceeded, HypothesisViolation, StructuralError
 from jonq.orders import Block, DegRevLex
 from jonq.ring import (
     Polynomial,
     VariableSet,
     _Accumulator,
     _KeyOverflow,
-    _divide,
     _lower,
     _with_wide_keys,
     count_monomials,
@@ -989,89 +988,6 @@ def eliminate(I, drop_names, budget=None, hilbert=None):
     out = IdealHandle(small, polys)
     out._cache[order.signature()] = GroebnerBasis(polys, order, small, elems)
     return out
-
-
-# -- lift (division with tracking) ------------------------------------------
-
-
-def _track_reduce(p, basis, order):
-    """Divide p by tracked basis; returns (remainder, quotients)."""
-    quots, rem = _divide(p, [b[0] for b in basis], order)
-    return Polynomial(p.ring, rem), [Polynomial(p.ring, q) for q in quots]
-
-
-def lift(p, gens, budget=None):
-    """Write p = sum h_i * gens_i; raises MembershipError if impossible.
-
-    Tracked Buchberger plus division-with-tracking; for homogeneous data
-    each h_i is homogeneous of degree deg(p) - deg(gens_i) (or zero).
-    Each S-pair it reduces is charged to `budget`.
-    """
-    if not gens:
-        raise MembershipError("no generators to lift against")
-    ring = gens[0].ring
-    if p.ring != ring:
-        raise StructuralError("lift: mixed variable sets")
-    if p.is_zero():
-        return [Polynomial.zero(ring) for _ in gens]
-    order = DegRevLex(len(ring))
-    basis = []
-    for i, g in enumerate(gens):
-        if g.ring != ring:
-            raise StructuralError("lift: mixed variable sets")
-        if g.is_zero():
-            continue
-        reps = [Polynomial.zero(ring) for _ in gens]
-        reps[i] = Polynomial.constant(ring, 1)
-        basis.append((g, reps))
-    if not basis:
-        raise MembershipError("cannot lift a nonzero polynomial over zeros")
-    budget = budget or Budget()
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda ij: _lift_pair_key(basis, ij, order))
-        i, j = pairs.pop(0)
-        f, frep = basis[i]
-        g, grep = basis[j]
-        lmf, lcf = f.lead_term(order)
-        lmg, lcg = g.lead_term(order)
-        lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-        if lcm == tuple(a + b for a, b in zip(lmf, lmg)):
-            continue  # coprime leads
-        budget.charge_pair()
-        mf = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, lmf)), Fraction(1, 1) / lcf)
-        mg = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, lmg)), Fraction(1, 1) / lcg)
-        s = f * mf - g * mg
-        srep = [a * mf - b * mg for a, b in zip(frep, grep)]
-        r, quots = _track_reduce(s, basis, order)
-        if r.is_zero():
-            continue
-        rrep = [
-            srep[k] - sum((q * basis[t][1][k] for t, q in enumerate(quots)), Polynomial.zero(ring))
-            for k in range(len(gens))
-        ]
-        new_idx = len(basis)
-        basis.append((r, rrep))
-        pairs.extend((t, new_idx) for t in range(new_idx))
-    r, quots = _track_reduce(p, basis, order)
-    if not r.is_zero():
-        raise MembershipError("polynomial is not in the ideal of the generators")
-    out = []
-    for k in range(len(gens)):
-        h = Polynomial.zero(ring)
-        for t, q in enumerate(quots):
-            if not q.is_zero():
-                h = h + q * basis[t][1][k]
-        out.append(h)
-    return out
-
-
-def _lift_pair_key(basis, ij, order):
-    i, j = ij
-    lmf, _ = basis[i][0].lead_term(order)
-    lmg, _ = basis[j][0].lead_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    return (sum(lcm), order.key(lcm), i, j)
 
 
 # -- the Hilbert-Poincare numerator of the lead ideal ------------------------

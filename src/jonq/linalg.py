@@ -15,6 +15,7 @@ ranks and span decisions are exact.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -81,6 +82,29 @@ class SpanTracker:
 
     def contains(self, vec):
         return not self._remainder(vec)
+
+
+def solve(rows, ncols, target):
+    """Coefficients a_k, one Fraction per row, with sum a_k*rows[k] = target,
+    or None when target is not in the row span.
+
+    Row k is stored with a unit entry in tracking column ncols + k, so every
+    stored row carries the combination of input rows that built it.  The
+    target goes in with a marker entry 1 in the last column, which no stored
+    row has.  Its remainder is lam*target - sum c_k*rows[k] on the first
+    ncols columns, with -c_k in column ncols + k and lam != 0 in the marker's;
+    it leads with a column below ncols exactly when target is off the span,
+    and otherwise a_k = c_k/lam.
+    """
+    tracker = SpanTracker(ncols + len(rows) + 1)
+    for k, row in enumerate(rows):
+        tracker.add({**row, ncols + k: 1})
+    marker = ncols + len(rows)
+    rem = tracker._remainder({**target, marker: 1})
+    if min(rem) < ncols:
+        return None
+    lam = rem[marker]
+    return [Fraction(-rem.get(ncols + k, 0), lam) for k in range(len(rows))]
 
 
 def rank(rows, ncols):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from jonq.birational import RationalMapData, compose, projectively_equal
-from jonq.errors import BudgetExceeded, DivisibilityError, HypothesisViolation, StructuralError
+from jonq.errors import DivisibilityError, HypothesisViolation, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -411,12 +411,11 @@ def monoid_association(P, monoid, budget=None):
 
 @dataclass(frozen=True)
 class SaturationReport:
-    status: str  # holds | fails | skipped
-    forward_equal: bool | None  # I_F == I_M(G) : C^inf
-    backward_equal: bool | None  # I_M == I_F(G^-1) : D^inf
-    forward_exponents: tuple | None
-    backward_exponents: tuple | None
-    reason: str = ""
+    status: str  # holds | fails
+    forward_equal: bool  # I_F == I_M(G) : C^inf
+    backward_equal: bool  # I_M == I_F(G^-1) : D^inf
+    forward_exponents: tuple
+    backward_exponents: tuple
 
 
 def _saturates_to(T, target, b, budget):
@@ -451,39 +450,37 @@ def saturation_identities(P, M, budget=None):
     g_i(g'(x)) = x_i * D(x) produces.  Each identity is certified by the
     primality of the Rees ideal (`_saturates_to`): one substitution test
     per transported generator and the exponent search, with no elimination
-    unless that certificate fails.
+    unless that certificate fails.  A budget that runs out raises
+    BudgetExceeded.
     """
     budget = budget or Budget()
     xring = P.source
-    try:
-        I_M = M.rees
-        coords = P.coordinates()
-        I_F = I_M if M.coords == coords else rees_ideal(
-            coords, y_names=P.monoid_ring.names, budget=budget
-        )
-        ambient = I_F.ambient
-        x_named = {nm: Polynomial.variable(ambient, nm) for nm in ambient.names}
+    I_M = M.rees
+    coords = P.coordinates()
+    I_F = I_M if M.coords == coords else rees_ideal(
+        coords, y_names=P.monoid_ring.names, budget=budget
+    )
+    ambient = I_F.ambient
+    x_named = {nm: Polynomial.variable(ambient, nm) for nm in ambient.names}
 
-        def transport(pres, images_for_x):
-            """The handle of pres with x substituted; pres's own when x maps to x."""
-            if all(images_for_x[nm] == Polynomial.variable(xring, nm) for nm in xring.names):
-                return pres.ideal
-            images = [
-                images_for_x[nm].map_ring(ambient) if nm in xring else x_named[nm]
-                for nm in ambient.names
-            ]
-            return IdealHandle(ambient, tuple(h.substitute(images) for h in pres.generators))
+    def transport(pres, images_for_x):
+        """The handle of pres with x substituted; pres's own when x maps to x."""
+        if all(images_for_x[nm] == Polynomial.variable(xring, nm) for nm in xring.names):
+            return pres.ideal
+        images = [
+            images_for_x[nm].map_ring(ambient) if nm in xring else x_named[nm]
+            for nm in ambient.names
+        ]
+        return IdealHandle(ambient, tuple(h.substitute(images) for h in pres.generators))
 
-        g_map = dict(zip(xring.names, P.cremona.forward.coords))
-        ginv_x = [c.rename(xring) for c in P.cremona.inverse.coords]
-        ginv_map = dict(zip(xring.names, ginv_x))
+    g_map = dict(zip(xring.names, P.cremona.forward.coords))
+    ginv_x = [c.rename(xring) for c in P.cremona.inverse.coords]
+    ginv_map = dict(zip(xring.names, ginv_x))
 
-        C_amb = P.cremona.source_factor.map_ring(ambient)
-        forward_equal, fwd_exp = _saturates_to(transport(I_M, g_map), I_F, C_amb, budget)
+    C_amb = P.cremona.source_factor.map_ring(ambient)
+    forward_equal, fwd_exp = _saturates_to(transport(I_M, g_map), I_F, C_amb, budget)
 
-        D_x = P.cremona.target_factor.rename(xring).map_ring(ambient)
-        backward_equal, bwd_exp = _saturates_to(transport(I_F, ginv_map), I_M, D_x, budget)
-    except BudgetExceeded as exc:
-        return SaturationReport("skipped", None, None, None, None, f"budget: {exc}")
+    D_x = P.cremona.target_factor.rename(xring).map_ring(ambient)
+    backward_equal, bwd_exp = _saturates_to(transport(I_F, ginv_map), I_M, D_x, budget)
     status = "holds" if (forward_equal and backward_equal) else "fails"
     return SaturationReport(status, forward_equal, backward_equal, fwd_exp, bwd_exp)

@@ -704,48 +704,35 @@ class _Accumulator:
 # -- division, gcd ---------------------------------------------------------
 
 
-def _divide(p, divisors, order, exact=False):
-    """Divide p by a list of polynomials; returns (quotients, remainder).
+def _divide(p, d):
+    """The quotient q with q*d = p as an exponent map, or None when d does
+    not divide p.
 
-    Both come back as exponent maps.  Each lead of the running remainder
-    goes to the first divisor whose lead divides it, and to the remainder
-    if there is none.  With `exact`, the first such irreducible lead ends
-    the division, so the remainder is empty exactly when the divisors
-    divide p without one.
+    Each lead of the running remainder must be divisible by d's degrevlex
+    lead; the first that is not ends the division, since p = q*d leaves
+    every remainder a multiple of d.
     """
+    order = DegRevLex(len(p.ring))
     key = order.key
-    dterms = [
-        sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
-        for d in divisors
-    ]
-    lcs = [t[0][1] for t in dterms]
+    dterms = sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
+    lc = dterms[0][1]
     pterms = [(key(m), c) for m, c in p._terms.items()]
 
     def run(packing):
         guard = packing.guard
-        leads = [packing.pack(t[0][0]) for t in dterms]
-        tails = [packing.offsets(t) for t in dterms]
+        lm = packing.pack(dterms[0][0])
+        tail = packing.offsets(dterms)
         rem = _Accumulator(packing, pterms)
-        quots = [{} for _ in dterms]
-        out = []
+        quot = {}
         while rem:
             k, c = rem.pop_lead()
-            for hit, lm in enumerate(leads):
-                if not (k - lm) & guard:
-                    break
-            else:
-                out.append((k, c))
-                if exact:
-                    break
-                continue
-            qc = Fraction(c, 1) / lcs[hit]
-            quots[hit][k - lm] = qc
-            rem.add_shifted(k, tails[hit], -qc)
+            if (k - lm) & guard:
+                return None
+            qc = Fraction(c, 1) / lc
+            quot[k - lm] = qc
+            rem.add_shifted(k, tail, -qc)
         exponents = packing.exponents
-        return (
-            [{exponents(q): c for q, c in quot.items()} for quot in quots],
-            {exponents(k): c for k, c in out},
-        )
+        return {exponents(q): c for q, c in quot.items()}
 
     return _with_wide_keys(run, order)
 
@@ -759,8 +746,8 @@ def divide_exact(p, d):
         raise DivisibilityError("division by the zero polynomial")
     if p.is_zero():
         return p
-    (q,), rem = _divide(p, [d], DegRevLex(len(p.ring)), exact=True)
-    if rem:
+    q = _divide(p, d)
+    if q is None:
         raise DivisibilityError(f"({d}) does not divide ({p}) exactly")
     return Polynomial._clean(p.ring, {m: _lower(c) for m, c in q.items()})
 
@@ -787,7 +774,7 @@ def poly_gcd(p, q):
         return Polynomial.constant(p.ring, 1)
     # u | v makes gcd(u, v) = u.canonical() = u
     u, v = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
-    if not _divide(v, [u], DegRevLex(len(p.ring)), exact=True)[1]:
+    if _divide(v, u) is not None:
         return u
     # (a) meet (b) = (lcm(a, b)); groebner imports this module
     from jonq.groebner import IdealHandle, intersect

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
 
-from jonq.errors import HypothesisViolation, StructuralError
+from jonq.errors import HypothesisViolation, MembershipError, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -23,10 +23,9 @@ from jonq.groebner import (
     dim_and_codim,
     hilbert_numerator,
     ideal_equal,
-    lift,
     saturate_by_variables,
 )
-from jonq.linalg import SpanTracker, rank
+from jonq.linalg import SpanTracker, rank, solve
 from jonq.rees import rees_ideal
 from jonq.ring import Polynomial, monomials_of_degree
 
@@ -99,7 +98,9 @@ def conductor_data(I, g, budget=None):
     conductor is 1, and no `colon` elimination runs.  Otherwise the colon
     is computed; when I:(g) = I the conductors are the generators of I
     themselves and the content map is g times the identity (the
-    non-zero-divisor shape).
+    non-zero-divisor shape).  In the other two cases each content column
+    is one `lift` of c_j*g, a linear solve charging no S-pairs; it is
+    unique only up to a syzygy of I, and no printed key depends on which.
     """
     if g.is_zero():
         raise StructuralError("conductor of the zero form")
@@ -121,7 +122,7 @@ def conductor_data(I, g, budget=None):
         if kind == "non_zero_divisor":
             columns.append([g if k == j else zero for k in range(len(gens))])
         else:
-            columns.append(lift(cj * g, gens, budget=budget))
+            columns.append(lift(cj * g, gens))
     degrees = tuple(c.total_degree() for c in conductors)
     row_twists = tuple(gi.total_degree() for gi in gens)
     col_twists = tuple(C + dg for C in degrees)
@@ -172,6 +173,38 @@ def _evaluation_columns(gens, mu):
         if k >= 0:
             cols.extend(_shifted_vectors((g,), k, index))
     return _slots(gens, mu), len(index), cols
+
+
+def lift(p, gens):
+    """Forms h_i with p = sum h_i*gens_i, each zero or of degree deg p - deg gens_i.
+
+    For forms, p lies in the ideal of `gens` exactly when its image in R_mu,
+    mu = deg p, lies in the span of the images of the degree-mu slots
+    m*g_i (Lazard, EUROCAL '83), so one `linalg.solve` over
+    `_evaluation_columns`, with p's own image as the last column, decides
+    membership and gives the h_i.  A lift is unique only up to a syzygy of
+    `gens`.  Raises StructuralError unless p and `gens` are forms over one
+    ring, and MembershipError when p is not in the ideal; no S-pairs are
+    charged.
+    """
+    if not gens:
+        raise MembershipError("no generators to lift against")
+    ring = gens[0].ring
+    if any(h.ring != ring for h in (p, *gens)):
+        raise StructuralError("lift: mixed variable sets")
+    if not all(h.is_homogeneous() for h in (p, *gens)):
+        raise StructuralError("lift needs forms")
+    live = [i for i, g in enumerate(gens) if not g.is_zero()]
+    out = [{} for _ in gens]
+    if not p.is_zero():
+        slots, ntarget, cols = _evaluation_columns([gens[i] for i in live] + [p], p.total_degree())
+        coeffs = solve(cols[:-1], ntarget, cols[-1])
+        if coeffs is None:
+            raise MembershipError("polynomial is not in the ideal of the generators")
+        for (gi, mono), a in zip(slots, coeffs):
+            if a:
+                out[live[gi]][mono] = a
+    return [Polynomial(ring, e) for e in out]
 
 
 def syzygy_basis(gens, bound):

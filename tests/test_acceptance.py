@@ -10,6 +10,7 @@ import time
 import pytest
 
 from jonq.birational import identity_map
+from jonq.errors import BudgetExceeded
 from jonq.fixtures import load_fixture
 from jonq.groebner import (
     Budget,
@@ -280,14 +281,16 @@ def test_criterion_9_monoid_association_and_saturation():
         assert ma.same_implicit_equation, f"{name}: (a) fails"
         assert ma.composition_holds and ma.composition_order is not None
         sat = saturation_identities(P, M)
-        assert sat.status == "holds", f"{name}: (c) {sat.status} {sat.reason}"
+        assert sat.status == "holds", f"{name}: (c) {sat.status}"
     # the P^3 fixture: (a) and (b) must run; (c) may be skipped(budget)
     P = load_fixture("space").jonquieres()
     mon = implicitize(P)
     M, ma = monoid_association(P, mon)
     assert ma.same_implicit_equation and ma.composition_holds
-    sat = saturation_identities(P, M, budget=Budget(max_pairs=200_000))
-    assert sat.status in ("holds", "skipped"), "P^3 (c) must hold or budget-skip"
-    if sat.status == "skipped":
-        assert "budget" in sat.reason
+    try:
+        sat = saturation_identities(P, M, budget=Budget(max_pairs=200_000))
+    except BudgetExceeded:
+        pass
+    else:
+        assert sat.status == "holds", "P^3 (c) must hold or budget-skip"
     _stamp("criterion 9 (monoid association and saturation identities)", t0)

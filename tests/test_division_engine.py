@@ -1,8 +1,8 @@
 """The heap-based division engine against the merge-based loops it replaced.
 
-`reference_reduce`, `reference_divide_exact` and `reference_track_reduce`
-are the reduction loop, the exact division and the tracked division (of
-`lift`) that re-merged or re-scanned the whole remainder on every step.  The engine must make the same choices, so it must return
+`reference_reduce` and `reference_divide_exact` are the reduction loop
+and the exact division that re-merged or re-scanned the whole remainder
+on every step.  The engine must make the same choices, so it must return
 the same terms, scales and quotients, and fail on the same inputs.
 `reference_reduce` finds its reducers the way that loop did: on exponent
 tuples with support masks (`reference_find_reducer`), not on the
@@ -22,7 +22,6 @@ from jonq.groebner import (
     _lead_data,
     _reduce,
     _to_internal,
-    _track_reduce,
     buchberger,
     is_member,
     normal_form,
@@ -137,38 +136,6 @@ def reference_divide_exact(p, d):
     return Polynomial(p.ring, qterms)
 
 
-def reference_track_reduce(p, basis, order):
-    quots = [Polynomial.zero(p.ring) for _ in basis]
-    rem_terms = dict(p.items())
-    out = {}
-    lead_cache = [b[0].lead_term(order) for b in basis]
-    while rem_terms:
-        m = max(rem_terms, key=order.key)
-        c = rem_terms.pop(m)
-        hit = -1
-        for idx, (lm, lc) in enumerate(lead_cache):
-            if all(a >= b for a, b in zip(m, lm)):
-                hit = idx
-                break
-        if hit < 0:
-            out[m] = c
-            continue
-        lm, lc = lead_cache[hit]
-        u = tuple(a - b for a, b in zip(m, lm))
-        qc = Fraction(c, 1) / lc
-        quots[hit] = quots[hit] + Polynomial.monomial(p.ring, u, qc)
-        for mm, cc in basis[hit][0].items():
-            if mm == lm:
-                continue
-            key = tuple(a + b for a, b in zip(u, mm))
-            s = rem_terms.get(key, 0) - qc * cc
-            if s:
-                rem_terms[key] = s
-            else:
-                rem_terms.pop(key, None)
-    return Polynomial(p.ring, out), quots
-
-
 R = VariableSet(["x0", "x1", "x2"])
 
 ORDERS = [
@@ -240,13 +207,6 @@ def test_divide_exact_matches_max_loop(a, b, extra):
     assert got == _outcome(reference_divide_exact, p, b)
     if extra is None:
         assert got == ("ok", a)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ORDERS), st.lists(rational_polys, min_size=1, max_size=3), polys)
-def test_track_reduce_matches_max_loop(order, divisors, p):
-    basis = [(d, None) for d in divisors]
-    assert _track_reduce(p, basis, order) == reference_track_reduce(p, basis, order)
 
 
 # -- keys beyond the narrow fields --------------------------------------------

@@ -20,7 +20,6 @@ from jonq.groebner import (
     hilbert_numerator,
     ideal_equal,
     intersect,
-    lift,
     minimalize_generators,
     multiply_ideal,
     normal_form,
@@ -38,6 +37,7 @@ from jonq.ring import (
     poly_gcd,
     random_form,
 )
+from jonq.syzygies import lift
 
 R = VariableSet(["x0", "x1", "x2"])
 
@@ -545,15 +545,11 @@ class TestLift:
         with pytest.raises(MembershipError):
             lift(p("x2^3"), [p("x0"), p("x1")])
 
-    def test_budget_bounds_the_tracked_buchberger(self):
-        gens = [p("x0^2 - x1*x2"), p("x0*x1 - x2^2")]
-        target = p("x1") * gens[0] + p("x2") * gens[1]
-        with pytest.raises(BudgetExceeded):
-            lift(target, gens, budget=Budget(max_pairs=0))
-        budget = Budget()
-        h = lift(target, gens, budget=budget)
-        assert budget.pairs_used > 0
-        assert h[0] * gens[0] + h[1] * gens[1] == target
+    def test_rejects_input_that_is_not_a_form(self):
+        with pytest.raises(StructuralError):
+            lift(p("x0^2 + x1"), [p("x0"), p("x1")])
+        with pytest.raises(StructuralError):
+            lift(p("x0^2"), [p("x0 + 1"), p("x1")])
 
 
 class TestDimension:

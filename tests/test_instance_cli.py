@@ -411,6 +411,16 @@ class TestCli:
         assert "budget: budget" not in out
         reasons = {v for v in parse_report(out).values() if v.startswith("skipped(budget")}
         assert reasons == {"skipped(budget: Groebner S-pair limit (limit 5))"}
+        if command == "rees":
+            # at 50 pairs the budget runs out inside the saturation identities
+            code, out = run_cli(
+                [command, fixture_path("plane"), "--machine", "--budget-pairs", "50"], capsys
+            )
+            assert code in (0, 1)
+            skips = {k: v for k, v in parse_report(out).items() if v.startswith("skipped(")}
+            assert skips == {
+                "saturation.identities": "skipped(budget: Groebner S-pair limit (limit 50))"
+            }
 
     def test_option_seed_honoured(self, tmp_path, capsys):
         inst = tmp_path / "seed3.jonq"

@@ -2,7 +2,8 @@
 
 Ranks and span decisions over Q do not depend on how a row space is
 written down, so they must agree exactly with the reference in
-`fraction_linalg`.  The engine takes sparse rows; a dense test row `row`
+`fraction_linalg`; `solve`'s coefficients are not unique, so they are
+checked by the combination they give.  The engine takes sparse rows; a dense test row `row`
 goes in as `dict(enumerate(row))`.
 """
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_linalg import FractionSpan, fraction_rank
-from jonq.linalg import SpanTracker, rank
+from jonq.linalg import SpanTracker, rank, solve
 
 
 small = st.integers(-3, 3)
@@ -173,3 +174,46 @@ def test_empty_row_list(ncols):
 def test_full_rank_stops_early_with_the_same_answer():
     rows = [{0: 1}, {1: 1}, {0: 5, 1: 7}, {0: 2**70, 1: Fraction(1, 3)}]
     assert rank(rows, 2) == 2
+
+
+def _combination(coeffs, rows, ncols):
+    return [sum((a * row.get(c, 0) for a, row in zip(coeffs, rows)), Fraction(0)) for c in range(ncols)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_matrices(), st.data())
+def test_solve_matches_fraction_span(mat, data):
+    """A target in the span comes back as an exact combination of the rows;
+    one off the span, a combination plus e_c for a column c that is no
+    pivot of the reference's reduced row echelon form, gives None."""
+    rows, ncols = mat
+    ref = FractionSpan(ncols)
+    for row in rows:
+        ref.add(_dense(row, ncols))
+    weights = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    inside = _combination(weights, rows, ncols)
+    for target in (inside, [0] * ncols):
+        got = solve(rows, ncols, dict(enumerate(target)))
+        assert got is not None and len(got) == len(rows)
+        assert _combination(got, rows, ncols) == target
+    column = st.integers(0, ncols - 1)
+    probe = data.draw(st.dictionaries(column, nonzero, min_size=1, max_size=5))
+    got = solve(rows, ncols, probe)
+    if ref.contains(_dense(probe, ncols)):
+        assert _combination(got, rows, ncols) == _dense(probe, ncols)
+    else:
+        assert got is None
+    pivots = {pc for pc, _ in ref.rows}
+    free = [c for c in range(ncols) if c not in pivots]
+    if free:
+        off = list(inside)
+        off[data.draw(st.sampled_from(free))] += data.draw(nonzero)
+        assert solve(rows, ncols, dict(enumerate(off))) is None
+
+
+def test_solve_without_rows():
+    assert solve([], 3, {}) == []
+    assert solve([], 3, {1: 0}) == []
+    assert solve([], 3, {1: Fraction(2, 3)}) is None
+    assert solve([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, {0: 3, 1: 6}) is not None
+    assert solve([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, {0: 3, 1: 5}) is None

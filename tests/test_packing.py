@@ -25,6 +25,15 @@ ORDERS = [
 PACKINGS = [(order, bits) for order in ORDERS for bits in (16, 32)]
 
 
+def packing_id(order, bits):
+    """`degrevlex-4-16`, `block-5-(0,2)-32`: the order's signature and the field width."""
+    kind, *args = order.signature()
+    return "-".join([kind, *(str(a).replace(" ", "") for a in args), str(bits)])
+
+
+PACKING_IDS = [packing_id(order, bits) for order, bits in PACKINGS]
+
+
 def exponent_bound(packing):
     """The exponent bound `pack` accepts: the lowest `over` bit."""
     return packing.over & -packing.over
@@ -107,7 +116,7 @@ def test_shift_by_a_packed_quotient(c):
     assert shifted == pack(order.key(tuple(x + y for x, y in zip(a, q))))
 
 
-@pytest.mark.parametrize("order,bits", PACKINGS)
+@pytest.mark.parametrize("order,bits", PACKINGS, ids=PACKING_IDS)
 def test_shift_past_the_bound_raises_before_a_carry(order, bits):
     packing = _packing(order, bits)
     bound = exponent_bound(packing)
@@ -130,7 +139,7 @@ def test_shift_past_the_bound_raises_before_a_carry(order, bits):
         assert not acc
 
 
-@pytest.mark.parametrize("order,bits", PACKINGS)
+@pytest.mark.parametrize("order,bits", PACKINGS, ids=PACKING_IDS)
 def test_basis_element_past_the_bound_raises(order, bits):
     # a remainder keeps its packed terms; one past the bound is refused as
     # `pack` would refuse it, so the Buchberger run widens its fields

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from operator import ge
 from unittest import mock
@@ -13,11 +14,11 @@ from jonq.groebner import (
     colon,
     dim_and_codim,
     ideal_equal,
-    lift,
     saturate_by_variables,
 )
-from jonq.implicitize import JonquieresData
+from jonq.implicitize import JonquieresData, implicitize, syzygetic_polynomials
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
+from jonq.rees import downgraded_rees_ideal
 from jonq.ring import (
     Polynomial,
     VariableSet,
@@ -30,6 +31,7 @@ from jonq.ring import (
 from jonq.syzygies import (
     conductor_data,
     graded_matrix_from_columns,
+    lift,
     mapping_cone_matrix,
     regularity_dim1,
     regularity_oracle,
@@ -135,6 +137,63 @@ class TestInclusionShortcut:
         monkeypatch.setattr(groebner, "intersect", counting)
         assert conductor_data(P.base_ideal_I(), P.g).kind == "inclusion"
         assert calls == []
+
+
+def _shifted_by_syzygies(I, data):
+    """`data` with each content column moved by a monomial multiple of a
+    `syzygy_basis` column of I, so it is another lift of the same c_j*g."""
+    gens = list(I.gens)
+    content = data.content
+    phi = syzygy_basis(gens, max(content.col_twists))
+    x0 = Polynomial.variable(I.ring, I.ring.names[0])
+    columns = []
+    for j, twist in enumerate(content.col_twists):
+        col = content.column(j)
+        fits = [k for k in range(phi.ncols) if phi.col_twists[k] <= twist]
+        if fits:
+            k = fits[j % len(fits)]
+            m = 3 * x0 ** (twist - phi.col_twists[k])
+            col = tuple(h + m * s for h, s in zip(col, phi.column(k)))
+        columns.append(col)
+    moved = graded_matrix_from_columns(I.ring, columns, content.row_twists, content.col_twists)
+    return dataclasses.replace(data, content=moved)
+
+
+def _lift_keys(P, data):
+    """What `implicitize` and `rees` print from the content columns."""
+    mon = implicitize(P)
+    syz = [(s.polynomial, s.extraneous_factor) for s in syzygetic_polynomials(P, mon, data)]
+    pres, dg = downgraded_rees_ideal(P, mon, data)
+    ends = [chain[-1] for chain in dg.chains]
+    return syz, ends, dg.factors, len(pres.generators)
+
+
+class TestNoKeyDependsOnTheLift:
+    """A lift is unique up to a syzygy s of I, and sum s_i(g')*g_i(g') = 0
+    with g_i(g') = y_i*D; so the syzygetic polynomials, the downgrade chain
+    ends and factors and the generator count do not move with it."""
+
+    def _check(self, P):
+        I = P.base_ideal_I()
+        data = conductor_data(I, P.g)
+        moved = _shifted_by_syzygies(I, data)
+        assert moved.content != data.content
+        for j, cj in enumerate(data.conductors):
+            total = sum(
+                (h * gi for h, gi in zip(moved.content.column(j), I.gens)), Polynomial.zero(I.ring)
+            )
+            assert total == cj * P.g
+        assert _lift_keys(P, moved) == _lift_keys(P, data)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self._check(load_fixture(name).jonquieres())
+
+    def test_plane_draws(self, seeded_draws):
+        # on these draws the solve and the tracked Buchberger it replaced
+        # return different content columns
+        for P in seeded_draws("plane", 3, 25_027):
+            self._check(P)
 
 
 class TestGradedMatrix:
