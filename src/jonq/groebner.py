@@ -15,15 +15,17 @@ integer-primitive term lists keyed by additive order keys (see
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
 tie-break).  Reduced bases are unique per (ideal, order).
 
-An elimination can be told the weights that make its generators
-homogeneous and their Hilbert series (`rees` does so for y_i - t*c_i,
-a regular sequence).  Pairs then go by the weighted degree of their lcm,
+An elimination or a `buchberger` run can be told the weights that make
+its generators homogeneous and the Hilbert series of their ideal I, or
+of an ideal that contains I (`rees` does so for y_i - t*c_i, a regular
+sequence, and for a monoid's Rees ideal, which contains its closed
+form).  Pairs then go by the weighted degree of their lcm,
 and the engine counts the leads a degree lacks: [s^k] of (N(in G) - N(I))
 / prod(1 - s^w), with N(in G) kept by N(M + (m)) = N(M) - s^w(m) N(M : m);
 the variables among the generators of M : m split off as prod(1 - s^w),
 so only the rest of the colon takes Bigatti's recursion.  In(G)_k lies
-in in(I)_k, so at a count of 0 they are equal and every pair left in
-degree k reduces to zero; it is dropped and not charged (Traverso,
+in in(I)_k, and a larger ideal's count is no smaller, so at a count of 0
+they are equal and every pair left in degree k reduces to zero; it is dropped and not charged (Traverso,
 "Hilbert functions and the Buchberger algorithm", JSC 22, 1996).  A
 degree is counted only when a second pair of it is pending.
 
@@ -284,11 +286,14 @@ def _buchberger_core(inputs, order, budget, seed=None, hilbert=None):
     """Run Buchberger; `seed` is an existing basis whose mutual pairs are done.
 
     `hilbert` is (weights, numerator): the inputs are homogeneous under the
-    variable weights, and the ideal's Hilbert series is numerator / prod(1 -
-    s^w).  Pairs then go by the weighted degree of their lcm, and once the
-    leads fill a degree the rest of its pairs are dropped uncharged
-    (`_LeadCount`).  A run that outgrows its fields starts over with wider
-    ones and with the S-pair budget as it found it.
+    variable weights, and numerator / prod(1 - s^w) is the Hilbert series of
+    their ideal I or of any ideal J that contains I.  Pairs then go by the
+    weighted degree of their lcm, and once the leads fill a degree of J the
+    rest of its pairs are dropped uncharged (`_LeadCount`).  For J that is
+    sound too: no lead is missing in degree k only when dim in(G)_k =
+    dim J_k >= dim I_k >= dim in(G)_k, so in(G)_k = in(I)_k and every
+    S-polynomial of degree k reduces to 0.  A run that outgrows its fields
+    starts over with wider ones and with the S-pair budget as it found it.
     """
     if not seed and not any(inputs):
         return []
@@ -315,9 +320,10 @@ def _key_weights(order, weights):
 class _LeadCount:
     """The standard monomials of the lead ideal against the Hilbert function.
 
-    `missing(k)` is dim in(I)_k - dim in(G)_k, the leads of weighted degree
-    k that G lacks, read as [s^k] (N(in G) - N(I)) / prod(1 - s^w).  The
-    difference N(in G) - N(I) is one running list; it takes the leads in
+    `missing(k)` is dim J_k - dim in(G)_k, the leads of weighted degree k
+    that G lacks against the ideal J whose series `hilbert` gives (I or any
+    ideal containing I), read as [s^k] (N(in G) - N(J)) / prod(1 - s^w).  The
+    difference N(in G) - N(J) is one running list; it takes the leads in
     lazily, when a count is asked for, each by N(M + (m)) = N(M) -
     s^w(m) N(M : m).  M : m is generated by the quotients lcm(x, m) / m
     over the earlier leads x, from the lcms the pair update built.  The
@@ -345,7 +351,7 @@ class _LeadCount:
             1 << bits * (n - 1 - v): (w, fmask << bits * (n - 1 - v))
             for v, w in enumerate(self.weights)
         }
-        self.diff = _shifted_sum([1], target, 0, -1)  # N(in G) - N(I), leads not pending
+        self.diff = _shifted_sum([1], target, 0, -1)  # N(in G) - N(J), leads not pending
         self.pending = []  # (exponent part of a lead, its lcms with the earlier leads)
         self.series = [1]  # 1 / prod(1 - s^w), as far as it was needed
 
@@ -582,8 +588,12 @@ class GroebnerBasis:
         return any(not any(e.lm_exps) for e in self._elems)
 
 
-def buchberger(gens, order=None, budget=None, ring=None):
-    """Reduced Groebner basis of the given generators; deterministic."""
+def buchberger(gens, order=None, budget=None, ring=None, hilbert=None):
+    """Reduced Groebner basis of the given generators; deterministic.
+
+    `hilbert` is `_buchberger_core`'s: weights that make the generators
+    homogeneous and the Hilbert series of their ideal or of a larger one.
+    """
     gens = [g for g in gens if isinstance(g, Polynomial)]
     nonzero = [g for g in gens if not g.is_zero()]
     if ring is None:
@@ -598,7 +608,7 @@ def buchberger(gens, order=None, budget=None, ring=None):
         raise StructuralError("order arity does not match the variable set")
     budget = budget or Budget()
     internal = [_to_internal(g, order) for g in nonzero]
-    G = _buchberger_core(internal, order, budget)
+    G = _buchberger_core(internal, order, budget, hilbert=hilbert)
     reduced = _reduced_basis(G, order)
     polys = [_to_polynomial(e.terms, order, ring) for e in reduced]
     return GroebnerBasis(polys, order, ring, reduced)
@@ -643,6 +653,13 @@ class IdealHandle:
                 clean.append(g)
         self.gens = tuple(clean)
         self._cache = {}
+
+    @classmethod
+    def of_basis(cls, basis):
+        """The ideal generated by a reduced basis, with that basis cached."""
+        out = cls(basis.ring, basis.generators)
+        out._cache[basis.order.signature()] = basis
+        return out
 
     @classmethod
     def of(cls, *gens):
@@ -950,9 +967,7 @@ def saturate_by_variables(I, budget=None):
         raise BudgetExceeded("saturation chain length", budget.sat_cap)
     elems = _reduced_basis(divided, order)
     polys = [_to_polynomial(e.terms, order, ring) for e in elems]
-    out = IdealHandle(ring, polys)
-    out._cache[order.signature()] = GroebnerBasis(polys, order, ring, elems)
-    return out
+    return IdealHandle.of_basis(GroebnerBasis(polys, order, ring, elems))
 
 
 def eliminate(I, drop_names, budget=None, hilbert=None):
@@ -985,9 +1000,7 @@ def eliminate(I, drop_names, budget=None, hilbert=None):
     ]
     elems = _reduced_basis(kept, order)
     polys = [_to_polynomial(e.terms, order, small) for e in elems]
-    out = IdealHandle(small, polys)
-    out._cache[order.signature()] = GroebnerBasis(polys, order, small, elems)
-    return out
+    return IdealHandle.of_basis(GroebnerBasis(polys, order, small, elems))
 
 
 # -- the Hilbert-Poincare numerator of the lead ideal ------------------------

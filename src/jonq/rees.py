@@ -1,7 +1,8 @@
 """Rees presentations, birational downgrading, and monoid association.
 
 The Rees ideal of a tuple of forms is computed by eliminating the Rees
-parameter; membership of a candidate in the *kernel* presentation is
+parameter, except a monoid's, whose closed form is certified by its
+Hilbert series (`_monoid_rees`); membership of a candidate in the *kernel* presentation is
 decided by substitution (y_i -> t*g_i), which is cheap and exact.  For
 forms of one degree, the x-free part of the Rees ideal is the implicit
 ideal of their image (Cox, "The moving curve ideal and the Rees algebra",
@@ -29,13 +30,15 @@ from jonq.groebner import (
     Budget,
     IdealHandle,
     _shifted_sum,
+    buchberger,
     dim_and_codim,
     eliminate,
+    hilbert_numerator,
     ideal_equal,
     saturate,
     saturation_exponent,
 )
-from jonq.ring import Polynomial, VariableSet, divide_exact
+from jonq.ring import Polynomial, VariableSet, _coprime_on_line, divide_exact
 
 
 def _quotient(p, d):
@@ -244,6 +247,24 @@ def iterated_downgrades(Q, H, x_indices, seed=None):
 # -- the downgraded Rees ideal -------------------------------------------------
 
 
+def _with_downgrades(base, columns, y_names, H, x_indices):
+    """`base` followed by the downgrade chain of each Q = sum_k column_k * y_k.
+
+    `base` lives in the ambient ring of `H`; each column holds one x-form
+    per name of `y_names`.  Returns the generators and the chains.
+    """
+    ambient = H[0].ring
+    ys = [Polynomial.variable(ambient, nm) for nm in y_names]
+    chains = []
+    for column in columns:
+        Q = Polynomial.zero(ambient)
+        for c, y in zip(column, ys):
+            if not c.is_zero():
+                Q = Q + c.map_ring(ambient) * y
+        chains.append(tuple(iterated_downgrades(Q, H, x_indices)))
+    return tuple(base) + tuple(g for chain in chains for g in chain), tuple(chains)
+
+
 @dataclass(frozen=True)
 class DowngradeReport:
     contained_in_rees: bool
@@ -280,21 +301,17 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     ambient = xring.union(P.monoid_ring)
     x_idx = tuple(ambient.index(nm) for nm in xring.names)
     cre = rees_ideal(P.cremona.forward.coords, P.cremona.target.names, budget)
-    gens = [g.map_ring(ambient) for g in cre.generators]
-    H = [h.map_ring(ambient) for h in P.cremona.inverse.coords]
-    y_last = Polynomial.variable(ambient, P.last_var)
-    chains = []
-    for j, cj in enumerate(conductor.conductors):
-        Q = Polynomial.zero(ambient)
-        for i, nm in enumerate(P.cremona.target.names):
-            h = conductor.content.entries[i][j]
-            if not h.is_zero():
-                Q = Q + h.map_ring(ambient) * Polynomial.variable(ambient, nm)
-        Q = Q - (P.f * cj).map_ring(ambient) * y_last
-        chains.append(tuple(iterated_downgrades(Q, H, x_idx)))
-    for chain in chains:
-        gens.extend(chain)
-    pres = ReesPresentation(ambient, xring.names, P.monoid_ring.names, tuple(gens))
+    columns = [
+        conductor.content.column(j) + (-(P.f * cj),) for j, cj in enumerate(conductor.conductors)
+    ]
+    gens, chains = _with_downgrades(
+        [g.map_ring(ambient) for g in cre.generators],
+        columns,
+        P.monoid_ring.names,
+        [h.map_ring(ambient) for h in P.cremona.inverse.coords],
+        x_idx,
+    )
+    pres = ReesPresentation(ambient, xring.names, P.monoid_ring.names, gens)
     # (i) containment in the Rees kernel of (If, g)
     images = _kernel_images(ambient, P.monoid_ring.names, P.coordinates())
     contained = all(g.substitute(images).is_zero() for g in pres.generators)
@@ -318,7 +335,7 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
         codim_matches=(codim == n + 1),
         factors=factors,
         all_divisible_by_F=all(q is not None for q in factors),
-        chains=tuple(chains),
+        chains=chains,
     )
     return pres, report
 
@@ -335,6 +352,71 @@ class MonoidParametrization:
     rees: ReesPresentation = field(repr=False, compare=False)  # of `coords`
 
 
+def _monoid_numerator(n, delta):
+    """N_M, lowest coefficient first: HS(S/I_M) = N_M(s) / (1 - s)^(2n+3).
+
+    N_M = (1 + n s - delta s^delta - (n + 1 - delta) s^(delta+1)) (1 - s)^n.
+    """
+    N = [1, n] + [0] * (delta - 2) + [-delta, delta - n - 1]
+    for _ in range(n):
+        N = _shifted_sum(N, N, 1, -1)
+    return N
+
+
+def _monoid_rees(h_dm1, h_delta, coords, y_names, budget):
+    """The Rees ideal I_M of the monoid tuple `coords`, in closed form, or None.
+
+    `coords` is (h_dm1 x_0, ..., h_dm1 x_n, s h_delta).  D_M is the minors
+    y_i x_j - y_j x_i (the Rees ideal of the identity map) plus the
+    downgrade chain of Q = sum c_i y_i - h_dm1 y_(n+1) by (y_0, ..., y_n),
+    where s h_delta = sum x_i c_i is its x-framing: `downgraded_rees_ideal`
+    over the identity Cremona map.  Its degrevlex basis is accepted as I_M
+    by a certificate:
+
+    * D_M lies in I_M.  The minors and Q map to zero (Q by one substitution),
+      and a downgrade keeps kernel membership: if Q' = sum x_i Q'_i maps to
+      zero, sum y_i Q'_i maps to t h_dm1 times the image of Q'.
+    * S/I_M is the Rees algebra of h_dm1 (x_0, ..., x_n) + (h_delta); its
+      bidegree-(a, b) piece is ((h_dm1, h_delta)^b)_(a + b delta).  For
+      n >= 1, deg h_dm1 = delta - 1 >= 1 and coprime forms (a regular
+      sequence), Hilbert-Burch resolves (u, v)^b by b + 1 generators of
+      degrees b delta - k over b relations of degrees b delta + delta - 1 - k,
+      and the sum is `_monoid_numerator`.  Coprimality is proved by the
+      mod-p certificate `poly_gcd` opens with; a monoid's components are
+      coprime by construction, but one built from other components would
+      share a factor L and a smaller series, which D_M can still meet.
+    * D_M in I_M with that numerator gives D_M = I_M: a smaller ideal has a
+      larger quotient in some degree.
+
+    The run is told that series, of I_M, which contains D_M, so its
+    pruning is sound (`_buchberger_core`).  None when a hypothesis on the
+    degrees or a check fails.
+    """
+    xring = h_dm1.ring
+    n, delta = len(xring) - 1, h_delta.total_degree() or 0
+    forms = h_dm1.is_homogeneous() and h_delta.is_homogeneous()
+    if n < 1 or delta < 2 or not forms or h_dm1.total_degree() != delta - 1:
+        return None
+    if not _coprime_on_line(h_dm1.primitive_part(), h_delta.primitive_part()):
+        return None
+    ambient = xring.union(VariableSet(y_names))
+    x_idx = tuple(ambient.index(nm) for nm in xring.names)
+    xs = [Polynomial.variable(ambient, nm) for nm in xring.names]
+    ys = [Polynomial.variable(ambient, nm) for nm in y_names]
+    minors = [ys[i] * xs[j] - ys[j] * xs[i] for i in range(n + 1) for j in range(i + 1, n + 1)]
+    column = x_framing(coords[-1], range(n + 1)) + [-h_dm1]
+    gens, chains = _with_downgrades(minors, [column], y_names, ys[:-1], x_idx)
+    Q = chains[0][0]
+    if not Q.substitute(_kernel_images(ambient, y_names, coords)).is_zero():
+        return None
+    N = _monoid_numerator(n, delta)
+    basis = buchberger(gens, budget=budget, ring=ambient, hilbert=([1] * len(ambient), N))
+    ideal = IdealHandle.of_basis(basis)
+    if hilbert_numerator(ideal) != N:
+        return None
+    return ReesPresentation(ambient, xring.names, y_names, basis.generators, coords, ideal)
+
+
 @dataclass(frozen=True)
 class MonoidAssociationReport:
     sign: int
@@ -348,7 +430,10 @@ def monoid_association(P, monoid, budget=None):
     """Build the standard monoid parametrization M sharing F, and verify.
 
     (a) M has the same implicit equation F: the x-free part of the Rees
-    ideal of M, which M carries for `saturation_identities`;
+    ideal of M, which M carries for `saturation_identities`.  That ideal
+    comes from the closed form of `_monoid_rees`, certified by its Hilbert
+    series, or, when a hypothesis or the certificate fails, from
+    `rees_ideal`'s elimination of t;
     (b) the de Jonquieres map factors as the Cremona map followed by M,
     testing both composition orders and recording which one holds.  Each
     order compares the unstripped composite with the parametrization by
@@ -380,7 +465,9 @@ def monoid_association(P, monoid, budget=None):
         raise StructuralError("no sign makes F vanish on the monoid tuple")
     sign = 1 if plus else -1
     coords = coords_for(sign)
-    I_M = rees_ideal(coords, y_names=P.monoid_ring.names, budget=budget)
+    I_M = _monoid_rees(h_dm1, h_delta, coords, P.monoid_ring.names, budget)
+    if I_M is None:
+        I_M = rees_ideal(coords, y_names=P.monoid_ring.names, budget=budget)
     M = MonoidParametrization(h_delta, h_dm1, coords, sign, I_M)
     F2 = implicit_generator(I_M.ideal, xring.names, P.monoid_ring, budget)
     same_F = F2.proportional_to(monoid.F)

@@ -181,3 +181,21 @@ def test_out_records_commits_and_host(tmp_path, capsys):
         "cpu_count": os.cpu_count(),
     }
     assert bench_pairs.commit_id(os.path.join(p, "perfbench")) is None  # inside a checkout
+
+
+def test_claim_is_recorded(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    claim = ("--claim", "instances_per_s", "--out", str(out))
+    code, summary = run(tmp_path / "a", [result(50)], [result(55)], capsys, extra=claim)
+    assert code == 0
+    assert summary["claim"] == {"metric": "instances_per_s", "workload": "rees"}
+    (got,) = json.loads(out.read_text())["results"]
+    assert got["claim"] == summary["claim"]
+    code, summary = run(tmp_path / "b", [result(50)], [result(55)], capsys)
+    assert code == 0 and summary["claim"] is None
+
+
+def test_claim_of_an_unknown_metric_is_an_error(tmp_path, capsys):
+    code, err = run(tmp_path, [result(50)], [result(55)], capsys, extra=("--claim", "speed"))
+    assert code == 2 and "--claim speed" in err
+    assert not (tmp_path / "runs.log").exists()  # refused before any run

@@ -2,8 +2,9 @@
 
 Counting wrappers replace `saturate_by_variables`, `colon`, `eliminate`,
 `regularity_dim1`, `conductor_data`, `implicitize`, `oracle_implicitize`,
-`rees_ideal`, `buchberger` and `poly_gcd` in every `jonq.*` module that
-binds them; the commands then run through the CLI entry point.
+`rees_ideal`, `rees._monoid_rees`, `buchberger` and `poly_gcd` in every
+`jonq.*` module that binds them; the commands then run through the CLI
+entry point.
 """
 
 import sys
@@ -15,7 +16,7 @@ from jonq.cli import main  # imports every layer module
 from jonq.fixtures import fixture_path, load_fixture
 from jonq.groebner import buchberger, colon, eliminate, saturate_by_variables
 from jonq.implicitize import implicitize, oracle_implicitize
-from jonq.rees import rees_ideal
+from jonq.rees import _monoid_rees, rees_ideal
 from jonq.ring import poly_gcd
 from jonq.syzygies import conductor_data, regularity_dim1
 
@@ -28,6 +29,7 @@ COUNTED = {
     "implicitize": implicitize,
     "oracle_implicitize": oracle_implicitize,
     "rees_ideal": rees_ideal,
+    "_monoid_rees": _monoid_rees,
     "buchberger": buchberger,
     "poly_gcd": poly_gcd,
 }
@@ -96,12 +98,17 @@ def test_implicitize_derives_each_object_once(fixture, colons, calls, capsys):
 
 
 @pytest.mark.parametrize("fixture, tuples", [("plane", 3), ("identity", 2)])
-def test_rees_builds_each_rees_ideal_once(fixture, tuples, calls, capsys):
+def test_rees_builds_each_rees_ideal_once(fixture, tuples, calls, monkeypatch, capsys):
     # plane: the Cremona base ideal, the monoid M and the de Jonquieres
-    # map; over the identity Cremona map M is the de Jonquieres map
+    # map; over the identity Cremona map M is the de Jonquieres map.  M's
+    # comes from the closed form, certified, with no elimination
+    eliminations = _calls_inside(monkeypatch, calls, "monoid_association", "eliminate")
     assert main(["rees", fixture_path(fixture), "--machine"]) == 0
-    built = [tuple(a[0]) for a in calls["rees_ideal"]]
+    by_elimination = [tuple(a[0]) for a in calls["rees_ideal"]]
+    closed_form = [tuple(a[2]) for a in calls["_monoid_rees"]]
+    built = by_elimination + closed_form
     assert len(built) == len(set(built)) == tuples
+    assert len(closed_form) == 1 and eliminations == [0]
     assert calls["oracle_implicitize"] == []
 
 

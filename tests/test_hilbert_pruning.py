@@ -1,12 +1,14 @@
-"""Hilbert-driven pair pruning in the Rees eliminations.
+"""Hilbert-driven pair pruning in the Rees eliminations and the monoid's closed form.
 
 `rees.eliminate_rees_parameter` hands its elimination the weights under
 which y_i - t*c_i is homogeneous and the Hilbert series of that regular
 sequence; `groebner._buchberger_core` then drops the pairs of a degree
-whose leads are complete.  These tests hold the pruned elimination to the
-plain one, the weighted `_numerator` and the lead count to counting, the
-pair counts of the fixtures to pinned values, and the engine to its
-refusal of input that breaks the promise.
+whose leads are complete.  `rees._monoid_rees` hands its degrevlex run
+the series of the monoid's Rees ideal, which contains its input.  These
+tests hold the pruned runs to the plain ones (also when told the series
+of a strictly larger ideal), the weighted `_numerator` and the lead count
+to counting, the pair counts of the fixtures to pinned values, and the
+engine to its refusal of input that breaks the promise.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from jonq import groebner, rees
 from jonq.errors import StructuralError
 from jonq.fixtures import load_fixture
+from jonq.implicitize import implicitize
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -247,6 +250,36 @@ def test_rees_pairs_pinned(fixture):
         rees.eliminate_rees_parameter(list(coords), y_names, budget)
         used.append(budget.pairs_used)
     assert tuple(used) == REES_PAIRS[fixture]
+
+
+def _cut_closed_form_run(P, monkeypatch):
+    """The generators, ring and series `rees._monoid_rees` hands `buchberger`
+    when the downgrade chain loses its last element."""
+    seen = []
+    cut, real = rees.iterated_downgrades, rees.buchberger
+    monkeypatch.setattr(rees, "iterated_downgrades", lambda *a, **k: cut(*a, **k)[:-1])
+    monkeypatch.setattr(rees, "buchberger", lambda gens, **k: seen.append((gens, k)) or real(gens, **k))
+    rees.monoid_association(P, implicitize(P))
+    monkeypatch.undo()
+    (gens, kwargs), = seen  # the elimination that follows runs no `buchberger`
+    return gens, kwargs["ring"], kwargs["hilbert"]
+
+
+# `Budget.pairs_used` of the cut closed form's run: told I_M's series, and plain
+CUT_CLOSED_FORM_PAIRS = {"identity": (8, 8), "nzd": (15, 17), "plane": (9, 11), "space": (8, 8)}
+
+
+@pytest.mark.parametrize("fixture", sorted(CUT_CLOSED_FORM_PAIRS))
+def test_series_of_a_larger_ideal_is_a_safe_target(fixture, monkeypatch):
+    # the cut D_M is strictly inside I_M, whose series the run is told
+    gens, ring, hilbert = _cut_closed_form_run(load_fixture(fixture).jonquieres(), monkeypatch)
+    assert hilbert_numerator(IdealHandle(ring, gens)) != hilbert[1]
+    b_pruned, b_plain = Budget(), Budget()
+    pruned = groebner.buchberger(gens, budget=b_pruned, ring=ring, hilbert=hilbert)
+    plain = groebner.buchberger(gens, budget=b_plain, ring=ring)
+    assert pruned.generators == plain.generators
+    assert [e.terms for e in pruned._elems] == [e.terms for e in plain._elems]
+    assert (b_pruned.pairs_used, b_plain.pairs_used) == CUT_CLOSED_FORM_PAIRS[fixture]
 
 
 class TestHilbertNumeratorCache:

@@ -3,12 +3,20 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jonq import groebner, rees
 from jonq.birational import RationalMapData, compose
 from jonq.errors import BudgetExceeded, StructuralError
 from jonq.fixtures import load_fixture
-from jonq.groebner import Budget, IdealHandle, dim_and_codim, ideal_equal, saturate
+from jonq.groebner import (
+    Budget,
+    IdealHandle,
+    dim_and_codim,
+    hilbert_numerator,
+    ideal_equal,
+    saturate,
+)
 from jonq.implicitize import ImplicitMonoid, JonquieresData, implicitize
 from jonq.rees import (
     downgrade,
@@ -548,3 +556,186 @@ class TestMonoidSign:
         with pytest.raises(StructuralError, match="no sign"):
             monoid_association(P, planted)
         assert len(substituted) == 2
+
+
+def _elems(pres):
+    """The terms of each element of the reduced basis a presentation carries."""
+    return [e.terms for e in pres.ideal.gb()._elems]
+
+
+def _monoid_tuple(low, top, sign):
+    """(low x_0, ..., low x_n, sign top) and its y names."""
+    coords = tuple(low * x for x in Polynomial.gens(low.ring)) + (top * sign,)
+    return coords, tuple(f"y{i}" for i in range(len(coords)))
+
+
+@st.composite
+def monoid_components(draw, n, delta):
+    """Coprime sparse forms h_{delta-1}, h_delta in n + 1 variables, and a sign."""
+    ring = VariableSet([f"x{i}" for i in range(n + 1)])
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+    def form(d):
+        monos = list(monomials_of_degree(n + 1, d))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        return Polynomial(ring, {m: draw(coeffs) for m in support})
+
+    low, top = form(delta - 1), form(delta)
+    assume(poly_gcd(low, top).is_constant())
+    return low, top, draw(st.sampled_from((1, -1)))
+
+
+# `Budget.pairs_used` of the monoid's Rees ideal: the closed form, the
+# elimination of t, and the closed form without the Hilbert series
+MONOID_PAIRS = {
+    "identity": (7, 13, 11),
+    "nzd": (16, 60, 20),
+    "plane": (10, 33, 14),
+    "space": (0, 11, 12),
+}
+
+
+def _closed_form_pairs(P, mon, monkeypatch, series=True):
+    """The monoid presentation and its pairs, with or without the series."""
+    if not series:
+        real = rees.buchberger
+        monkeypatch.setattr(rees, "buchberger", lambda *a, hilbert=None, **k: real(*a, **k))
+    budget = Budget()
+    M, _ = monoid_association(P, mon, budget)
+    monkeypatch.undo()
+    return M, budget.pairs_used
+
+
+class TestMonoidClosedForm:
+    """I_M from the minors and the downgrade chain of Q, certified by its series."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_the_elimination(self, name, monkeypatch):
+        P = load_fixture(name).jonquieres()
+        mon = implicitize(P)
+        eliminated = []
+        real = rees.rees_ideal
+        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        M, pairs = _closed_form_pairs(P, mon, monkeypatch)
+        assert eliminated == []
+        budget = Budget()
+        want = rees_ideal(M.coords, P.monoid_ring.names, budget)
+        assert M.rees.ambient == want.ambient and M.rees.carrier == want.carrier
+        assert M.rees.generators == want.generators == M.rees.ideal.gens
+        assert _elems(M.rees) == _elems(want)
+        assert hilbert_numerator(want.ideal) == rees._monoid_numerator(P.n, mon.delta)
+        _, unguided = _closed_form_pairs(P, mon, monkeypatch, series=False)
+        assert (pairs, budget.pairs_used, unguided) == MONOID_PAIRS[name]
+        assert pairs <= budget.pairs_used
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("delta", [2, 3, 4, 5])
+    def test_seeded_monoids_match_the_elimination(self, n, delta):
+        @settings(max_examples=6, deadline=None, derandomize=True)
+        @given(monoid_components(n, delta))
+        def check(case):
+            low, top, sign = case
+            coords, y_names = _monoid_tuple(low, top, sign)
+            closed = rees._monoid_rees(low, top, coords, y_names, Budget())
+            want = rees_ideal(coords, y_names)
+            assert closed is not None
+            assert closed.ambient == want.ambient and closed.generators == want.generators
+            assert _elems(closed) == _elems(want)
+            assert hilbert_numerator(want.ideal) == rees._monoid_numerator(n, delta)
+
+        check()
+
+    def test_numerator_of_a_small_case(self):
+        # n = 1, delta = 2: (1 + s - 2 s^2)(1 - s) = 1 - 3 s^2 + 2 s^3
+        assert rees._monoid_numerator(1, 2) == [1, 0, -3, 2]
+        # delta = n + 1 drops the s^(delta+1) term: (1 + 2 s - 3 s^3)(1 - s)^2
+        assert rees._monoid_numerator(2, 3) == [1, 0, -3, -1, 6, -3]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_cut_chain_fails_the_certificate(self, name, monkeypatch):
+        P = load_fixture(name).jonquieres()
+        mon = implicitize(P)
+        cut = rees.iterated_downgrades
+        monkeypatch.setattr(rees, "iterated_downgrades", lambda *a, **k: cut(*a, **k)[:-1])
+        numerators, eliminated = [], []
+        real_numerator = rees.hilbert_numerator
+        monkeypatch.setattr(
+            rees, "hilbert_numerator", lambda I: numerators.append(real_numerator(I)) or numerators[-1]
+        )
+        real = rees.rees_ideal
+        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        M, rep = monoid_association(P, mon)
+        monkeypatch.undo()
+        want = rees_ideal(M.coords, P.monoid_ring.names)
+        assert numerators and numerators[0] != rees._monoid_numerator(P.n, mon.delta)
+        assert len(eliminated) == 1 and M.rees.generators == want.generators
+        assert _elems(M.rees) == _elems(want) and rep.same_implicit_equation
+
+    def test_constant_low_component_takes_the_elimination(self, monkeypatch):
+        P = load_fixture("identity").jonquieres()
+        mon = implicitize(P)
+        target = P.cremona.target
+        planted = ImplicitMonoid.of(
+            P, parse_polynomial("y0 + 2*y1 - y2", target), Polynomial.constant(target, 1),
+            mon.stripped_gcd,
+        )
+        assert planted.sign == 1 and planted.delta == 1
+        eliminated = []
+        real = rees.rees_ideal
+        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        M, rep = monoid_association(P, planted)
+        assert [a[0] for a in eliminated] == [M.coords]
+        assert rep.same_implicit_equation
+
+    def test_components_with_a_common_factor_take_the_elimination(self, monkeypatch):
+        # F = L * F' of degree delta + 1, from components of degrees delta + 1
+        # and delta that share L: the numerator test alone would accept D_M
+        P = load_fixture("plane").jonquieres()
+        mon = implicitize(P)
+        L = parse_polynomial("y0 + 2*y1 - y2", P.cremona.target)
+        planted = ImplicitMonoid.of(P, mon.F_delta * L, mon.F_delta_minus_1 * L, mon.stripped_gcd)
+        assert planted.sign == 1
+        eliminated = []
+        real = rees.rees_ideal
+        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        M, rep = monoid_association(P, planted)
+        assert [a[0] for a in eliminated] == [M.coords]
+        # the image is V(F'), not V(L * F')
+        assert not rep.same_implicit_equation
+
+    def test_degrees_outside_the_hypotheses_decline(self):
+        x0, x1, x2 = Polynomial.gens(R)
+        for low, top in ((Polynomial.constant(R, 1), x0), (x0, x1 * x2 + x0), (x0**2, x1)):
+            coords, y_names = _monoid_tuple(low, top, 1)
+            assert rees._monoid_rees(low, top, coords, y_names, Budget()) is None
+        one = VariableSet(["x0"])  # n = 0
+        low, top = Polynomial.gens(one)[0], Polynomial.gens(one)[0] ** 2
+        coords, y_names = _monoid_tuple(low, top, 1)
+        assert rees._monoid_rees(low, top, coords, y_names, Budget()) is None
+
+
+class TestDowngradedEqualsKernel:
+    """D = K over the identity Cremona map: the paper's extension of
+    Benitez-D'Andrea, checked against the Rees ideal K of the coordinates."""
+
+    @staticmethod
+    def _bases(P):
+        pres, rep = _downgraded(P)
+        K = rees_ideal(P.coordinates(), y_names=P.monoid_ring.names)
+        assert rep.contained_in_rees and pres.ambient == K.ambient
+        return IdealHandle(pres.ambient, pres.generators).gb().generators, K.generators
+
+    def test_identity_fixture(self):
+        D, K = self._bases(load_fixture("identity").jonquieres())
+        assert D == K
+
+    @pytest.mark.parametrize("family", ["identity2", "identity3"])
+    def test_seeded_identity_instances(self, family, seeded_draws):
+        for P in seeded_draws(family, 3, 28_028):
+            D, K = self._bases(P)
+            assert D == K
+
+    @pytest.mark.parametrize("name", ["plane", "nzd", "space"])
+    def test_strictly_smaller_off_the_identity(self, name):
+        D, K = self._bases(load_fixture(name).jonquieres())
+        assert D != K  # and D lies in K

@@ -2,7 +2,7 @@
 """Run the benchmark in two checkouts as alternating pairs, and judge a claim.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload rees --seed 257 \\
-        --seconds 20 --pairs 10 [--out FILE]
+        --seconds 20 --pairs 10 [--claim METRIC] [--out FILE]
 
 PARENT and CHANGE are checkout roots (each holds `perfbench/run.py`).
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T
@@ -21,11 +21,15 @@ CHANGE's median is worse than PARENT's by more than the metric's
 `bound`, a fraction of PARENT's median.
 
 The last line of output is one JSON object with the summary, the
-commit id of each checkout (`git rev-parse HEAD`, null when the root is
-not a git checkout) and the host (name, Python version, CPU count);
-`--out` appends it, with the runs, to a JSON file (`{"results": [...]}`).
+claim (`--claim METRIC` names the end-to-end metric the change claims to
+improve on this workload: `{"metric": ..., "workload": ...}`, null
+without the flag), the commit id of each checkout (`git rev-parse HEAD`,
+null when the root is not a git checkout) and the host (name, Python
+version, CPU count); `--out` appends it, with the runs, to a JSON file
+(`{"results": [...]}`).
 Exit code 0: no regression and every run correct with no failed
-operation; 1: otherwise; 2: bad arguments or a run that printed no
+operation; 1: otherwise; 2: bad arguments, a claimed metric that
+PARENT's `BENCHMARK.json` does not list, or a run that printed no
 result.  Standard library only.
 """
 
@@ -163,6 +167,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--claim", metavar="METRIC")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds < 0:
@@ -170,6 +175,8 @@ def main(argv=None):
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     try:
         spec = load_spec(roots["parent"])
+        if args.claim is not None and args.claim not in {m["name"] for m in spec["end_to_end"]}:
+            raise PairError(f"--claim {args.claim}: not an end-to-end metric of the benchmark")
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -188,6 +195,7 @@ def main(argv=None):
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "ok": ok, "metrics": summary,
+        "claim": {"metric": args.claim, "workload": args.workload} if args.claim else None,
         "commits": {side: commit_id(root) for side, root in roots.items()}, "host": host(),
     }
     print(describe(summary, pairs))
