@@ -442,8 +442,9 @@ def monoid_association(P, monoid, budget=None):
     The last coordinate's sign is chosen so that F(M) = 0; the report also
     records whether the opposite (paper display) sign vanishes.  When
     `monoid.sign` reads the sign `+` off F's construction, the paper sign
-    does not vanish; only otherwise are both tuples substituted into F.  The
-    two components of `monoid` are coprime, as its constructor proved.
+    does not vanish; only otherwise are both tuples substituted into F.
+    `implicitize` proves the two components coprime before it builds the
+    monoid; `_monoid_rees` checks that again, as `ImplicitMonoid.of` does not.
     """
     budget = budget or Budget()
     xring = P.source

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 from jonq import groebner, rees
 from jonq.errors import StructuralError
 from jonq.fixtures import load_fixture
-from jonq.implicitize import implicitize
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -31,6 +30,7 @@ from jonq.groebner import (
     eliminate,
     hilbert_numerator,
 )
+from jonq.implicitize import implicitize
 from jonq.orders import Block, DegRevLex
 from jonq.ring import Polynomial, VariableSet, _packing, monomials_of_degree, parse_polynomial
 

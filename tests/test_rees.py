@@ -595,6 +595,14 @@ MONOID_PAIRS = {
 }
 
 
+def _eliminations(monkeypatch):
+    """The positional arguments of each `rees_ideal` call `jonq.rees` makes from now on."""
+    seen = []
+    real = rees.rees_ideal
+    monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: seen.append(a) or real(*a, **k))
+    return seen
+
+
 def _closed_form_pairs(P, mon, monkeypatch, series=True):
     """The monoid presentation and its pairs, with or without the series."""
     if not series:
@@ -613,9 +621,7 @@ class TestMonoidClosedForm:
     def test_fixtures_match_the_elimination(self, name, monkeypatch):
         P = load_fixture(name).jonquieres()
         mon = implicitize(P)
-        eliminated = []
-        real = rees.rees_ideal
-        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        eliminated = _eliminations(monkeypatch)
         M, pairs = _closed_form_pairs(P, mon, monkeypatch)
         assert eliminated == []
         budget = Budget()
@@ -657,13 +663,11 @@ class TestMonoidClosedForm:
         mon = implicitize(P)
         cut = rees.iterated_downgrades
         monkeypatch.setattr(rees, "iterated_downgrades", lambda *a, **k: cut(*a, **k)[:-1])
-        numerators, eliminated = [], []
-        real_numerator = rees.hilbert_numerator
+        numerators, eliminated = [], _eliminations(monkeypatch)
+        real = rees.hilbert_numerator
         monkeypatch.setattr(
-            rees, "hilbert_numerator", lambda I: numerators.append(real_numerator(I)) or numerators[-1]
+            rees, "hilbert_numerator", lambda I: numerators.append(real(I)) or numerators[-1]
         )
-        real = rees.rees_ideal
-        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
         M, rep = monoid_association(P, mon)
         monkeypatch.undo()
         want = rees_ideal(M.coords, P.monoid_ring.names)
@@ -680,9 +684,7 @@ class TestMonoidClosedForm:
             mon.stripped_gcd,
         )
         assert planted.sign == 1 and planted.delta == 1
-        eliminated = []
-        real = rees.rees_ideal
-        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        eliminated = _eliminations(monkeypatch)
         M, rep = monoid_association(P, planted)
         assert [a[0] for a in eliminated] == [M.coords]
         assert rep.same_implicit_equation
@@ -695,9 +697,7 @@ class TestMonoidClosedForm:
         L = parse_polynomial("y0 + 2*y1 - y2", P.cremona.target)
         planted = ImplicitMonoid.of(P, mon.F_delta * L, mon.F_delta_minus_1 * L, mon.stripped_gcd)
         assert planted.sign == 1
-        eliminated = []
-        real = rees.rees_ideal
-        monkeypatch.setattr(rees, "rees_ideal", lambda *a, **k: eliminated.append(a) or real(*a, **k))
+        eliminated = _eliminations(monkeypatch)
         M, rep = monoid_association(P, planted)
         assert [a[0] for a in eliminated] == [M.coords]
         # the image is V(F'), not V(L * F')
