@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from jonq.errors import DivisibilityError, HypothesisViolation, StructuralError
+from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import IdealHandle
-from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
+from jonq.ring import Polynomial, VariableSet, divide_exact, exact_quotient, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,12 @@ def _common_factor(substituted, variables, role):
                 f"degenerate composition: coordinate {i} of the {role} "
                 "composite vanishes identically"
             )
-        try:
-            q = divide_exact(s, v)
-        except DivisibilityError:
+        q = exact_quotient(s, v)
+        if q is None:
             raise HypothesisViolation(
                 f"not mutually inverse: composite coordinate {i} is not a "
                 f"multiple of {v}"
-            ) from None
+            )
         if factor is None:
             factor = q
         elif factor != q:

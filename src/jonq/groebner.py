@@ -282,8 +282,8 @@ def _lead_data(elems):
     return sorted(range(len(elems)), key=lambda k: elems[k].lm_okey)
 
 
-def _buchberger_core(inputs, order, budget, seed=None, hilbert=None):
-    """Run Buchberger; `seed` is an existing basis whose mutual pairs are done.
+def _buchberger_core(inputs, order, budget, hilbert=None):
+    """Run Buchberger on the inputs, a list of internal term lists.
 
     `hilbert` is (weights, numerator): the inputs are homogeneous under the
     variable weights, and numerator / prod(1 - s^w) is the Hilbert series of
@@ -295,13 +295,13 @@ def _buchberger_core(inputs, order, budget, seed=None, hilbert=None):
     S-polynomial of degree k reduces to 0.  A run that outgrows its fields
     starts over with wider ones and with the S-pair budget as it found it.
     """
-    if not seed and not any(inputs):
+    if not any(inputs):
         return []
     used = budget.pairs_used
 
     def run(packing):
         budget.pairs_used = used
-        return _buchberger_packed(inputs, order, budget, seed, packing, hilbert)
+        return _buchberger_packed(inputs, order, budget, packing, hilbert)
 
     return _with_wide_keys(run, order)
 
@@ -421,21 +421,17 @@ def _product(a, b):
     return out
 
 
-def _buchberger_packed(inputs, order, budget, seed, packing, hilbert=None):
-    G: list[_GBPoly] = list(seed) if seed else []
-    lead = [(G[j].lead(packing), j) for j in _lead_data(G)]
+def _buchberger_packed(inputs, order, budget, packing, hilbert=None):
+    G: list[_GBPoly] = []
+    lead: list = []  # `_lead_data` order
     xmask = packing.xmask
-    xs = [e.lead(packing) & xmask for e in G]  # exponent parts of the leads
+    xs: list = []  # exponent parts of the leads
     heap: list = []
     alive: dict = {}  # pending pair -> the exponent part of its lcm
     guard = packing.guard
     lcm = packing.lcm
     monomial = packing.monomial
-    count = None
-    if hilbert:
-        count = _LeadCount(hilbert, order, packing)
-        for j, x in enumerate(xs):
-            count.pending.append((x, [lcm(y, x) for y in xs[:j]]))
+    count = _LeadCount(hilbert, order, packing) if hilbert else None
 
     def update(h):
         # Gebauer-Moeller: prune old pairs, build a minimal new pair set.
@@ -714,34 +710,6 @@ def multiply_ideal(I, f):
     return IdealHandle(I.ring, tuple(g * f for g in I.gens))
 
 
-def minimalize_generators(gens, budget=None, ring=None):
-    """Drop generators lying in the ideal of the earlier ones (degree order).
-
-    For homogeneous input this produces a minimal generating set; the
-    processing order (degree, then degrevlex key of the lead) makes the
-    output deterministic.
-    """
-    if ring is None:
-        if not gens:
-            return []
-        ring = gens[0].ring
-    order = DegRevLex(len(ring))
-    budget = budget or Budget()
-    items = [g.canonical() for g in gens if not g.is_zero()]
-    items.sort(key=lambda g: (g.total_degree(), order.key(g.lead_term(order)[0])))
-    kept = []
-    elems = []
-    for g in items:
-        terms = _to_internal(g, order)
-        if elems:
-            r, _ = _reduce(terms, elems, _lead_data(elems), order, early_nonzero=True)
-            if not r:
-                continue
-        kept.append(g)
-        elems = _buchberger_core([terms], order, budget, seed=elems)
-    return kept
-
-
 def _aux_ring(ring, base="t"):
     name = ring.fresh_name(base)
     aux = VariableSet((name,) + ring.names)
@@ -762,8 +730,12 @@ def intersect(I, J, budget=None):
     return eliminate(IdealHandle(aux, gens), (tname,), budget=budget)
 
 
-def colon(I, g, budget=None, minimalize=True):
-    """The conductor I : (g), via intersect(I, (g)) / g, minimalized."""
+def colon(I, g, budget=None):
+    """The conductor I : (g): the quotients q/g of the reduced basis of I meet (g).
+
+    in(I meet (g)) = in(g) * in(I : g), so the quotients are a degrevlex
+    Groebner basis of I : g; it is not reduced, nor a minimal generating set.
+    """
     if not isinstance(g, Polynomial):
         raise StructuralError("colon denominator must be a polynomial")
     if g.is_zero():
@@ -773,23 +745,20 @@ def colon(I, g, budget=None, minimalize=True):
     if g.is_constant():
         return IdealHandle(I.ring, I.gens)
     meet = intersect(I, IdealHandle.of(g), budget=budget)
-    quots = [q / g for q in meet.gens]
-    if minimalize:
-        quots = minimalize_generators(quots, budget=budget, ring=I.ring)
-    return IdealHandle(I.ring, tuple(quots))
+    return IdealHandle(I.ring, tuple(q / g for q in meet.gens))
 
 
 def colon_ideal(I, J, budget=None):
     """I : J = intersection of I : (b) over the generators b of J.
 
-    The generators are not minimalized: the link in `regularity_dim1` is
-    read only through its Groebner basis.
+    Each I : (b) is `colon`'s Groebner basis; the intersection is one more
+    elimination per further generator of J.
     """
     if J.is_zero_ideal():
         raise StructuralError("colon by the zero ideal")
     result = None
     for b in J.gens:
-        step = colon(I, b, budget=budget, minimalize=False)
+        step = colon(I, b, budget=budget)
         result = step if result is None else intersect(result, step, budget=budget)
     return result
 
@@ -1032,7 +1001,7 @@ def _numerator(monos, weights=None):
     generating set and takes `monos` as given; callers pass minimal ones
     (the leads of a reduced basis are).  M + (x^e) keeps them minimal: x^e
     divides no generator free of x, and none of those (not units, as x is
-    in two generators) divides it.  Only M : x^e is minimalized.
+    in two generators) divides it.  Only M : x^e is cut to its minimal monomials.
     """
     degree = sum if weights is None else (lambda m: sum(map(mul, weights, m)))
     gens = list(monos)

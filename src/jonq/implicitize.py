@@ -18,8 +18,8 @@ from functools import cached_property
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import IdealHandle
-from jonq.rees import _quotient, eliminate_rees_parameter, implicit_generator
-from jonq.ring import Polynomial, VariableSet, divide_exact, poly_gcd
+from jonq.rees import eliminate_rees_parameter, implicit_generator
+from jonq.ring import Polynomial, VariableSet, divide_exact, exact_quotient, poly_gcd
 
 
 def monoid_ring_for(target, source):
@@ -206,7 +206,6 @@ def predicted_degree(P, monoid):
 @dataclass(frozen=True)
 class SyzygeticPolynomial:
     conductor_gen: Polynomial  # c_j, over the source variables
-    content_column: tuple  # h_ij with c_j*g = sum h_ij g_i
     polynomial: Polynomial  # the evaluated form in the monoid ring
     extraneous_factor: Polynomial | None  # polynomial / F; None if F does not divide it
 
@@ -225,16 +224,15 @@ def syzygetic_polynomials(P, monoid, conductor):
     fg = P.evaluations[0]
     out = []
     for j, cj in enumerate(conductor.conductors):
-        col = [conductor.content.entries[i][j] for i in range(len(ginv))]
         acc = Polynomial.zero(mring)
-        for i, h in enumerate(col):
+        for i, h in enumerate(conductor.content.column(j)):
             if h.is_zero():
                 continue
             acc = acc + h.substitute(ginv).map_ring(mring) * Polynomial.variable(
                 mring, P.cremona.target.names[i]
             )
         acc = acc - y_last * (fg * cj.substitute(ginv)).map_ring(mring)
-        out.append(SyzygeticPolynomial(cj, tuple(col), acc, _quotient(acc, monoid.F)))
+        out.append(SyzygeticPolynomial(cj, acc, exact_quotient(acc, monoid.F)))
     return out
 
 
@@ -362,7 +360,7 @@ def verify_inverse_representative(P, monoid):
     bottom = [Polynomial.variable(mring, nm) for nm in mring.names]
     n2 = len(top)
     return all(
-        _quotient(top[i] * bottom[j] - top[j] * bottom[i], monoid.F) is not None
+        exact_quotient(top[i] * bottom[j] - top[j] * bottom[i], monoid.F) is not None
         for i in range(n2)
         for j in range(i + 1, n2)
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from jonq.birational import RationalMapData, compose, projectively_equal
-from jonq.errors import DivisibilityError, HypothesisViolation, StructuralError
+from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -38,15 +38,7 @@ from jonq.groebner import (
     saturate,
     saturation_exponent,
 )
-from jonq.ring import Polynomial, VariableSet, _coprime_on_line, divide_exact
-
-
-def _quotient(p, d):
-    """p / d when d divides p exactly, else None: one division read as a verdict."""
-    try:
-        return divide_exact(p, d)
-    except DivisibilityError:
-        return None
+from jonq.ring import Polynomial, VariableSet, _coprime_on_line, exact_quotient
 
 
 def _kernel_images(ambient, y_names, carrier):
@@ -325,7 +317,7 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
         _, codim = dim_and_codim(pres.ideal, budget)
     # (iii) fully downgraded elements are multiples of F
     factors = tuple(
-        _quotient(q.restrict_to(P.monoid_ring), monoid.F) if free else None
+        exact_quotient(q.restrict_to(P.monoid_ring), monoid.F) if free else None
         for q, free in zip(ends, x_free)
     )
     report = DowngradeReport(

@@ -4,7 +4,7 @@ Polynomials are immutable maps {exponent tuple -> nonzero coefficient}
 attached to a :class:`VariableSet`.  Coefficients are Python ints or
 `fractions.Fraction`; nothing is ever floating point.  The text grammar
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
-used by the CLI and the golden tests.  Division (`_divide`) runs
+used by the CLI and the golden tests.  Division (`exact_quotient`) runs
 on `_Accumulator`, the packed-monomial heap that the Groebner engine
 shares.  Results the library builds from already clean terms skip the
 public constructor's checks through `Polynomial._clean`, and `substitute`
@@ -704,14 +704,19 @@ class _Accumulator:
 # -- division, gcd ---------------------------------------------------------
 
 
-def _divide(p, d):
-    """The quotient q with q*d = p as an exponent map, or None when d does
-    not divide p.
+def exact_quotient(p, d):
+    """p / d as a Polynomial when the polynomial d divides p exactly, else
+    None (d = 0 included).
 
     Each lead of the running remainder must be divisible by d's degrevlex
     lead; the first that is not ends the division, since p = q*d leaves
     every remainder a multiple of d.
     """
+    p._check_ring(d)
+    if d.is_zero():
+        return None
+    if p.is_zero():
+        return p
     order = DegRevLex(len(p.ring))
     key = order.key
     dterms = sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
@@ -732,7 +737,7 @@ def _divide(p, d):
             quot[k - lm] = qc
             rem.add_shifted(k, tail, -qc)
         exponents = packing.exponents
-        return {exponents(q): c for q, c in quot.items()}
+        return Polynomial._clean(p.ring, {exponents(q): _lower(c) for q, c in quot.items()})
 
     return _with_wide_keys(run, order)
 
@@ -741,15 +746,12 @@ def divide_exact(p, d):
     """Quotient q with q*d = p; raises DivisibilityError otherwise."""
     if not isinstance(d, Polynomial):
         return p * (Fraction(1, 1) / d)
-    p._check_ring(d)
-    if d.is_zero():
-        raise DivisibilityError("division by the zero polynomial")
-    if p.is_zero():
-        return p
-    q = _divide(p, d)
+    q = exact_quotient(p, d)
     if q is None:
+        if d.is_zero():
+            raise DivisibilityError("division by the zero polynomial")
         raise DivisibilityError(f"({d}) does not divide ({p}) exactly")
-    return Polynomial._clean(p.ring, {m: _lower(c) for m, c in q.items()})
+    return q
 
 
 def poly_gcd(p, q):
@@ -774,7 +776,7 @@ def poly_gcd(p, q):
         return Polynomial.constant(p.ring, 1)
     # u | v makes gcd(u, v) = u.canonical() = u
     u, v = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
-    if _divide(v, u) is not None:
+    if exact_quotient(v, u) is not None:
         return u
     # (a) meet (b) = (lcm(a, b)); groebner imports this module
     from jonq.groebner import IdealHandle, intersect

@@ -26,6 +26,7 @@ from jonq.groebner import (
     saturate_by_variables,
 )
 from jonq.linalg import SpanTracker, rank, solve
+from jonq.orders import DegRevLex
 from jonq.rees import rees_ideal
 from jonq.ring import Polynomial, monomials_of_degree
 
@@ -96,11 +97,15 @@ def conductor_data(I, g, budget=None):
     g lies in I exactly when I:(g) is the unit ideal, so the inclusion case
     is read by one membership test against I's cached basis: the single
     conductor is 1, and no `colon` elimination runs.  Otherwise the colon
-    is computed; when I:(g) = I the conductors are the generators of I
-    themselves and the content map is g times the identity (the
-    non-zero-divisor shape).  In the other two cases each content column
-    is one `lift` of c_j*g, a linear solve charging no S-pairs; it is
-    unique only up to a syzygy of I, and no printed key depends on which.
+    is computed.  Its minimal generators are the quotients `colon` returns,
+    made canonical and sorted by degree, then degrevlex lead, less those
+    that `_minimal_columns` finds in the span of the ones before them; no
+    S-pairs are charged for that.  When I:(g) = I the conductors are the
+    generators of I themselves and the content map is g times the
+    identity (the non-zero-divisor shape).  In the other two cases each
+    content column is one `lift` of c_j*g, a linear solve charging no
+    S-pairs; it is unique only up to a syzygy of I, and no printed key
+    depends on which.
     """
     if g.is_zero():
         raise StructuralError("conductor of the zero form")
@@ -112,7 +117,11 @@ def conductor_data(I, g, budget=None):
         conductors = [Polynomial.constant(ring, 1)]
         cond = IdealHandle(ring, conductors)
     else:
-        cond = colon(I, g, budget=budget)
+        order = DegRevLex(len(ring))
+        quots = [q.canonical() for q in colon(I, g, budget=budget).gens]
+        quots.sort(key=lambda q: order.key(q.lead_term(order)[0]))  # by degree, then lead
+        kept = _minimal_columns([(q.total_degree(), (q,)) for q in quots], (0,))
+        cond = IdealHandle(ring, [quots[j] for j in kept])
         same = ideal_equal(cond, I, budget)
         kind = "non_zero_divisor" if same else "general"
         conductors = gens if same else list(cond.gens)
@@ -133,14 +142,12 @@ def conductor_data(I, g, budget=None):
 # -- syzygies -----------------------------------------------------------------
 
 
-def _slots(gens, mu):
-    """(generator index, monomial m) for every degree-mu multiple m*g_i."""
-    n = len(gens[0].ring)
+def _slots(row_twists, nvars, mu):
+    """(row i, monomial m) for every monomial m of degree mu - row_twists[i]."""
     slots = []
-    for gi, g in enumerate(gens):
-        k = mu - g.total_degree()
-        if k >= 0:
-            slots.extend((gi, mono) for mono in monomials_of_degree(n, k))
+    for i, t in enumerate(row_twists):
+        if mu >= t:
+            slots.extend((i, mono) for mono in monomials_of_degree(nvars, mu - t))
     return slots
 
 
@@ -172,7 +179,41 @@ def _evaluation_columns(gens, mu):
         k = mu - g.total_degree()
         if k >= 0:
             cols.extend(_shifted_vectors((g,), k, index))
-    return _slots(gens, mu), len(index), cols
+    return _slots([g.total_degree() for g in gens], len(gens[0].ring), mu), len(index), cols
+
+
+def _minimal_columns(columns, row_twists):
+    """Indices of the columns outside the span of the monomial multiples of
+    the columns kept before them.
+
+    `columns` is a list of (twist, column) in ascending twist, a column a
+    tuple of forms, entry i zero or of degree twist - row_twists[i].  For
+    forms, a column lies in the submodule the kept ones generate exactly
+    when it lies in that span in its own twist (Lazard, EUROCAL '83), so the
+    kept columns generate what all of them generate, minimally.  One
+    `SpanTracker` per twist takes the multiples of the columns kept at
+    lower twists, then the columns of that twist one by one.  Raises
+    StructuralError unless the entries are forms of those degrees.
+    """
+    for mu, col in columns:
+        if any(
+            not e.is_zero() and (not e.is_homogeneous() or e.total_degree() != mu - t)
+            for e, t in zip(col, row_twists)
+        ):
+            raise StructuralError("minimal columns need forms of the twisted degrees")
+    kept = []
+    for mu, group in groupby(range(len(columns)), key=lambda j: columns[j][0]):
+        nvars = len(columns[0][1][0].ring)
+        index = {sm: pos for pos, sm in enumerate(_slots(row_twists, nvars, mu))}
+        tracker = SpanTracker(len(index))
+        for j in kept:
+            t, col = columns[j]
+            for vec in _shifted_vectors(col, mu - t, index):
+                tracker.add(vec)
+        for j in group:
+            if tracker.add(next(_shifted_vectors(columns[j][1], 0, index))):
+                kept.append(j)
+    return kept
 
 
 def lift(p, gens):
@@ -215,10 +256,10 @@ def syzygy_basis(gens, bound):
     the y-linear elements of its reduced bihomogeneous basis generate the
     syzygies (Vasconcelos, Arithmetic of Blowup Algebras, 1994).  By
     ascending twist, each is kept unless it lies in the span of the
-    monomial multiples of the columns kept before it.  `gens` must be
-    nonzero forms of one degree d, as a Cremona base ideal is, or
-    `rees_ideal` raises StructuralError.  The elimination runs on its own
-    Budget and charges no S-pairs to the caller's.
+    monomial multiples of the columns kept before it (`_minimal_columns`).
+    `gens` must be nonzero forms of one degree d, as a Cremona base ideal
+    is, or `rees_ideal` raises StructuralError.  The elimination runs on
+    its own Budget and charges no S-pairs to the caller's.
     """
     ring = gens[0].ring
     n, d = len(ring), gens[0].total_degree()
@@ -234,19 +275,12 @@ def syzygy_basis(gens, bound):
             for mono, c in h.items():
                 entries[mono.index(1, n) - n][mono[:n]] = c
             columns.append((mu, tuple(Polynomial(ring, e) for e in entries)))
-    found = []  # (twist, column)
-    for mu, group in groupby(sorted(columns, key=itemgetter(0)), key=itemgetter(0)):
-        index = {sm: pos for pos, sm in enumerate(_slots(gens, mu))}
-        tracker = SpanTracker(len(index))
-        for t, col in found:
-            for vec in _shifted_vectors(col, mu - t, index):
-                tracker.add(vec)
-        for _, col in group:
-            if tracker.add(next(_shifted_vectors(col, 0, index))):
-                found.append((mu, col))
-    columns = [col for _, col in found]
-    col_twists = tuple(mu for mu, _ in found)
-    return graded_matrix_from_columns(ring, columns, (d,) * len(gens), col_twists)
+    columns.sort(key=itemgetter(0))
+    rows = (d,) * len(gens)
+    found = [columns[j] for j in _minimal_columns(columns, rows)]
+    return graded_matrix_from_columns(
+        ring, [col for _, col in found], rows, tuple(mu for mu, _ in found)
+    )
 
 
 def mapping_cone_matrix(I_gens, phi, f, g, conductor):
@@ -441,10 +475,8 @@ def regularity_dim1(I, d=None, seed=0, budget=None):
     A = IdealHandle(ring, alpha)
     # alpha : I = alpha : B for the generators B of I outside the span of
     # alpha; for a Cremona base ideal B is one form
-    _, ntarget, cols = _evaluation_columns(list(alpha) + list(I.gens), d)
-    span = SpanTracker(ntarget)
-    grew = [span.add(vec) for vec in cols]  # alpha's columns first
-    missed = tuple(g for g, new in zip(I.gens, grew[n:]) if new)
+    kept = _minimal_columns([(d, (h,)) for h in alpha + I.gens], (0,))
+    missed = tuple(I.gens[j - n] for j in kept if j >= n)
     if missed:
         link = colon_ideal(A, IdealHandle(ring, missed), budget)
     else:  # I inside alpha

@@ -271,9 +271,9 @@ def test_widened_buchberger_charges_its_pairs_once(monkeypatch):
     widths = []
     run = groebner._buchberger_packed
 
-    def spy(inputs, order, budget, seed, packing, hilbert=None):
+    def spy(inputs, order, budget, packing, hilbert=None):
         widths.append(packing.bits)
-        return run(inputs, order, budget, seed, packing, hilbert)
+        return run(inputs, order, budget, packing, hilbert)
 
     monkeypatch.setattr(groebner, "_buchberger_packed", spy)
     x0, x1, x2 = Polynomial.gens(R)
@@ -294,10 +294,10 @@ def test_widened_pruned_elimination_charges_its_pairs_once(monkeypatch):
     runs = []
     run = groebner._buchberger_packed
 
-    def spy(inputs, order, budget, seed, packing, hilbert=None):
+    def spy(inputs, order, budget, packing, hilbert=None):
         runs.append([packing.bits, hilbert is not None, budget.pairs_used])
         try:
-            return run(inputs, order, budget, seed, packing, hilbert)
+            return run(inputs, order, budget, packing, hilbert)
         finally:
             runs[-1].append(budget.pairs_used)
 

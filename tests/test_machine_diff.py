@@ -112,6 +112,17 @@ def test_off_default_takes_an_absent_key():
     assert not machine_diff.off_default("k", {"k": "holds"}, {"k": "holds"})
 
 
+def test_a_budget_skip_at_change_is_still_skipped_not_off_default():
+    # `rees --budget-pairs 50`: the parent skipped the identities for want of
+    # the monoid association; the change finished it and then met the limit
+    # in the identities, a value the default-budget run never prints
+    change = machine_diff.parse(0, IDENTITIES_SKIPPED)
+    default = machine_diff.parse(0, IDENTITIES_DONE)
+    assert machine_diff.against_default("saturation.identities", change, default) == "still-skipped"
+    assert machine_diff.against_default("monoid.sign", change, default) is None
+    assert machine_diff.against_default("monoid.sign", change, {}) == "not-default"
+
+
 @pytest.mark.parametrize(
     "flags, want",
     [

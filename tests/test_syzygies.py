@@ -18,6 +18,7 @@ from jonq.groebner import (
 )
 from jonq.implicitize import JonquieresData, implicitize, syzygetic_polynomials
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
+from jonq.orders import DegRevLex
 from jonq.rees import downgraded_rees_ideal
 from jonq.ring import (
     Polynomial,
@@ -29,6 +30,7 @@ from jonq.ring import (
     random_form,
 )
 from jonq.syzygies import (
+    _minimal_columns,
     conductor_data,
     graded_matrix_from_columns,
     lift,
@@ -83,10 +85,35 @@ class TestConductorData:
                     assert h.is_zero()
 
 
+def _canonical_sort(gens):
+    """The nonzero `gens` made canonical, by degree and then degrevlex lead."""
+    order = DegRevLex(len(gens[0].ring))
+    return sorted(
+        (h.canonical() for h in gens if not h.is_zero()),
+        key=lambda h: order.key(h.lead_term(order)[0]),
+    )
+
+
+def _reference_minimal(gens):
+    """Groebner reference: after the canonical sort, keep each generator
+    unless the ideal of those kept before it holds it."""
+    kept = []
+    for h in _canonical_sort(gens):
+        if not IdealHandle(h.ring, kept).contains(h):
+            kept.append(h)
+    return kept
+
+
+def _span_minimal(gens):
+    """`conductor_data`'s route: the canonical sort, then `_minimal_columns`."""
+    items = _canonical_sort(gens)
+    return [items[j] for j in _minimal_columns([(h.total_degree(), (h,)) for h in items], (0,))]
+
+
 def _colon_route(I, g):
     """`conductor_data` read from colon(I, g) alone: kind, conductors,
     content columns and the `case.conductor` text."""
-    cond = colon(I, g)
+    cond = IdealHandle(I.ring, _reference_minimal(colon(I, g).gens))
     gens = list(I.gens)
     if cond.gb().contains_unit():
         kind, conductors = "inclusion", (Polynomial.constant(I.ring, 1),)
@@ -137,6 +164,64 @@ class TestInclusionShortcut:
         monkeypatch.setattr(groebner, "intersect", counting)
         assert conductor_data(P.base_ideal_I(), P.g).kind == "inclusion"
         assert calls == []
+
+
+def _sparse_form(ring, degree, rng):
+    """A seeded form of `degree` on about half its monomials, never zero."""
+    monos = list(monomials_of_degree(len(ring), degree))
+    picked = [m for m in monos if rng.random() < 0.5] or [rng.choice(monos)]
+    return Polynomial(ring, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in picked})
+
+
+class TestMinimalColumns:
+    """`_minimal_columns` on one-entry columns keeps what the Groebner
+    reference keeps, after the same canonical sort."""
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_seeded_forms_with_redundant_multiples(self, nvars):
+        ring = VariableSet([f"x{i}" for i in range(nvars)])
+        rng = random.Random(2900 + nvars)
+        dropped = kept = 0
+        for _ in range(60):
+            gens = [_sparse_form(ring, rng.randint(1, 3), rng) for _ in range(rng.randint(2, 4))]
+            for _ in range(rng.randint(1, 3)):  # a sum of multiples of the forms
+                top = rng.randint(min(h.total_degree() for h in gens), 3)
+                gens.append(sum(
+                    (_sparse_form(ring, top - h.total_degree(), rng) * h
+                     for h in gens if h.total_degree() <= top),
+                    Polynomial.zero(ring),
+                ))
+            rng.shuffle(gens)
+            want = _reference_minimal(gens)
+            assert _span_minimal(gens) == want
+            dropped += sum(not h.is_zero() for h in gens) - len(want)
+            kept += len(want)
+        assert dropped >= 100 and kept >= 150
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_colon_outputs(self, nvars):
+        ring = VariableSet([f"x{i}" for i in range(nvars)])
+        rng = random.Random(2910 + nvars)
+        shrank = 0
+        for _ in range(20):
+            I = IdealHandle(ring, [_sparse_form(ring, 2, rng) for _ in range(3)])
+            gens = colon(I, _sparse_form(ring, rng.randint(1, 2), rng)).gens
+            want = _reference_minimal(gens)
+            assert _span_minimal(gens) == want
+            shrank += len(want) < len(gens)
+        assert shrank >= 5
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_colon_outputs(self, name):
+        P = load_fixture(name).jonquieres()
+        gens = colon(P.base_ideal_I(), P.g).gens
+        assert _span_minimal(gens) == _reference_minimal(gens)
+
+    def test_needs_forms_of_the_twisted_degrees(self):
+        with pytest.raises(StructuralError):
+            _minimal_columns([(2, (p("x0^2 + x1"),))], (0,))
+        with pytest.raises(StructuralError):
+            _minimal_columns([(3, (p("x0^2"),))], (0,))
 
 
 def _shifted_by_syzygies(I, data):

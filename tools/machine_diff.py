@@ -22,9 +22,12 @@ budget skip of the key itself.  A differing key is sorted into one of:
     other           any other difference
 
 With `--check-default`, CHANGE also runs with the flags less every
-budget flag (`--budget-pairs`, `--budget-sat` and their values), and each
-parent-skip or parent-missing key whose CHANGE value differs from that
-default-budget value is counted as `not-default`.  The last line of output is one
+budget flag (`--budget-pairs`, `--budget-sat` and their values).  A
+parent-skip or parent-missing key whose CHANGE value is itself a budget
+skip is counted as `still-skipped`: CHANGE got further, then met the
+limit at that key, which no default-budget run shows.  Any other such
+key whose CHANGE value differs from the default-budget one is counted as
+`not-default`.  The last line of output is one
 JSON object with the counts; `--list` prints each differing key before
 it.  Exit code 0: no differing key; 1: some; 2: bad arguments.
 Standard library only.
@@ -135,6 +138,13 @@ def off_default(key, change, default):
     return default.get(key) != change.get(key)
 
 
+def against_default(key, change, default):
+    """`still-skipped`, `not-default` or None for a parent-skip or parent-missing key."""
+    if is_budget_skip(change.get(key)):
+        return "still-skipped"
+    return "not-default" if off_default(key, change, default) else None
+
+
 def join_flags(argv):
     """`argv` with `--flags VALUE` as `--flags=VALUE`.
 
@@ -170,7 +180,7 @@ def main(argv=None):
     categories = ("parent-skip", "change-skip", "parent-missing", "change-missing", "other")
     counts = dict.fromkeys(categories, 0)
     if default is not None:
-        counts["not-default"] = 0
+        counts.update({"still-skipped": 0, "not-default": 0})
     differing = 0
     for path in paths:
         a, b = parse(*before[path]), parse(*after[path])
@@ -180,9 +190,10 @@ def main(argv=None):
             counts[category] += 1
             note = ""
             if default is not None and category in ("parent-skip", "parent-missing"):
-                if off_default(key, b, parse(*default[path])):
-                    counts["not-default"] += 1
-                    note = " (not the default value)"
+                verdict = against_default(key, b, parse(*default[path]))
+                if verdict:
+                    counts[verdict] += 1
+                    note = f" ({verdict})"
             if args.list:
                 name = os.path.basename(path)
                 print(f"{name} {key} [{category}]{note}: {a.get(key)!r} -> {b.get(key)!r}")
