@@ -161,13 +161,13 @@ def verify_cremona(G, Ginv):
     return VerifiedCremona(G, Ginv, D, C)
 
 
-def compose(A, B, strip=True):
+def compose(A, B):
     """The composite map 'apply A, then B' (coordinatewise substitution).
 
-    With `strip`, the coordinates are divided by their `coordinate_gcd`.
-    A caller that only tests `projectively_equal` passes `strip=False`:
-    a common factor c scales every 2x2 cross-product by c, so the verdict
-    is the same without the gcd.
+    The coordinates keep their common factor; `.stripped()` divides it
+    out.  A caller that only tests `projectively_equal` needs no gcd: a
+    common factor c scales every 2x2 cross-product by c, so the verdict is
+    the same.
     """
     if len(A.coords) != len(B.source):
         raise StructuralError(
@@ -177,8 +177,7 @@ def compose(A, B, strip=True):
     coords = tuple(b.substitute(list(A.coords)) for b in B.coords)
     if all(c.is_zero() for c in coords):
         raise HypothesisViolation("composite map vanishes identically")
-    out = RationalMapData(A.source, B.target, coords)
-    return out.stripped() if strip else out
+    return RationalMapData(A.source, B.target, coords)
 
 
 def base_ideal(G):

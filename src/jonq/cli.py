@@ -84,7 +84,6 @@ def _budget_from(args, inst=None):
     return Budget(
         max_pairs=_option(args, inst, "budget_pairs", "max_pairs"),
         sat_cap=_option(args, inst, "budget_sat", "sat_cap", 32),
-        deg_bound=_option(args, inst, "deg_bound", "deg_bound"),
     )
 
 
@@ -200,8 +199,6 @@ def cmd_analyze(args):
     timer = _timer(rep, args.timings)
     P = inst.jonquieres()
     I = P.base_ideal_I()
-    d = P.cremona.degree
-    df = P.f.total_degree()
     bounds = [f"bounds.{name}" for name in BOUND_NAMES]
     data = None
     stages = ("conductor.count", "psi.columns_annihilate", "syzygy_spans.all_match")
@@ -213,8 +210,7 @@ def cmd_analyze(args):
             rep.set(f"conductor.{j}", c)
             rep.set(f"conductor.{j}.degree", data.degrees[j])
         with timer("syzygy_basis"):
-            bound_phi = max(d + 2, (d + df + 4 if budget.deg_bound is None else budget.deg_bound) - df)
-            phi = syzygy_basis(list(I.gens), bound_phi)
+            phi = syzygy_basis(list(I.gens))
         rep.set("phi.columns", phi.ncols)
         rep.set("phi.col_twists", " ".join(str(t) for t in phi.col_twists))
         with timer("mapping_cone"):
@@ -222,8 +218,9 @@ def cmd_analyze(args):
         rep.set("psi.columns", psi.ncols)
         rep.set("psi.col_twists", " ".join(str(t) for t in psi.col_twists))
         rep.set_verdict("psi.columns_annihilate", True)  # construction verifies
+        deg_bound = _option(args, inst, "deg_bound", "deg_bound")
         with timer("syzygy_spans"):
-            ver = verify_syzygy_generation(list(P.coordinates()), psi, budget.deg_bound)
+            ver = verify_syzygy_generation(list(P.coordinates()), psi, deg_bound)
         rep.set("syzygy_spans.bound", ver.bound)
         for mu, oracle_dim, span_dim, match in ver.per_degree:
             rep.set(
@@ -243,7 +240,7 @@ def cmd_analyze(args):
         if dim_I <= 1:
             seed = _option(args, inst, "seed", "seed", 0)
             with timer("regularity"):
-                reg = regularity_dim1(I, d, seed=seed, budget=budget)
+                reg = regularity_dim1(I, seed=seed, budget=budget)
             rep.set("regularity.I.reg", reg.reg)
             rep.set("regularity.I.formula", reg.formula_value)
             rep.set("regularity.I.beg_sat", "inf" if reg.beg_sat is None else reg.beg_sat)

@@ -75,13 +75,11 @@ class Budget:
 
     `max_pairs` caps processed S-pairs cumulatively; `sat_cap` caps the
     exponents `saturate` searches and the exponent of the certified linear
-    form in `saturate_by_variables`; `deg_bound` is consumed by the syzygy
-    verifier.  Exhaustion raises BudgetExceeded.
+    form in `saturate_by_variables`.  Exhaustion raises BudgetExceeded.
     """
 
     max_pairs: int | None = None
     sat_cap: int = 32
-    deg_bound: int | None = None
     pairs_used: int = 0
 
     def charge_pair(self):
@@ -710,8 +708,8 @@ def multiply_ideal(I, f):
     return IdealHandle(I.ring, tuple(g * f for g in I.gens))
 
 
-def _aux_ring(ring, base="t"):
-    name = ring.fresh_name(base)
+def _aux_ring(ring):
+    name = ring.fresh_name("t")
     aux = VariableSet((name,) + ring.names)
     return aux, name
 

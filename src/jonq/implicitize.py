@@ -240,7 +240,6 @@ def syzygetic_polynomials(P, monoid, conductor):
 class InclusionReport:
     applicable: bool
     side_inclusion: bool | None
-    side_degree_and_principal: bool | None
     equivalent: bool | None
 
 
@@ -256,19 +255,18 @@ def inclusion_case_equivalence(P, monoid, conductor, syzygetic):
     not-applicable.
     """
     if not P.evaluations_coprime:
-        return InclusionReport(False, None, None, None)
+        return InclusionReport(False, None, None)
     side_i = conductor.kind == "inclusion"
     target_deg = P.f.total_degree() * P.cremona.inverse_degree + 1
     side_ii = monoid.delta == target_deg and any(
         q is not None and q.is_constant() and not q.is_zero()
         for q in (syz.extraneous_factor for syz in syzygetic)
     )
-    return InclusionReport(True, side_i, side_ii, side_i == side_ii)
+    return InclusionReport(True, side_i, side_i == side_ii)
 
 
 @dataclass(frozen=True)
 class NzdReport:
-    candidate: Polynomial
     principal_match: bool  # (P) = (F)
     coprime_gcd: bool  # gcd(g(g'), f(g') D) = 1
     degree_match: bool  # deg F = deg(f) deg(G^-1) + deg(D) + 1
@@ -293,7 +291,6 @@ def nzd_case(P, monoid, conductor):
     rhs = P.f.total_degree() * P.cremona.inverse_degree + D.total_degree() + 1
     c = monoid.delta == rhs
     return NzdReport(
-        candidate=cand,
         principal_match=a,
         coprime_gcd=b,
         degree_match=c,

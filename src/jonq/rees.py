@@ -73,13 +73,9 @@ class ReesPresentation:
     ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        split = (
-            tuple(self.ambient.index(n) for n in self.x_names),
-            tuple(self.ambient.index(n) for n in self.y_names),
-        )
+        x_idx = self.x_indices()
         for g in self.generators:
-            info = g.degree_info(split)
-            if not info.bihomogeneous:
+            if not g.is_bihomogeneous(x_idx):
                 raise StructuralError(f"Rees generator is not bihomogeneous: {g}")
         if self.ideal is None:
             object.__setattr__(self, "ideal", IdealHandle(self.ambient, self.generators))
@@ -473,7 +469,7 @@ def monoid_association(P, monoid, budget=None):
         ("monoid_then_cremona", M_map, G),
     ):
         try:
-            comp = compose(first, second, strip=False)
+            comp = compose(first, second)
             if projectively_equal(list(comp.coords), list(P.coordinates())):
                 order = name
                 break

@@ -98,24 +98,6 @@ def _norm_coeff(c):
     raise StructuralError(f"coefficient {c!r} is not an exact rational")
 
 
-class DegreeInfo:
-    """Result of :meth:`Polynomial.degree_info`."""
-
-    __slots__ = ("total", "homogeneous", "block_degrees", "bihomogeneous")
-
-    def __init__(self, total, homogeneous, block_degrees=None, bihomogeneous=None):
-        self.total = total
-        self.homogeneous = homogeneous
-        self.block_degrees = block_degrees
-        self.bihomogeneous = bihomogeneous
-
-    def __repr__(self):
-        return (
-            f"DegreeInfo(total={self.total}, homogeneous={self.homogeneous}, "
-            f"block_degrees={self.block_degrees}, bihomogeneous={self.bihomogeneous})"
-        )
-
-
 class Polynomial:
     """Immutable sparse polynomial over an exact rational coefficient field."""
 
@@ -197,30 +179,11 @@ class Polynomial:
         degs = {sum(m) for m in self._terms}
         return len(degs) <= 1
 
-    def degree_info(self, split=None):
-        """Total degree, homogeneity, and per-block degrees under `split`.
-
-        `split` is a sequence of index blocks (each a set/sequence of
-        variable positions); bihomogeneity means every term has the same
-        degree vector across the blocks.
-        """
-        if not self._terms:
-            return DegreeInfo(None, True, None, True if split else None)
-        total = self.total_degree()
-        homog = self.is_homogeneous()
-        if split is None:
-            return DegreeInfo(total, homog)
-        blocks = [tuple(sorted(b)) for b in split]
-        vecs = {
-            tuple(sum(m[i] for i in b) for b in blocks) for m in self._terms
-        }
-        bihom = len(vecs) == 1
-        degvec = (
-            next(iter(vecs))
-            if bihom
-            else tuple(max(v[j] for v in vecs) for j in range(len(blocks)))
-        )
-        return DegreeInfo(total, homog, degvec, bihom)
+    def is_bihomogeneous(self, x_indices):
+        """True iff every term has one degree in the variables at `x_indices`
+        and one in the others; the zero polynomial is bihomogeneous."""
+        idx = tuple(x_indices)
+        return len({(sum(m[i] for i in idx), sum(m)) for m in self._terms}) <= 1
 
     def degree_in(self, indices):
         """Max degree in the given variable positions; 0 for zero poly."""
@@ -456,12 +419,12 @@ class Polynomial:
             return self
         return self * (1 / content)
 
-    def canonical(self, order=None):
+    def canonical(self):
         """Integer-primitive scalar multiple with positive lead coefficient."""
         if not self._terms:
             return self
         p = self.primitive_part()
-        _, lc = p.lead_term(order)
+        _, lc = p.lead_term()
         if lc < 0:
             p = -p
         return p
@@ -895,12 +858,12 @@ def format_coeff(c):
     return str(c)
 
 
-def format_polynomial(p, order=None):
+def format_polynomial(p):
     """Canonical serialization: degrevlex-descending terms, explicit signs."""
     if p.is_zero():
         return "0"
     parts = []
-    for mono, c in p.sorted_terms(order):
+    for mono, c in p.sorted_terms():
         factors = []
         for name, e in zip(p.ring.names, mono):
             if e == 1:

@@ -248,8 +248,8 @@ def lift(p, gens):
     return [Polynomial(ring, e) for e in out]
 
 
-def syzygy_basis(gens, bound):
-    """A minimal generating set of the syzygies of twist <= bound, as a GradedMatrix.
+def syzygy_basis(gens):
+    """A minimal generating set of the syzygies of `gens`, as a GradedMatrix.
 
     sum a_i y_i lies in the Rees ideal of the g_i exactly when
     sum a_i g_i = 0, and the Rees ideal has no element of y-degree 0; so
@@ -270,7 +270,7 @@ def syzygy_basis(gens, bound):
     columns = []  # (twist, column) of each y-linear basis element
     for h in rees.generators:
         mu = h.total_degree() - 1 + d
-        if mu <= bound and h.degree_in(range(n, len(ext))) == 1:
+        if h.degree_in(range(n, len(ext))) == 1:
             entries = [{} for _ in gens]
             for mono, c in h.items():
                 entries[mono.index(1, n) - n][mono[:n]] = c
@@ -373,14 +373,11 @@ class RegularityReport:
     reg: int  # the local-cohomology value (authoritative)
     formula_value: int | None  # two-branch formula (paper scope)
     branch_saturation: int | None
-    branch_linkage: int | None
     beg_sat: int | None  # None = +infinity
     beg_link: int | None
     sat_ideal: IdealHandle
-    alpha: tuple
     alpha_colon_contains_I: bool
     formula_matches_oracle: bool
-    bound_checks: tuple = ()
 
 
 def _beg_quotient(big, small, budget=None):
@@ -422,13 +419,14 @@ def _local_cohomology_reg(I, Isat, budget):
 ALPHA_ATTEMPTS = 16  # seeded draws of alpha before regularity_dim1 gives up
 
 
-def regularity_dim1(I, d=None, seed=0, budget=None):
+def regularity_dim1(I, seed=0, budget=None):
     """Two-branch regularity formula plus the independent oracle value.
 
-    Requires dim(R/I) <= 1 and generators in a single degree d.  `reg`
-    carries the oracle value; the formula branches are reported alongside
-    with a comparison flag (they coincide on n+1-generator
-    Cremona-type ideals, but not for arbitrary generator counts).
+    Requires dim(R/I) <= 1 and generators in a single degree d, which is
+    read off them.  `reg` carries the oracle value; the formula value is
+    reported alongside with a comparison flag (they coincide on
+    n+1-generator Cremona-type ideals, but not for arbitrary generator
+    counts).
     """
     ring = I.ring
     n = len(ring) - 1
@@ -441,10 +439,7 @@ def regularity_dim1(I, d=None, seed=0, budget=None):
         raise HypothesisViolation(
             f"regularity_dim1 requires generation in a single degree, got {sorted(degs)}"
         )
-    if d is None:
-        d = degs.pop()
-    elif d not in degs:
-        raise HypothesisViolation("declared degree does not match the generators")
+    (d,) = degs
     Isat = saturate_by_variables(I, budget)
     beg_sat = _beg_quotient(Isat, I, budget)
     # alpha: n seeded random combinations of the generators, codim n
@@ -492,11 +487,9 @@ def regularity_dim1(I, d=None, seed=0, budget=None):
         reg=oracle,
         formula_value=formula,
         branch_saturation=branch_sat,
-        branch_linkage=branch_link,
         beg_sat=beg_sat,
         beg_link=beg_link,
         sat_ideal=Isat,
-        alpha=alpha,
         alpha_colon_contains_I=contains_I,
         formula_matches_oracle=(formula == oracle),
     )

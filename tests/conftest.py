@@ -106,7 +106,7 @@ def bound_checks():
     def run(P):
         I = P.base_ideal_I()
         dim, _ = dim_and_codim(I)
-        report = regularity_dim1(I, P.cremona.degree) if dim <= 1 else None
+        report = regularity_dim1(I) if dim <= 1 else None
         return regularity_bound_checks(P, I, conductor_data(I, P.g), report)
 
     return run

@@ -169,9 +169,9 @@ def test_criterion_5_colon_transfer_law():
     _stamp("criterion 5 (colon transfer If:(g) = (I:(g))f on 50 seeded triples)", t0)
 
 
-def _cone_for(P, phi_bound):
+def _cone_for(P):
     I = P.base_ideal_I()
-    phi = syzygy_basis(list(I.gens), phi_bound)
+    phi = syzygy_basis(list(I.gens))
     data = conductor_data(I, P.g)
     psi = mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data)
     return psi
@@ -180,11 +180,11 @@ def _cone_for(P, phi_bound):
 def test_criterion_6_mapping_cone():
     t0 = time.perf_counter()
     plane = load_fixture("plane").jonquieres()
-    psi = _cone_for(plane, 4)  # columns verified to annihilate on construction
+    psi = _cone_for(plane)  # columns verified to annihilate on construction
     ver = verify_syzygy_generation(list(plane.coordinates()), psi)
     assert ver.all_match, f"plane spans diverge at degree {ver.first_failure}"
     space = load_fixture("space").jonquieres()
-    psi = _cone_for(space, 5)
+    psi = _cone_for(space)
     ver = verify_syzygy_generation(list(space.coordinates()), psi, degree_bound=6)
     assert ver.all_match, f"space spans diverge at degree {ver.first_failure}"
     _stamp("criterion 6 (mapping cone columns + degree-by-degree span match)", t0)
@@ -256,8 +256,7 @@ def test_criterion_8_rees_machinery():
             Q = base * Polynomial.monomial(amb, mono)
             if Q.degree_in(x_idx) == 0:
                 continue
-            split = [x_idx, tuple(i for i in range(len(amb)) if i not in set(x_idx))]
-            if not Q.degree_info(split).bihomogeneous:
+            if not Q.is_bihomogeneous(x_idx):
                 continue
             assert J_pres.kernel_contains(Q)
             for step in iterated_downgrades(Q, H, x_idx):

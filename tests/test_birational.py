@@ -89,12 +89,12 @@ class TestCompose:
         assert projectively_equal(list(got.coords), list(involution.forward.coords))
 
     def test_involution_squares_to_identity(self, involution):
-        got = compose(involution.forward, involution.inverse, strip=True)
+        got = compose(involution.forward, involution.inverse).stripped()
         xs = Polynomial.gens(involution.source)
         assert projectively_equal(list(got.coords), xs)
 
     def test_without_strip_keeps_factor(self, involution):
-        got = compose(involution.forward, involution.inverse, strip=False)
+        got = compose(involution.forward, involution.inverse)
         C = involution.source_factor
         xs = Polynomial.gens(involution.source)
         assert list(got.coords) == [x * C for x in xs]

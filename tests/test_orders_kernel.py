@@ -164,10 +164,10 @@ def test_polynomial_layer_identical_across_backends(compiled_kernel_path):
         "for name in ('plane', 'space'):\n"
         "    inst = load_fixture(name)\n"
         "    fwd, inv = inst.forward_map(), inst.inverse_map()\n"
-        "    raw = compose(fwd, inv, strip=False).coords\n"
+        "    raw = compose(fwd, inv).coords\n"
         "    print('|'.join(str(c) for c in raw))\n"
-        "    print('|'.join(str(c) for c in compose(fwd, inv).coords))\n"
-        "    print('|'.join(str(c) for c in compose(inv, fwd).coords))\n"
+        "    print('|'.join(str(c) for c in compose(fwd, inv).stripped().coords))\n"
+        "    print('|'.join(str(c) for c in compose(inv, fwd).stripped().coords))\n"
         "    print(inst.g.substitute(list(inv.coords)))\n"
         "    print((inst.f * inst.g - 1).substitute(list(inv.coords)))\n"
         "    print(poly_gcd(raw[0], raw[1]), poly_gcd(raw[1], raw[0] * raw[1]))\n"

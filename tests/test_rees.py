@@ -166,8 +166,7 @@ class TestDowngrade:
             Q = g1 * m1
             if Q.is_zero() or Q.degree_in(x_idx) == 0:
                 continue
-            info = Q.degree_info(split=[x_idx, tuple(set(range(len(amb))) - set(x_idx))])
-            if not info.bihomogeneous:
+            if not Q.is_bihomogeneous(x_idx):
                 continue
             assert pres.kernel_contains(Q)
             for seed in (None, rng.randrange(1 << 20)):
@@ -256,12 +255,12 @@ class TestMonoidAssociation:
         P = load_fixture(name).jonquieres()
         M, _ = monoid_association(P, implicitize(P))
         M_map = RationalMapData(P.source, P.monoid_ring, M.coords)
-        raw = compose(P.cremona.forward, M_map, strip=False)
+        raw = compose(P.cremona.forward, M_map)
         assert raw.coordinate_gcd().is_constant() == (name == "identity")
         calls = []
         meet = groebner.intersect
         monkeypatch.setattr(groebner, "intersect", lambda *a: calls.append(a) or meet(*a))
-        comp = compose(P.cremona.forward, M_map, strip=True)
+        comp = raw.stripped()
         assert len(calls) == (name != "identity")
         digest = hashlib.sha256("\n".join(map(str, comp.coords)).encode()).hexdigest()
         assert digest == self.STRIPPED_COMPOSITE[name]

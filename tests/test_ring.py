@@ -301,18 +301,20 @@ class TestGcdDivision:
 
 class TestDegrees:
     def test_homogeneous(self):
-        info = p("x0^2*x1*x2").degree_info()
-        assert info.total == 4 and info.homogeneous
+        q = p("x0^2*x1*x2")
+        assert q.total_degree() == 4 and q.is_homogeneous()
 
     def test_inhomogeneous(self):
-        assert not p("x0^2 + x1").degree_info().homogeneous
+        assert not p("x0^2 + x1").is_homogeneous()
 
     def test_bigraded_split(self):
         big = VariableSet(["x0", "x1", "x2", "x3", "y0"])
         q = parse_polynomial("y0*x0^3*x3", big)
-        info = q.degree_info(split=[(0, 1, 2, 3), (4,)])
-        assert info.block_degrees == (4, 1)
-        assert info.bihomogeneous
+        assert q.degree_in((0, 1, 2, 3)) == 4 and q.degree_in((4,)) == 1
+        assert q.is_bihomogeneous((0, 1, 2, 3))
+        assert Polynomial.zero(big).is_bihomogeneous((0, 1, 2, 3))
+        # homogeneous of total degree 4, but of x-degrees 4 and 3
+        assert not parse_polynomial("x0^4 + y0*x0^3", big).is_bihomogeneous((0, 1, 2, 3))
 
     def test_product_of_forms_is_form(self):
         a = random_form(R, 2, 5)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_linalg import FractionSpan, fraction_kernel_basis
 from jonq import groebner
+from jonq.birational import RationalMapData, base_ideal, verify_cremona
+from jonq.cli import main
 from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
     IdealHandle,
@@ -20,6 +22,7 @@ from jonq.implicitize import JonquieresData, implicitize, syzygetic_polynomials
 from jonq.fixtures import FIXTURE_NAMES, load_fixture
 from jonq.orders import DegRevLex
 from jonq.rees import downgraded_rees_ideal
+from jonq.report import parse_report
 from jonq.ring import (
     Polynomial,
     VariableSet,
@@ -229,7 +232,7 @@ def _shifted_by_syzygies(I, data):
     `syzygy_basis` column of I, so it is another lift of the same c_j*g."""
     gens = list(I.gens)
     content = data.content
-    phi = syzygy_basis(gens, max(content.col_twists))
+    phi = syzygy_basis(gens)
     x0 = Polynomial.variable(I.ring, I.ring.names[0])
     columns = []
     for j, twist in enumerate(content.col_twists):
@@ -296,7 +299,7 @@ class TestGradedMatrix:
 class TestSyzygyBasis:
     def test_involution_linear_syzygies(self, involution):
         I = list(involution.forward.coords)
-        phi = syzygy_basis(I, 4)
+        phi = syzygy_basis(I)
         assert phi.ncols == 2
         assert phi.col_twists == (3, 3)
         for j in range(2):
@@ -307,7 +310,7 @@ class TestSyzygyBasis:
 
     def test_space_hilbert_burch_shape(self, space_instance):
         I = list(space_instance.base_ideal_I().gens)
-        phi = syzygy_basis(I, 5)
+        phi = syzygy_basis(I)
         assert phi.ncols == 3
         assert phi.col_twists == (4, 4, 4)
 
@@ -315,7 +318,7 @@ class TestSyzygyBasis:
 class TestMappingCone:
     def test_inclusion_single_extra_column(self, space_instance):
         I = space_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 5)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, space_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, space_instance.f, space_instance.g, data
@@ -326,7 +329,7 @@ class TestMappingCone:
 
     def test_nzd_shape(self, nzd_instance):
         I = nzd_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 4)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, nzd_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, nzd_instance.f, nzd_instance.g, data
@@ -344,7 +347,7 @@ class TestMappingCone:
 
     def test_general_extra_columns_count(self, plane_instance):
         I = plane_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 4)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, plane_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, plane_instance.f, plane_instance.g, data
@@ -353,7 +356,7 @@ class TestMappingCone:
 
     def test_columns_annihilate(self, plane_instance):
         I = plane_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 4)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, plane_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, plane_instance.f, plane_instance.g, data
@@ -380,7 +383,7 @@ class TestMappingCone:
 class TestSyzygyVerification:
     def test_plane_spans_match(self, plane_instance):
         I = plane_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 4)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, plane_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, plane_instance.f, plane_instance.g, data
@@ -391,7 +394,7 @@ class TestSyzygyVerification:
 
     def test_space_spans_match(self, space_instance):
         I = space_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 5)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, space_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, space_instance.f, space_instance.g, data
@@ -403,7 +406,7 @@ class TestSyzygyVerification:
 
     def test_dropped_column_detected(self, plane_instance):
         I = plane_instance.base_ideal_I()
-        phi = syzygy_basis(list(I.gens), 4)
+        phi = syzygy_basis(list(I.gens))
         data = conductor_data(I, plane_instance.g)
         psi = mapping_cone_matrix(
             list(I.gens), phi, plane_instance.f, plane_instance.g, data
@@ -426,11 +429,11 @@ class TestSyzygyVerification:
     def test_per_degree_matches_fraction_reference(self, case, request):
         if case in FIXTURE_NAMES:
             P = load_fixture(case).jonquieres()
-            psi = _psi_of(P, P.cremona.degree + 4)  # the bound `analyze` uses
+            psi = _psi_of(P)
             bound = None
         else:
             P = request.getfixturevalue("plane_instance")
-            psi = _psi_of(P, 4)
+            psi = _psi_of(P)
             bound = ver_bound(psi)
             if case == "plane_dropped_column":
                 keep = range(psi.ncols - 1)
@@ -455,9 +458,9 @@ def ver_bound(psi):
     return max(psi.col_twists) + 2
 
 
-def _psi_of(P, bound_phi):
+def _psi_of(P):
     I = P.base_ideal_I()
-    phi = syzygy_basis(list(I.gens), bound_phi)
+    phi = syzygy_basis(list(I.gens))
     data = conductor_data(I, P.g)
     return mapping_cone_matrix(list(I.gens), phi, P.f, P.g, data)
 
@@ -571,13 +574,14 @@ def equal_degree_forms(draw):
 
 
 def assert_same_syzygies(gens, bound):
-    """syzygy_basis against `fraction_syzygy_basis` up to the bound."""
-    phi = syzygy_basis(gens, bound)
+    """The columns of twist <= bound of syzygy_basis against
+    `fraction_syzygy_basis` up to the bound."""
+    phi = syzygy_basis(gens)
     ref = fraction_syzygy_basis(gens, bound)
-    assert phi.ncols == len(ref)
-    assert phi.col_twists == tuple(twist for twist, _ in ref)
-    columns = [(phi.col_twists[j], phi.column(j)) for j in range(phi.ncols)]
-    for _, col in columns:
+    columns = [(t, phi.column(j)) for j, t in enumerate(phi.col_twists) if t <= bound]
+    assert [t for t, _ in columns] == [t for t, _ in ref]
+    for j in range(phi.ncols):
+        col = phi.column(j)
         assert sum((g * a for g, a in zip(gens, col)), Polynomial.zero(gens[0].ring)).is_zero()
     for mu in range(min(g.total_degree() for g in gens), bound + 1):
         slots, _ = _evaluation(gens, mu)
@@ -601,11 +605,11 @@ class TestSyzygyBasisDifferential:
         Y = VariableSet(["y0", "y1", "y2"])
         gens = [p(t, Y) for t in ("y1*y2", "y0*y2", "y0*y1")]
         assert_same_syzygies(gens, 5)
-        assert syzygy_basis(gens, 5).col_twists == (3, 3)
+        assert syzygy_basis(gens).col_twists == (3, 3)
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(StructuralError):
-            syzygy_basis([p("x0"), p("x1^2")], 4)
+            syzygy_basis([p("x0"), p("x1^2")])
 
     @pytest.mark.parametrize(
         "name, twists",
@@ -613,16 +617,81 @@ class TestSyzygyBasisDifferential:
     )
     def test_bound_past_the_last_generator_changes_nothing(self, name, twists):
         gens = list(load_fixture(name).jonquieres().base_ideal_I().gens)
-        phi = syzygy_basis(gens, 10**6)
-        assert phi.col_twists == twists
-        assert syzygy_basis(gens, max(twists)) == phi
-        assert syzygy_basis(gens, max(twists) - 1).ncols < phi.ncols
+        assert syzygy_basis(gens).col_twists == twists
+
+
+def de_jonquieres(d, seed):
+    """The plane de Jonquieres map of degree d with its inverse, verified.
+
+    G = (x0*q, x1*q, r) with q = x2*a_{d-2} + a_{d-1}, r = x2*b_{d-1} + b_d,
+    and G^-1 = (y0*Q, y1*Q, R) with Q = -y2*a_{d-2} + b_{d-1},
+    R = y2*a_{d-1} - b_d, for seeded binary forms a_i, b_i of degree i
+    (Alberich-Carraminana, Geometry of the Plane Cremona Maps, LNM 1769).
+    Draws with a_{d-2}*b_d = a_{d-1}*b_{d-1} are skipped.
+    """
+    Y = VariableSet(["y0", "y1", "y2"])
+    rng = random.Random(seed)
+
+    def binary(ring, coeffs):
+        deg = len(coeffs) - 1
+        return Polynomial(ring, {(i, deg - i, 0): c for i, c in enumerate(coeffs)})
+
+    while True:
+        draw = [
+            [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k + 1)]
+            for k in (d - 2, d - 1, d - 1, d)
+        ]
+        a2, a1, b1, b0 = (binary(R, c) for c in draw)
+        if a2 * b0 != a1 * b1:
+            break
+    x0, x1, x2 = Polynomial.gens(R)
+    y0, y1, y2 = Polynomial.gens(Y)
+    A2, A1, B1, B0 = (binary(Y, c) for c in draw)
+    q, r = x2 * a2 + a1, x2 * b1 + b0
+    Q, Rinv = -(y2 * A2) + B1, y2 * A1 - B0
+    return verify_cremona(
+        RationalMapData(R, Y, (x0 * q, x1 * q, r)),
+        RationalMapData(Y, R, (y0 * Q, y1 * Q, Rinv)),
+    )
+
+
+class TestDeJonquieresFamily:
+    """Phi is the whole Hilbert-Burch matrix of the base ideal, of twists
+    d+1 and 2d-1, also where 2d-1 lies past every degree the span check
+    walks by default."""
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_phi_twists(self, d):
+        gens = list(base_ideal(de_jonquieres(d, 100 + d).forward).gens)
+        assert syzygy_basis(gens).col_twists == (d + 1, 2 * d - 1)
+
+    def test_analyze_degree_6(self, tmp_path, capsys):
+        cremona = de_jonquieres(6, 106)
+        rng = random.Random(6)
+        while True:
+            f = random_form(R, 1, rng.randrange(1 << 30))
+            g = random_form(R, 7, rng.randrange(1 << 30))
+            if poly_gcd(f, g).is_constant():
+                break
+        path = tmp_path / "dj6.jonq"
+        path.write_text(
+            "ring: x0, x1, x2\n"
+            f"cremona: {', '.join(map(str, cremona.forward.coords))}\n"
+            f"cremona_inverse: {', '.join(map(str, cremona.inverse.coords))}\n"
+            f"f: {f}\ng: {g}\n"
+        )
+        # the exit code is not checked: bounds.resolution_minimality_predicate
+        # reads `fails` here, where its hypothesis reg(R/I) <= d+deg(f)-2 is false
+        main(["analyze", str(path), "--machine"])
+        data = parse_report(capsys.readouterr().out)
+        assert data["phi.col_twists"] == "7 11"
+        assert data["syzygy_spans.all_match"] == "holds"
 
 
 class TestRegularity:
     def test_plane_base_ideal(self, involution):
         I = IdealHandle(R, involution.forward.coords)
-        rep = regularity_dim1(I, 2, seed=1)
+        rep = regularity_dim1(I, seed=1)
         assert rep.reg == 1
         assert rep.formula_value == 1
         assert rep.formula_matches_oracle
@@ -649,14 +718,14 @@ class TestRegularity:
         with mock.patch.object(groebner, "colon", counting("colon")), mock.patch.object(
             groebner, "intersect", counting("intersect")
         ):
-            rep = regularity_dim1(I, 2, seed=1)
+            rep = regularity_dim1(I, seed=1)
         assert counts == {"colon": 1, "intersect": 1}
         assert rep.beg_link == 1
 
     def test_saturated_branch_drop(self):
         # complete intersection of two conics: saturated, dim 1
         I = IdealHandle(R, (p("x0^2 - x1*x2"), p("x1^2 - x0*x2")))
-        rep = regularity_dim1(I, 2, seed=5)
+        rep = regularity_dim1(I, seed=5)
         assert rep.beg_sat is None
         assert rep.reg == rep.formula_value == 2  # CI(2,2): reg = 2
 
@@ -664,7 +733,7 @@ class TestRegularity:
         # four quadrics where the two-branch formula overshoots: the
         # oracle regularity is 1, branch one evaluates to 2
         J = IdealHandle(R, (p("x0^2"), p("x0*x1"), p("x0*x2"), p("x1^2")))
-        rep = regularity_dim1(J, 2, seed=2)
+        rep = regularity_dim1(J, seed=2)
         assert rep.reg == 1
         assert rep.formula_value == 2
         assert not rep.formula_matches_oracle
@@ -673,7 +742,7 @@ class TestRegularity:
         from jonq.groebner import graded_piece_dim, saturate
 
         I = IdealHandle(R, involution.forward.coords)
-        rep = regularity_dim1(I, 2, seed=1)
+        rep = regularity_dim1(I, seed=1)
         sat = rep.sat_ideal
         for mu in range(rep.reg + 1, rep.reg + 4):
             assert graded_piece_dim(I, mu) == graded_piece_dim(sat, mu)
@@ -695,7 +764,7 @@ class TestRegularity:
                 continue
             if dim > 1 or codim != 2:
                 continue
-            rep = regularity_dim1(I, 2, seed=rng.randrange(1 << 30))
+            rep = regularity_dim1(I, seed=rng.randrange(1 << 30))
             assert rep.formula_matches_oracle
             done += 1
 
