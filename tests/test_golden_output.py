@@ -63,10 +63,10 @@ ANALYZE_DEG16_GOLDEN = {
 }
 
 
-# `analyze --deg-bound B` for B = 0..8.  B sets both the twist bound of
-# `syzygy_basis` and the last degree the span check covers; recorded while
-# `syzygy_basis` still took a kernel basis of the evaluation map in every
-# degree up to its bound.
+# `analyze --deg-bound B` for B = 0..8.  B is the last degree the span
+# check covers; recorded while B also bounded the twists of `syzygy_basis`,
+# which then took a kernel basis of the evaluation map in every degree up
+# to that bound.
 ANALYZE_DEG_BOUND_GOLDEN = {
     ("identity", 0): "fe9b06b414f8d61e4821fcba98a336deca67984353812c574a84a711e20f5c92",
     ("identity", 1): "3cbafcae3565b719518b057b1f50c855874810a15a5f1b6ce352075665dc2578",
