@@ -1,28 +1,31 @@
 """Rees presentations, birational downgrading, and monoid association.
 
 The Rees ideal of a tuple of forms is computed by eliminating the Rees
-parameter, except a monoid's, whose closed form is certified by its
-Hilbert series (`_monoid_rees`); membership of a candidate in the *kernel* presentation is
-decided by substitution (y_i -> t*g_i), which is cheap and exact.  For
-forms of one degree, the x-free part of the Rees ideal is the implicit
-ideal of their image (Cox, "The moving curve ideal and the Rees algebra",
-TCS 392, 2008); `implicit_generator` reads it off the cached basis.
+parameter, except two, which have closed forms: the identity Cremona
+map's, the minors y_i x_j - y_j x_i (`_minors`), and a monoid's,
+certified by its Hilbert series (`_monoid_rees`).  Membership of a
+candidate in a Rees ideal is decided by normal form against its reduced
+basis, which the presentation's handle caches; only the downgraded Rees
+ideal, whose kernel K has no basis built, is tested by one substitution
+y_i -> t*g_i of all its generators.  For forms of one degree, the x-free
+part of the Rees ideal is the implicit ideal of their image (Cox, "The
+moving curve ideal and the Rees algebra", TCS 392, 2008);
+`implicit_generator` reads it off the cached basis.
 
 A Rees ideal is prime (a kernel into the domain k[x, t]) and holds no
 nonzero x-only form, so the saturation identities I_F = I_M(G) : C^inf
 and I_M = I_F(G^-1) : D^inf need no elimination: the transported ideal
-lies in the target by substitution, and the least k with C^k (or D^k)
-times the target's reduced basis inside it is the exponent `saturate`
-would report.  Only when that certificate fails, or k reaches the
-saturation cap, does `saturate` run, so verdicts, exponents and budget
-boundaries are those of `saturate`.
+lies in the target by normal form against its reduced basis, and the
+least k with C^k (or D^k) times the target's reduced basis inside it is
+the exponent `saturate` would report.  Only when that certificate
+fails, or k reaches the saturation cap, does `saturate` run, so
+verdicts, exponents and budget boundaries are those of `saturate`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from jonq.birational import RationalMapData, compose, projectively_equal
 from jonq.errors import HypothesisViolation, StructuralError
@@ -38,7 +41,13 @@ from jonq.groebner import (
     saturate,
     saturation_exponent,
 )
-from jonq.ring import Polynomial, VariableSet, _coprime_on_line, exact_quotient
+from jonq.ring import (
+    Polynomial,
+    VariableSet,
+    _coprime_on_line,
+    exact_quotient,
+    substitute_all,
+)
 
 
 def _kernel_images(ambient, y_names, carrier):
@@ -59,17 +68,15 @@ def _kernel_images(ambient, y_names, carrier):
 class ReesPresentation:
     """Bigraded generators of a Rees-type ideal in k[x; y].
 
-    `carrier` holds the parametrizing forms when the presentation is a
-    full kernel (as `rees_ideal` makes it); kernel membership is then a
-    substitution test.  `ideal` is the handle of the generators, made
-    here unless given (`rees_ideal` passes the one `eliminate` returns).
+    `ideal` is the handle of the generators, made here unless given
+    (`rees_ideal` passes the one `eliminate` returns, with its reduced
+    basis cached).
     """
 
     ambient: VariableSet
     x_names: tuple
     y_names: tuple
     generators: tuple
-    carrier: tuple | None = None
     ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,22 +89,6 @@ class ReesPresentation:
 
     def x_indices(self):
         return tuple(self.ambient.index(n) for n in self.x_names)
-
-    def kernel_contains(self, h):
-        """Membership in the presented kernel via substitution.
-
-        Valid because the presentation is ker(y_i -> t*carrier_i); without
-        a carrier (not a kernel) this is unavailable.
-        """
-        if self.carrier is None:
-            raise StructuralError(
-                "kernel membership needs a carrier parametrization"
-            )
-        return h.substitute(self._images).is_zero()
-
-    @cached_property
-    def _images(self):
-        return _kernel_images(self.ambient, self.y_names, self.carrier)
 
 
 def eliminate_rees_parameter(gens, y_names, budget=None):
@@ -170,7 +161,26 @@ def rees_ideal(gens, y_names=None, budget=None):
     if len(y_names) != len(gens):
         raise StructuralError("one y variable per generator")
     elim = eliminate_rees_parameter(gens, y_names, budget)  # its ring: x then y
-    return ReesPresentation(elim.ring, xring.names, y_names, elim.gens, tuple(gens), elim)
+    return ReesPresentation(elim.ring, xring.names, y_names, elim.gens, elim)
+
+
+def _minors(ambient, x_names, y_names):
+    """The minors x_j y_i - x_i y_j (i < j) in `ambient`, x before y.
+
+    They generate the Rees ideal of (x_0, ..., x_n): a regular sequence is
+    of linear type, so that Rees ideal is the ideal of its Koszul
+    relations (Vasconcelos, Arithmetic of Blowup Algebras, 1994).  The
+    maximal minors of a generic matrix are a Groebner basis under every
+    order (Bernstein-Zelevinsky, J. Algebraic Combin. 2, 1993); their
+    leads x_j y_i divide no other term, so they are also the reduced
+    degrevlex basis, listed in the order `eliminate` gives it.
+    """
+    xs = [Polynomial.variable(ambient, nm) for nm in x_names]
+    ys = [Polynomial.variable(ambient, nm) for nm in y_names]
+    n = len(xs) - 1
+    return [
+        xs[j] * ys[i] - xs[i] * ys[j] for i in reversed(range(n)) for j in range(n, i, -1)
+    ]
 
 
 # -- framing and downgrading --------------------------------------------------
@@ -268,8 +278,11 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     """Assemble D = (I_rees, all iterated downgrades) and verify its facts.
 
     `conductor` is the `conductor_data` of the base ideal and g.
-    Verifies: every generator lies in the Rees kernel K of (If, g); the
-    codimension is n+1; every fully downgraded element is a multiple of F.
+    Verifies: every generator lies in the Rees kernel K of (If, g), by
+    one substitution y_i -> t*c_i of all of them; the codimension is n+1;
+    every fully downgraded element is a multiple of F.  The Rees ideal of
+    the identity Cremona map is its minors (`_minors`), taken without
+    eliminating t.
     Each fully downgraded element is divided by F once: `factors` holds
     the quotient, or None when x is left in the element or F fails to
     divide it.
@@ -288,12 +301,17 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     xring = P.source
     ambient = xring.union(P.monoid_ring)
     x_idx = tuple(ambient.index(nm) for nm in xring.names)
-    cre = rees_ideal(P.cremona.forward.coords, P.cremona.target.names, budget)
+    coords = P.cremona.forward.coords
+    if list(coords) == Polynomial.gens(xring):
+        base = _minors(ambient, xring.names, P.cremona.target.names)
+    else:
+        cre = rees_ideal(coords, P.cremona.target.names, budget)
+        base = [g.map_ring(ambient) for g in cre.generators]
     columns = [
         conductor.content.column(j) + (-(P.f * cj),) for j, cj in enumerate(conductor.conductors)
     ]
     gens, chains = _with_downgrades(
-        [g.map_ring(ambient) for g in cre.generators],
+        base,
         columns,
         P.monoid_ring.names,
         [h.map_ring(ambient) for h in P.cremona.inverse.coords],
@@ -302,7 +320,7 @@ def downgraded_rees_ideal(P, monoid, conductor, budget=None):
     pres = ReesPresentation(ambient, xring.names, P.monoid_ring.names, gens)
     # (i) containment in the Rees kernel of (If, g)
     images = _kernel_images(ambient, P.monoid_ring.names, P.coordinates())
-    contained = all(g.substitute(images).is_zero() for g in pres.generators)
+    contained = all(q.is_zero() for q in substitute_all(pres.generators, images))
     # (ii) codimension: certified n+1 when D lies in the Rees kernel and a
     # chain ends in a nonzero x-free form, else computed
     ends = [chain[-1] for chain in chains]
@@ -389,9 +407,8 @@ def _monoid_rees(h_dm1, h_delta, coords, y_names, budget):
         return None
     ambient = xring.union(VariableSet(y_names))
     x_idx = tuple(ambient.index(nm) for nm in xring.names)
-    xs = [Polynomial.variable(ambient, nm) for nm in xring.names]
     ys = [Polynomial.variable(ambient, nm) for nm in y_names]
-    minors = [ys[i] * xs[j] - ys[j] * xs[i] for i in range(n + 1) for j in range(i + 1, n + 1)]
+    minors = _minors(ambient, xring.names, y_names[:-1])
     column = x_framing(coords[-1], range(n + 1)) + [-h_dm1]
     gens, chains = _with_downgrades(minors, [column], y_names, ys[:-1], x_idx)
     Q = chains[0][0]
@@ -402,7 +419,7 @@ def _monoid_rees(h_dm1, h_delta, coords, y_names, budget):
     ideal = IdealHandle.of_basis(basis)
     if hilbert_numerator(ideal) != N:
         return None
-    return ReesPresentation(ambient, xring.names, y_names, basis.generators, coords, ideal)
+    return ReesPresentation(ambient, xring.names, y_names, basis.generators, ideal)
 
 
 @dataclass(frozen=True)
@@ -498,16 +515,17 @@ def _saturates_to(T, target, b, budget):
     """(T : b^infinity == target's Rees ideal, exponents), as `saturate(T, (b))`
     followed by `ideal_equal` would give them.
 
-    `target` comes from `rees_ideal`, so its generators are its reduced
-    basis.  A Rees ideal is prime and holds no nonzero x-only form, so b
-    is not in it; when every generator of T lies in it (by substitution),
-    T : b^inf does too.  The least k with b^k * target inside T then proves
-    equality, and k is `saturate`'s exponent, since the reduced basis that
-    `saturate` raises to b^k is target's own.  A constant b, a failed
-    containment or a k at `budget.sat_cap` go through `saturate`, which
-    finds the true answer or raises BudgetExceeded.
+    `target` comes from `rees_ideal` or `_monoid_rees`, so its generators
+    are its reduced basis, cached on its handle: a membership test is a
+    normal form and charges no S-pair.  A Rees ideal is prime and holds no
+    nonzero x-only form, so b is not in it; when every generator of T lies
+    in it, T : b^inf does too.  The least k with b^k * target inside T then
+    proves equality, and k is `saturate`'s exponent, since the reduced
+    basis that `saturate` raises to b^k is target's own.  A constant b, a
+    failed containment or a k at `budget.sat_cap` go through `saturate`,
+    which finds the true answer or raises BudgetExceeded.
     """
-    if not b.is_constant() and all(target.kernel_contains(h) for h in T.gens):
+    if not b.is_constant() and all(target.ideal.contains(h, budget) for h in T.gens):
         k = saturation_exponent(T, target.ideal.gens, b, budget)
         if k is not None:
             return True, (k,)
@@ -524,10 +542,11 @@ def saturation_identities(P, M, budget=None):
     substitutes the x variables (by g, resp. g'); the second saturation
     uses D written in the x variables, which is what the inversion identity
     g_i(g'(x)) = x_i * D(x) produces.  Each identity is certified by the
-    primality of the Rees ideal (`_saturates_to`): one substitution test
-    per transported generator and the exponent search, with no elimination
-    unless that certificate fails.  A budget that runs out raises
-    BudgetExceeded.
+    primality of the Rees ideal (`_saturates_to`): one normal form against
+    the target's reduced basis per transported generator and the exponent
+    search, with no elimination unless that certificate fails.  Each
+    transport substitutes all generators in one `substitute_all`.  A
+    budget that runs out raises BudgetExceeded.
     """
     budget = budget or Budget()
     xring = P.source
@@ -547,7 +566,7 @@ def saturation_identities(P, M, budget=None):
             images_for_x[nm].map_ring(ambient) if nm in xring else x_named[nm]
             for nm in ambient.names
         ]
-        return IdealHandle(ambient, tuple(h.substitute(images) for h in pres.generators))
+        return IdealHandle(ambient, tuple(substitute_all(pres.generators, images)))
 
     g_map = dict(zip(xring.names, P.cremona.forward.coords))
     ginv_x = [c.rename(xring) for c in P.cremona.inverse.coords]

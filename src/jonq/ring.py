@@ -7,8 +7,9 @@ implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
 used by the CLI and the golden tests.  Division (`exact_quotient`) runs
 on `_Accumulator`, the packed-monomial heap that the Groebner engine
 shares.  Results the library builds from already clean terms skip the
-public constructor's checks through `Polynomial._clean`, and `substitute`
-expands every term over the images packed once, into one accumulator.
+public constructor's checks through `Polynomial._clean`, and
+`substitute_all` expands a batch of polynomials over images packed once,
+sharing each product of image powers between the terms that need it.
 `poly_gcd` has no algebra of its own: a mod-p coprimality certificate and
 an exact-divisor test answer most calls, and the rest divide a*b by the
 lcm that one elimination (`groebner.intersect`) finds.
@@ -303,49 +304,9 @@ class Polynomial:
         """Replace the i-th variable by images[i]; images share one ring.
 
         This is the evaluation homomorphism x_i -> images[i], fully
-        expanded.
+        expanded: `substitute_all` of this one polynomial.
         """
-        if len(images) != len(self.ring):
-            raise StructuralError(
-                f"substitute needs {len(self.ring)} images, got {len(images)}"
-            )
-        if not images:
-            raise StructuralError("no images")
-        target = images[0].ring
-        for im in images:
-            if im.ring != target:
-                raise StructuralError("substitution images over mixed variable sets")
-        if not self._terms:
-            return Polynomial.zero(target)
-        # every product below has total degree at most `top`
-        degs = [im.total_degree() or 0 for im in images]
-        top = max(sum(map(operator.mul, mono, degs)) for mono in self._terms)
-        pack, unpack = _exponent_packing(len(target), max(1, top.bit_length()))
-        mul = kernel.mul_packed
-        powers = [{1: [(pack(m), c) for m, c in im._terms.items()]} for im in images]
-
-        def power(i, e):
-            cache = powers[i]
-            got = cache.get(e)
-            if got is None:
-                half = power(i, e // 2)
-                got = mul(half, half)
-                if e & 1:
-                    got = mul(list(got.items()), cache[1])
-                got = cache[e] = list(got.items())
-            return got
-
-        acc = {}
-        get = acc.get
-        for mono, c in self._terms.items():
-            piece = None
-            for i, e in enumerate(mono):
-                if e:
-                    p = power(i, e)
-                    piece = p if piece is None else list(mul(piece, p).items())
-            for k, v in ((0, 1),) if piece is None else piece:
-                acc[k] = get(k, 0) + v * c
-        return Polynomial._clean(target, {unpack(k): _lower(c) for k, c in acc.items() if c})
+        return substitute_all((self,), images)[0]
 
     def map_ring(self, target):
         """Embed into a larger variable set by name."""
@@ -467,6 +428,82 @@ def _exponent_packing(nvars, bits):
         return tuple([k >> s & mask for s in shifts])
 
     return pack, unpack
+
+
+def substitute_all(polys, images):
+    """[p.substitute(images) for p in polys], with the work shared.
+
+    An image with one term c*m acts as a shift: it multiplies by c^e and
+    adds e times m's packed key.  A zero image kills every term it
+    touches.  The product of the other images' powers is expanded once
+    per distinct vector of their exponents, and every term of every
+    polynomial with that vector shares it: the product for the vector
+    with its last nonzero entry cleared, times that entry's power, made by
+    squaring.  The products are dropped when the call returns.
+    """
+    images = tuple(images)
+    for p in polys:
+        if len(images) != len(p.ring):
+            raise StructuralError(
+                f"substitute needs {len(p.ring)} images, got {len(images)}"
+            )
+    if not images:
+        raise StructuralError("no images")
+    target = images[0].ring
+    for im in images:
+        if im.ring != target:
+            raise StructuralError("substitution images over mixed variable sets")
+    # every product below has total degree at most `top`
+    degs = [im.total_degree() or 0 for im in images]
+    top = max((sum(map(operator.mul, m, degs)) for p in polys for m in p._terms), default=0)
+    pack, unpack = _exponent_packing(len(target), max(1, top.bit_length()))
+    mul = kernel.mul_packed
+    zero = [i for i, im in enumerate(images) if not im._terms]
+    shifts = [
+        (i, pack(m), c) for i, im in enumerate(images) if len(im._terms) == 1
+        for m, c in im._terms.items()
+    ]
+    multi = [i for i, im in enumerate(images) if len(im._terms) > 1]
+    width = len(multi)
+    products = {(0,) * width: [(0, 1)]}
+    for j, i in enumerate(multi):
+        unit = (0,) * j + (1,) + (0,) * (width - j - 1)
+        products[unit] = [(pack(m), c) for m, c in images[i]._terms.items()]
+
+    def product(sub):
+        got = products.get(sub)
+        if got is None:
+            j = max(i for i, e in enumerate(sub) if e)
+            e, head, tail = sub[j], sub[:j], (0,) * (width - j - 1)
+            if any(head):
+                got = mul(product(head + (0,) + tail), product((0,) * j + (e,) + tail))
+            else:
+                half = product(head + (e // 2,) + tail)
+                got = mul(half, half)
+                if e & 1:
+                    got = mul(list(got.items()), products[head + (1,) + tail])
+            got = products[sub] = list(got.items())
+        return got
+
+    out = []
+    for p in polys:
+        acc = {}
+        get = acc.get
+        for mono, c in p._terms.items():
+            if zero and any(mono[i] for i in zero):
+                continue
+            key = 0
+            for i, k, v in shifts:
+                e = mono[i]
+                if e:
+                    key += e * k
+                    if v != 1:
+                        c *= v**e
+            for k, v in product(tuple([mono[i] for i in multi])):
+                k += key
+                acc[k] = get(k, 0) + v * c
+        out.append(Polynomial._clean(target, {unpack(k): _lower(c) for k, c in acc.items() if c}))
+    return out
 
 
 def _mul_term_maps(a, b, nvars):

@@ -178,6 +178,22 @@ def test_polynomial_layer_identical_across_backends(compiled_kernel_path):
     assert outs["0"][1] == outs["1"][1]
 
 
+def test_batch_substitution_identical_across_backends(compiled_kernel_path):
+    """`substitute_all` over zero, constant, one-term and multi-term images,
+    on a batch that shares monomials, prints the same on both kernels."""
+    body = (
+        "from jonq.ring import VariableSet, parse_polynomial, random_form, substitute_all\n"
+        "R = VariableSet(['x0','x1','x2','x3'])\n"
+        "S = VariableSet(['s','t'])\n"
+        "images = [parse_polynomial(s, S) for s in ('0', '-5/3', '2*s*t^2', 's^2 - 1/2*t')]\n"
+        "polys = [random_form(R, d, seed) for d, seed in ((3, 1), (4, 2), (4, 3))]\n"
+        "polys.append(polys[1] + polys[2] * parse_polynomial('x3 - x1', R))\n"
+        "print('|'.join(str(q) for q in substitute_all(polys, images)))\n"
+    )
+    outs = _outputs_on_both_backends(compiled_kernel_path, body)
+    assert outs["0"][1] == outs["1"][1] and outs["0"][1][0].count("|") == 3
+
+
 def test_generated_c_matches_pyx():
     """_kernel_c.c must be regenerated (by Cython) whenever _kernel_c.pyx changes.
 

@@ -13,6 +13,7 @@ from jonq.ring import (
     parse_polynomial,
     poly_gcd,
     random_form,
+    substitute_all,
 )
 
 R = VariableSet(["x0", "x1", "x2"])
@@ -192,6 +193,99 @@ class TestPackedSubstitute:
         images = [p("x0^300 - x1^300"), p("x2^200"), p("2/3*x1")]
         poly = p("x0^3*x1^40 - 1/2*x1^2*x2 + x2")
         assert_same_expansion(poly.substitute(images), reference_substitute(poly, images))
+
+
+def naive_substitute(poly, images):
+    """The expansion of `poly` at `images` as {exponent tuple: Fraction},
+    term by term and power by power, with no packed keys."""
+    n = len(images[0].ring)
+
+    def times(a, b):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(u + v for u, v in zip(ma, mb))
+                out[m] = out.get(m, Fraction(0)) + Fraction(ca) * cb
+        return {m: c for m, c in out.items() if c}
+
+    acc = {}
+    for mono, c in poly.items():
+        piece = {(0,) * n: Fraction(c)}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                piece = times(piece, dict(images[i].items()))
+        for m, v in piece.items():
+            acc[m] = acc.get(m, Fraction(0)) + v
+    return {m: c for m, c in acc.items() if c}
+
+
+def one_image(ring):
+    """A zero, constant, one-term (any coefficient) or multi-term image."""
+    mono = st.tuples(*(st.integers(0, 2) for _ in range(len(ring))))
+    return st.one_of(
+        st.just(Polynomial.zero(ring)),
+        _rationals.map(lambda c: Polynomial.constant(ring, c)),
+        st.tuples(mono, _rationals).map(lambda mc: Polynomial.monomial(ring, *mc)),
+        st.dictionaries(mono, _rationals, min_size=2, max_size=3).map(
+            lambda terms: Polynomial(ring, terms)
+        ),
+    )
+
+
+@st.composite
+def batches(draw, size=4):
+    """`size` polynomials over R drawn from one pool of monomials, so that
+    they share monomials; any of them may be zero."""
+    mono = st.tuples(*(st.integers(0, 3) for _ in range(3)))
+    pool = st.sampled_from(draw(st.lists(mono, min_size=1, max_size=5)))
+    return [
+        Polynomial(R, {m: draw(_rationals) for m in draw(st.lists(pool, max_size=4))})
+        for _ in range(size)
+    ]
+
+
+class TestBatchSubstitute:
+    """`substitute_all` against an expansion that uses no packed keys."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        batches(),
+        st.sampled_from([R, Y2, Z4]).flatmap(
+            lambda ring: st.lists(one_image(ring), min_size=3, max_size=3)
+        ),
+    )
+    def test_matches_the_naive_expansion(self, polys, images):
+        got = substitute_all(polys, images)
+        assert len(got) == len(polys)
+        for poly, q in zip(polys, got):
+            want = naive_substitute(poly, images)
+            assert q.ring == images[0].ring
+            assert q.terms() == want
+            assert_clean(q)
+            assert_same_expansion(q, poly.substitute(images))
+
+    def test_each_kind_of_image(self):
+        images = [p("-2/3*x1^2"), Polynomial.constant(R, Fraction(5, 2)), p("x0 - x2")]
+        polys = [p("x0^2*x1*x2^2 - 3*x0*x2"), Polynomial.zero(R), p("x0^2*x1 + x2^2 + 7")]
+        got = substitute_all(polys, images)
+        for poly, q in zip(polys, got):
+            assert q.terms() == naive_substitute(poly, images)
+        assert got[1].is_zero()
+        assert str(got[2]) == "10/9*x1^4 + x0^2 - 2*x0*x2 + x2^2 + 7"
+
+    def test_zero_image_kills_its_terms(self):
+        images = [Polynomial.zero(R), p("x1 + x2"), p("2*x0")]
+        got = substitute_all([p("x0*x1 + x1^2*x2"), p("x0^3")], images)
+        assert got[0] == p("2*x0*x1^2 + 4*x0*x1*x2 + 2*x0*x2^2") and got[1].is_zero()
+
+    def test_empty_batch_and_empty_polynomial(self):
+        images = Polynomial.gens(R)
+        assert substitute_all([], images) == []
+        assert substitute_all([Polynomial.zero(R)], images) == [Polynomial.zero(R)]
+
+    def test_image_count_mismatch(self):
+        with pytest.raises(StructuralError):
+            substitute_all([p("x0"), Polynomial.zero(Y2)], Polynomial.gens(R))
 
 
 def assert_clean(q):
