@@ -186,17 +186,21 @@ def base_ideal(G):
 
 
 def projectively_equal(coords_a, coords_b):
-    """Equality as projective tuples: all 2x2 cross-products vanish."""
+    """Equality as projective tuples: all 2x2 cross-products vanish.
+
+    Only those against one pivot k with b_k != 0 are formed: if a_i b_k =
+    a_k b_i for every i, then b_k (a_i b_j - a_j b_i) = 0, and k[x] is a
+    domain.  A tuple of zeros equals nothing.
+    """
     if len(coords_a) != len(coords_b):
         return False
-    n = len(coords_a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coords_a[i] * coords_b[j] != coords_a[j] * coords_b[i]:
-                return False
-    return any(not a.is_zero() for a in coords_a) and any(
-        not b.is_zero() for b in coords_b
-    )
+    k = next((k for k, b in enumerate(coords_b) if not b.is_zero()), None)
+    if k is None:
+        return False
+    a_k, b_k = coords_a[k], coords_b[k]
+    return all(
+        a * b_k == a_k * b for i, (a, b) in enumerate(zip(coords_a, coords_b)) if i != k
+    ) and any(not a.is_zero() for a in coords_a)
 
 
 def identity_map(ring, target):

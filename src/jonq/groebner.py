@@ -224,12 +224,13 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
 
     `lead` lists (packed lead, index into `elems`) in `_lead_data` order;
     the reducer of a popped monomial is the first entry whose lead divides
-    it.  Fraction-free: before lead c*m is cancelled by a reducer g with
-    lead coefficient lc, everything is multiplied by lc/gcd(c, lc), and
-    the product is kept in `scale`'s numerator.  Every 64 steps the
-    integer content of the whole remainder goes into its denominator.
-    The step sequence, and with it every output term and scale, is fixed
-    by the input alone.
+    it.  The leads ascend and a divisor is no larger than its multiple, so
+    the scan stops at the first lead above the monomial.  Fraction-free:
+    before lead c*m is cancelled by a reducer g with lead coefficient lc,
+    everything is multiplied by lc/gcd(c, lc), and the product is kept in
+    `scale`'s numerator.  Every 64 steps the integer content of the whole
+    remainder goes into its denominator.  The step sequence, and with it
+    every output term and scale, is fixed by the input alone.
     """
     out = []
     num, den = 1, 1
@@ -241,7 +242,12 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
         for lm, j in lead:
             if not (k - lm) & guard:
                 break
+            if lm > k:  # the leads ascend, and a divisor of k is no larger than k
+                j = None
+                break
         else:
+            j = None
+        if j is None:
             if early_nonzero:
                 return [(k, c)], Fraction(num, den)
             out.append((k, c))
@@ -519,6 +525,8 @@ def _reduced_basis(G, order):
 
     Only smaller leads divide a tail term, so each element, by ascending
     lead and in one packing, is reduced against the smaller ones, reduced.
+    An element already packed for the packing tried (as a run in 16-bit
+    fields leaves it) is not packed again.
     """
     if not G:
         return []
@@ -943,6 +951,10 @@ def eliminate(I, drop_names, budget=None, hilbert=None):
     Block basis elements with leads (so all terms) free of the dropped
     variables form a Groebner basis of the result, keyed by degrevlex past
     the dropped block; only they are interreduced, and cached on the handle.
+    Their Block keys are zeros over the dropped block followed by the
+    degrevlex key of the rest, so order and divisibility among them are
+    degrevlex: they are interreduced as they are, in the packing the run
+    ended in, and each reduced element is re-keyed once.
     `hilbert` is `_buchberger_core`'s: the caller's promise of weights that
     make the generators homogeneous and of the Hilbert series they give.
     """
@@ -960,12 +972,11 @@ def eliminate(I, drop_names, budget=None, hilbert=None):
     small = VariableSet(tuple(n for n in ring.names if n not in drop))
     order = DegRevLex(len(small))
     cut = len(drop_idx)  # a Block key: the dropped block's key, then the kept one's
-    kept = [
+    kept = [e for e in G if not any(e.lm_okey[:cut])]
+    elems = [
         _GBPoly([(okey[cut:], c) for okey, c in e.terms], order)
-        for e in G
-        if not any(e.lm_okey[:cut])
+        for e in _reduced_basis(kept, block)
     ]
-    elems = _reduced_basis(kept, order)
     polys = [_to_polynomial(e.terms, order, small) for e in elems]
     return IdealHandle.of_basis(GroebnerBasis(polys, order, small, elems))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
@@ -346,20 +347,29 @@ def eulerian_equation(g, grad_inverse, lam):
 def verify_inverse_representative(P, monoid):
     """Check (g'_0 : ... : g'_n) represents the inverse, modulo (F).
 
-    All 2x2 minors of the 2 x (n+2) matrix with rows (coords evaluated at
-    g') and (y_0, ..., y_{n+1}) must be multiples of F: the reduced basis
-    of the principal ideal (F) is F itself, so this is reduction to zero
-    modulo (F).
+    All 2x2 minors M_ij of the 2 x (n+2) matrix with rows (coords
+    evaluated at g') and (y_0, ..., y_{n+1}) must be multiples of F: the
+    reduced basis of the principal ideal (F) is F itself, so this is
+    exact division by F.  Only the n+1 minors M_ik of one column k with
+    y_k not dividing F are divided: y_k M_ij = y_i M_kj - y_j M_ki, and
+    y_k is a nonzerodivisor modulo (F), so they put every minor in (F).
+    y_{n+1} is such a k when F_delta != 0; when every y_k divides F, all
+    minors are divided.
     """
     ginv = list(P.cremona.inverse.coords)
     mring = P.monoid_ring
     top = [c.substitute(ginv).map_ring(mring) for c in P.coordinates()]
     bottom = [Polynomial.variable(mring, nm) for nm in mring.names]
     n2 = len(top)
+    F = monoid.F
+    free = [k for k in range(n2) if any(not m[k] for m, _ in F.items())]
+    if free:
+        pairs = [(i, free[-1]) for i in range(n2) if i != free[-1]]
+    else:
+        pairs = combinations(range(n2), 2)
     return all(
-        exact_quotient(top[i] * bottom[j] - top[j] * bottom[i], monoid.F) is not None
-        for i in range(n2)
-        for j in range(i + 1, n2)
+        exact_quotient(top[i] * bottom[j] - top[j] * bottom[i], F) is not None
+        for i, j in pairs
     )
 
 

@@ -10,8 +10,9 @@ shares.  Results the library builds from already clean terms skip the
 public constructor's checks through `Polynomial._clean`, and
 `substitute_all` expands a batch of polynomials over images packed once,
 sharing each product of image powers between the terms that need it.
-`poly_gcd` has no algebra of its own: a mod-p coprimality certificate and
-an exact-divisor test answer most calls, and the rest divide a*b by the
+`poly_gcd` has no algebra of its own: a mod-p coprimality certificate, an
+exact-divisor test and the same certificate on the inputs stripped of
+their monomial contents answer most calls, and the rest divide a*b by the
 lcm that one elimination (`groebner.intersect`) finds.
 """
 
@@ -758,10 +759,12 @@ def poly_gcd(p, q):
     """Greatest common divisor, canonically normalized.
 
     1 when `_coprime_on_line` proves the inputs coprime; else the input of
-    lower degree when it divides the other; else a*b / lcm(a, b), where
-    the lcm generates (a) meet (b), one elimination by `groebner.intersect`
-    on a fresh budget, so no caller's S-pair count moves.  The result is
-    unique up to a unit, which `canonical()` fixes.  gcd(p, 0) = canonical(p).
+    lower degree when it divides the other; else the monomial that
+    `_monomial_gcd` certifies from the inputs' monomial contents; else
+    a*b / lcm(a, b), where the lcm generates (a) meet (b), one elimination
+    by `groebner.intersect` on a fresh budget, so no caller's S-pair count
+    moves.  The result is unique up to a unit, which `canonical()` fixes.
+    gcd(p, 0) = canonical(p).
     """
     if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
         raise StructuralError("poly_gcd needs two polynomials")
@@ -778,11 +781,36 @@ def poly_gcd(p, q):
     u, v = (a, b) if a.total_degree() <= b.total_degree() else (b, a)
     if exact_quotient(v, u) is not None:
         return u
+    monomial = _monomial_gcd(a, b)
+    if monomial is not None:
+        return monomial
     # (a) meet (b) = (lcm(a, b)); groebner imports this module
     from jonq.groebner import IdealHandle, intersect
 
     (lcm,) = intersect(IdealHandle.of(a), IdealHandle.of(b)).gens
     return divide_exact(a * b, lcm).canonical()
+
+
+def _monomial_gcd(a, b):
+    """gcd(a, b) of integer-primitive a, b when it is a monomial that their
+    monomial contents certify; None declines.
+
+    Write a = x^alpha a' and b = x^beta b' with no variable dividing a' or
+    b'.  The variables are the only prime factors of x^alpha, so gcd(a, b)
+    = x^min(alpha, beta) gcd(a', b'), which is x^min(alpha, beta) when
+    `_coprime_on_line` proves a', b' coprime.  Without monomial content
+    a', b' are a, b, which that certificate already declined.
+    """
+    contents = [tuple(map(min, zip(*p._terms))) for p in (a, b)]
+    if not any(map(any, contents)):
+        return None
+    stripped = [
+        Polynomial._clean(p.ring, {tuple(map(operator.sub, m, e)): c for m, c in p._terms.items()})
+        for p, e in zip((a, b), contents)
+    ]
+    if not _coprime_on_line(*stripped):
+        return None
+    return Polynomial._clean(a.ring, {tuple(map(min, *contents)): 1})
 
 
 _P = (1 << 61) - 1

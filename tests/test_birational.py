@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from jonq.ring import (
     monomials_of_degree,
     parse_polynomial,
     poly_gcd,
+    random_form,
 )
 
 
@@ -109,6 +112,50 @@ class TestCompose:
         left = compose(compose(A, B), A)
         right = compose(A, compose(B, A))
         assert projectively_equal(list(left.coords), list(right.coords))
+
+
+def all_pairs_projectively_equal(coords_a, coords_b):
+    """`projectively_equal` as it was: every 2x2 cross-product is formed."""
+    if len(coords_a) != len(coords_b):
+        return False
+    n = len(coords_a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if coords_a[i] * coords_b[j] != coords_a[j] * coords_b[i]:
+                return False
+    return any(not a.is_zero() for a in coords_a) and any(not b.is_zero() for b in coords_b)
+
+
+def _seeded_tuple_pairs(seed):
+    """Pairs of tuples over P^2: a tuple with some zero coordinates against
+    a multiple of it, the multiple with one coordinate changed, and tuples
+    of zeros."""
+    rng = random.Random(seed)
+    ring = VariableSet(["x0", "x1", "x2"])
+    zero = Polynomial.zero(ring)
+
+    def form(degree):
+        return random_form(ring, degree, rng.randrange(1 << 30))
+
+    n, deg = rng.randrange(1, 5), rng.randrange(0, 3)
+    a = [zero if rng.random() < 0.3 else form(deg) for _ in range(n)]
+    factor = form(rng.randrange(0, 2))
+    multiple = [factor * c for c in a]
+    changed = list(multiple)
+    changed[rng.randrange(n)] = rng.choice([zero, form(deg)])
+    zeros = [zero] * n
+    return [(a, multiple), (a, changed), (a, zeros), (zeros, zeros), (a, a), (a, a[:-1])]
+
+
+def test_pivot_matches_all_pairs():
+    seen = set()
+    for seed in range(60):
+        for a, b in _seeded_tuple_pairs(seed):
+            for x, y in ((a, b), (b, a)):
+                want = all_pairs_projectively_equal(x, y)
+                assert projectively_equal(x, y) == want, (seed, x, y)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 class TestBaseIdeal:

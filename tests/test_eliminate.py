@@ -3,15 +3,24 @@
 `reference_eliminate` is `eliminate` as it was when it read the x-free
 part of the full reduced Block basis: `buchberger` under the Block order,
 the elements whose lead is free of the dropped variables, re-keyed under
-degrevlex on the kept ones.  `reference_reduced_basis` is the
-interreduction that reduced every minimal element against all the others,
-one `_reduce` call (and one packing) per element.  The engine must build
-the same generators, the same cached basis and charge the same S-pairs.
+degrevlex on the kept ones.  `two_packing_eliminate` is `eliminate` as it
+was when it re-keyed the kept elements of the Block run under degrevlex
+and interreduced them in a degrevlex packing, where `eliminate` now
+interreduces them in the run's own Block packing.
+`reference_reduced_basis` is the interreduction that reduced every
+minimal element against all the others, one `_reduce` call (and one
+packing) per element.  The engine must build the same generators, the
+same cached basis and charge the same S-pairs.
 """
+
+import hashlib
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_orders_kernel import _outputs_on_both_backends
 
+from jonq import rees, ring
 from jonq.groebner import (
     Budget,
     IdealHandle,
@@ -27,7 +36,7 @@ from jonq.groebner import (
     eliminate,
 )
 from jonq.orders import Block, DegRevLex
-from jonq.ring import Polynomial, VariableSet, parse_polynomial
+from jonq.ring import Polynomial, VariableSet, parse_polynomial, random_form
 
 
 def reference_eliminate(I, drop, budget):
@@ -185,3 +194,90 @@ def test_reduced_basis_restarts_with_wider_fields(order):
     x0, x1, x2 = Polynomial.gens(R3)
     gens = [x1 - x2, x0 - x1 * x2**9000, x0 * x1 + 3 * x2**2]
     _check_reduced_basis(gens, order)
+
+
+# -- interreduction in the Block run's own packing ----------------------------
+
+
+def two_packing_eliminate(I, drop, hilbert=None):
+    """The reduced basis elements of I intersect k[kept variables], as
+    `eliminate` built them before it interreduced in the Block packing."""
+    ring_ = I.ring
+    drop_idx = tuple(ring_.index(n) for n in drop)
+    block = Block(len(ring_), drop_idx)
+    G = _buchberger_core([_to_internal(g, block) for g in I.gens], block, Budget(), hilbert)
+    order = DegRevLex(len(ring_) - len(drop_idx))
+    cut = len(drop_idx)
+    kept = [
+        _GBPoly([(okey[cut:], c) for okey, c in e.terms], order)
+        for e in G
+        if not any(e.lm_okey[:cut])
+    ]
+    return _reduced_basis(kept, order)
+
+
+def _check_one_packing(I, drop, hilbert=None):
+    """`eliminate` against `two_packing_eliminate`, term for term; returns
+    a digest of the basis terms."""
+    want = two_packing_eliminate(I, drop, hilbert)
+    out = eliminate(I, drop, budget=Budget(), hilbert=hilbert)
+    got = out.gb()._elems
+    assert [e.terms for e in got] == [e.terms for e in want]
+    assert [e.lm_exps for e in got] == [e.lm_exps for e in want]
+    order = DegRevLex(len(out.ring))
+    assert out.gens == tuple(_to_polynomial(e.terms, order, out.ring) for e in want)
+    return hashlib.sha256(repr([e.terms for e in got]).encode()).hexdigest()[:16]
+
+
+def _rees_eliminations(seed):
+    """The (ideal, dropped names, Hilbert series) of the elimination of t
+    that `eliminate_rees_parameter` makes for seeded forms: four of degree
+    1 or 2 on P^2."""
+    deg = 1 + seed % 2
+    coords = [random_form(R3, deg, 10 * seed + i) for i in range(4)]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rees, "eliminate", lambda I, drop, **kw: calls.append((I, drop, kw["hilbert"])))
+        rees.eliminate_rees_parameter(coords, ("y0", "y1", "y2", "y3"))
+    return calls
+
+
+def one_packing_digests():
+    """Digests of `eliminate`'s bases on the seeded Rees inputs and on one
+    run that widens its fields, each checked against `two_packing_eliminate`."""
+    out = []
+    for seed in range(6):
+        for I, drop, hilbert in _rees_eliminations(seed):
+            out.append(_check_one_packing(I, drop, hilbert))
+    out.append(_check_one_packing(_wide_ideal(), ("x0",)))
+    return out
+
+
+def _wide_ideal():
+    """An ideal whose elimination of x0 outgrows 16-bit fields: x2^9001 and
+    its multiples are past the bound."""
+    x0, x1, x2 = Polynomial.gens(R3)
+    return IdealHandle(R3, [x1 - x2, x0 - x1 * x2**9000, x0 * x1 + 3 * x2**2])
+
+
+def test_eliminate_interreduces_in_the_block_packing():
+    assert len(one_packing_digests()) == 7
+
+
+def test_eliminate_widens_its_fields(monkeypatch):
+    made = []
+    packing = ring._packing
+    monkeypatch.setattr(ring, "_packing", lambda *key: made.append(key) or packing(*key))
+    _check_one_packing(_wide_ideal(), ("x0",))
+    assert (Block(3, (0,)), 32) in made
+
+
+def test_one_packing_bases_identical_across_backends(compiled_kernel_path):
+    body = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from test_eliminate import one_packing_digests\n"
+        "print('\\n'.join(one_packing_digests()))\n"
+    )
+    outs = _outputs_on_both_backends(compiled_kernel_path, body)
+    assert outs["0"][1] == outs["1"][1]
+    assert len(outs["0"][1]) == 7

@@ -1,10 +1,12 @@
-"""`poly_gcd`: two exact fast paths in front of gcd by elimination.
+"""`poly_gcd`: three exact fast paths in front of gcd by elimination.
 
 `poly_gcd` first maps both integer-primitive inputs onto a fixed line mod
 the prime 2^61 - 1; a constant gcd of the images proves the inputs coprime.
-Next, an input that divides the other is the gcd.  Only then does it divide
-a*b by the lcm, the generator of (a) meet (b) that `groebner.intersect`
-finds by one elimination.  `reference` is that elimination alone, and
+Next, an input that divides the other is the gcd.  Next, the same
+certificate on the inputs divided by their monomial contents proves the
+gcd the least common monomial factor.  Only then does it divide a*b by
+the lcm, the generator of (a) meet (b) that `groebner.intersect` finds
+by one elimination.  `reference` is that elimination alone, and
 `test_construction_oracle` checks the gcd without any gcd routine.
 """
 
@@ -141,19 +143,64 @@ def test_divisor_fast_path_matches_prs(a, b, unit):
 
 
 @pytest.mark.parametrize(
-    "a, b, gcd",
+    "a, b, gcd, eliminations",
     [
         # (x0 + x1) * (x0 + x2) and (x0 + x1) * (x1 + x2)
-        ("x0^2 + x0*x2 + x0*x1 + x1*x2", "x0*x1 + x0*x2 + x1^2 + x1*x2", "x0 + x1"),
-        # the shape of a composite's coordinates sharing a factor
-        ("x1*x2", "x0*x2", "x2"),
+        ("x0^2 + x0*x2 + x0*x1 + x1*x2", "x0*x1 + x0*x2 + x1^2 + x1*x2", "x0 + x1", 1),
+        # the shape of a composite's coordinates sharing a factor: the
+        # monomial contents settle it
+        ("x1*x2", "x0*x2", "x2", 0),
     ],
     ids=["linear_factor", "common_variable"],
 )
-def test_same_degree_pair_without_divisor_runs_prs(a, b, gcd):
+def test_same_degree_pair_without_divisor_runs_prs(a, b, gcd, eliminations):
     a, b = parse_polynomial(a, R), parse_polynomial(b, R)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_intersect_calls(mp)
         assert poly_gcd(a, b) == parse_polynomial(gcd, R)
-    assert [(I.gens, J.gens) for I, J in calls] == [((a.canonical(),), (b.canonical(),))]
+    want = [((a.canonical(),), (b.canonical(),))] * eliminations
+    assert [(I.gens, J.gens) for I, J in calls] == want
     assert poly_gcd(-a, b) == reference(a, b)
+
+
+def _strip(p):
+    """p divided by its monomial content: the largest monomial dividing it."""
+    content = [min(m[i] for m in p.terms()) for i in range(len(p.ring))]
+    return Polynomial(p.ring, {tuple(e - c for e, c in zip(m, content)): v for m, v in p.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(polys, homogeneous),
+    st.one_of(polys, rational_polys, homogeneous),
+    _monos,
+    _monos,
+)
+def test_monomial_content_certificate_matches_prs(u, v, alpha, beta):
+    # gcd(x^alpha u, x^beta v) is a monomial once the parts free of monomial
+    # content are coprime, and no elimination runs for it
+    assume(any(alpha) or any(beta))
+    a = u * Polynomial.monomial(R, alpha)
+    b = v * Polynomial.monomial(R, beta)
+    assume(_coprime_on_line(_strip(a).canonical(), _strip(b).canonical()))
+    want = reference(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_intersect_calls(mp)
+        got = poly_gcd(a, b)
+    assert got == want
+    assert len(got) == 1
+    assert calls == []
+
+
+def test_stripped_parts_sharing_a_factor_run_one_elimination():
+    # y0^2*y2*y3^2 * (y2 + y3) against y1 * (y2 + y3) * (y0 + y1): the parts
+    # free of monomial content share y2 + y3, so the certificate declines
+    Y = VariableSet(["y0", "y1", "y2", "y3"])
+    a = parse_polynomial("y0^2*y2^2*y3^2 + y0^2*y2*y3^3", Y)
+    b = parse_polynomial("y0*y1*y2 + y0*y1*y3 + y1^2*y2 + y1^2*y3", Y)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_intersect_calls(mp)
+        got = poly_gcd(a, b)
+    assert got == parse_polynomial("y2 + y3", Y)
+    assert len(calls) == 1
+    assert got == reference(a, b)

@@ -1,10 +1,14 @@
+import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jonq.birational import RationalMapData, verify_cremona
+from jonq.cli import main
 from jonq.errors import HypothesisViolation
+from jonq.fixtures import fixture_path
 from jonq.groebner import IdealHandle, eliminate
 from jonq.implicitize import (
     JonquieresData,
@@ -17,9 +21,11 @@ from jonq.implicitize import (
     syzygetic_polynomials,
     verify_inverse_representative,
 )
+from jonq.instance import InstanceFile
 from jonq.ring import (
     Polynomial,
     VariableSet,
+    exact_quotient,
     monomials_of_degree,
     parse_polynomial,
     poly_gcd,
@@ -120,6 +126,75 @@ class TestSpaceExample:
         P = replace(space_instance, cremona=bad_cre)
         mon = implicitize(space_instance)
         assert not verify_inverse_representative(P, mon)
+
+    def test_planted_wrong_representative_prints_fails(self, monkeypatch, capsys):
+        # the inverse is corrupted after `verify_cremona` accepted it
+        from dataclasses import replace
+
+        build = InstanceFile.jonquieres
+
+        def planted(self):
+            P = build(self)
+            cre = P.cremona
+            bad = list(cre.inverse.coords)
+            bad[1] = bad[1] + parse_polynomial("y0*y1", cre.target)
+            inverse = RationalMapData(cre.target, cre.source, tuple(bad))
+            return replace(P, cremona=replace(cre, inverse=inverse))
+
+        monkeypatch.setattr(InstanceFile, "jonquieres", planted)
+        code = main(["implicitize", fixture_path("space"), "--machine"])
+        assert "inverse_representative = fails" in capsys.readouterr().out.splitlines()
+        assert code == 1
+
+    def test_divides_one_column_of_minors(self, space_instance, monkeypatch):
+        # y_{n+1} does not divide F, so only the n+1 minors M_{i,n+1} are divided
+        divided = _count_minor_divisions(monkeypatch)
+        assert verify_inverse_representative(space_instance, implicitize(space_instance))
+        assert len(divided) == len(space_instance.monoid_ring) - 1
+
+
+def _count_minor_divisions(monkeypatch):
+    """The minors `verify_inverse_representative` divides by F, as a list."""
+    calls = []
+    monkeypatch.setattr(
+        importlib.import_module("jonq.implicitize"),
+        "exact_quotient",
+        lambda p, d: calls.append(p) or exact_quotient(p, d),
+    )
+    return calls
+
+
+class TestAllMinors:
+    """A hand-built monoid whose F every variable divides: no y_k is a
+    nonzerodivisor modulo (F), so every 2x2 minor is divided by F.
+
+    The coordinates over the identity Cremona map of P^2 are x_i * h_i(x)
+    and 0, so the minors are M_ij = y_i y_j (h_i - h_j) for i, j <= 2 and
+    M_i3 = y_i h_i y_3, and F = y0*y1*y2*y3.
+    """
+
+    Y = VariableSet(["y0", "y1", "y2", "y3"])
+
+    def _verdict(self, identity2, R3, factors, monkeypatch):
+        xs = Polynomial.gens(R3)
+        coords = [x * parse_polynomial(h, R3) for x, h in zip(xs, factors)]
+        coords.append(Polynomial.zero(R3))
+        P = SimpleNamespace(cremona=identity2, monoid_ring=self.Y, coordinates=lambda: coords)
+        monoid = SimpleNamespace(F=parse_polynomial("y0*y1*y2*y3", self.Y))
+        divided = _count_minor_divisions(monkeypatch)
+        return verify_inverse_representative(P, monoid), divided
+
+    def test_every_minor_in_F(self, identity2, R3, monkeypatch):
+        # h_i = x0*x1*x2: M_ij = 0 and M_i3 = y0*y1*y2*y3*y_i
+        verdict, divided = self._verdict(identity2, R3, ["x0*x1*x2"] * 3, monkeypatch)
+        assert verdict
+        assert len(divided) == 6
+
+    def test_minor_outside_F(self, identity2, R3, monkeypatch):
+        # h = (x1*x2, x0*x2, 2*x0*x1): every M_i3 is in (F), but M_01 =
+        # y0*y1*y2*(y1 - y0) is not, which the column of y3 alone misses
+        verdict, _ = self._verdict(identity2, R3, ["x1*x2", "x0*x2", "2*x0*x1"], monkeypatch)
+        assert not verdict
 
 
 class TestPlaneExample:
