@@ -239,14 +239,13 @@ def _reduce_acc(acc, elems, lead, early_nonzero=False):
     guard = packing.guard
     while acc:
         k, c = acc.pop_lead()
-        for lm, j in lead:
+        j = None
+        for lm, i in lead:
             if not (k - lm) & guard:
+                j = i
                 break
             if lm > k:  # the leads ascend, and a divisor of k is no larger than k
-                j = None
                 break
-        else:
-            j = None
         if j is None:
             if early_nonzero:
                 return [(k, c)], Fraction(num, den)
