@@ -621,9 +621,8 @@ def _packing(order, bits):
     return _Packing(order, bits)
 
 
-def _with_wide_keys(run, order):
-    """run(packing), from 16-bit fields up, doubling on `_KeyOverflow`."""
-    bits = 16
+def _with_wide_keys(run, order, bits=16):
+    """run(packing), from `bits`-bit fields up, doubling on `_KeyOverflow`."""
     while True:
         try:
             return run(_packing(order, bits))

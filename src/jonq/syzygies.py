@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import groupby
-from operator import add, itemgetter
+from operator import add, eq, itemgetter, le
 
 from jonq.errors import HypothesisViolation, MembershipError, StructuralError
 from jonq.groebner import (
@@ -33,22 +33,27 @@ from jonq.ring import Polynomial, monomials_of_degree
 
 @dataclass(frozen=True)
 class GradedMatrix:
-    """Polynomial matrix with row/column degree twists.
+    """Polynomial matrix with row/column degree twists, stored as its columns.
 
-    Entry (i, j) is zero or homogeneous of degree col_twists[j] -
-    row_twists[i].
+    Entry i of column j is zero or homogeneous of degree col_twists[j] -
+    row_twists[i].  The columns and twists are kept as tuples.
     """
 
     ring: object
-    entries: tuple  # tuple of rows, each a tuple of Polynomial
+    columns: tuple  # tuple of columns, each a tuple of Polynomial
     row_twists: tuple
     col_twists: tuple
 
     def __post_init__(self):
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.col_twists):
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
+        object.__setattr__(self, "row_twists", tuple(self.row_twists))
+        object.__setattr__(self, "col_twists", tuple(self.col_twists))
+        if len(self.columns) != len(self.col_twists):
+            raise StructuralError("column twist count mismatch")
+        for j, col in enumerate(self.columns):
+            if len(col) != len(self.row_twists):
                 raise StructuralError("ragged graded matrix")
-            for j, e in enumerate(row):
+            for i, e in enumerate(col):
                 if e.is_zero():
                     continue
                 want = self.col_twists[j] - self.row_twists[i]
@@ -57,27 +62,13 @@ class GradedMatrix:
                         f"entry ({i},{j}) has degree {e.total_degree()}, "
                         f"twists demand {want}"
                     )
-        if len(self.entries) != len(self.row_twists):
-            raise StructuralError("row twist count mismatch")
-
-    @property
-    def nrows(self):
-        return len(self.entries)
 
     @property
     def ncols(self):
-        return len(self.col_twists)
+        return len(self.columns)
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.nrows))
-
-
-def graded_matrix_from_columns(ring, columns, row_twists, col_twists):
-    rows = tuple(
-        tuple(columns[j][i] for j in range(len(columns)))
-        for i in range(len(row_twists))
-    )
-    return GradedMatrix(ring, rows, tuple(row_twists), tuple(col_twists))
+        return self.columns[j]
 
 
 @dataclass(frozen=True)
@@ -125,17 +116,14 @@ def conductor_data(I, g, budget=None):
         same = ideal_equal(cond, I, budget)
         kind = "non_zero_divisor" if same else "general"
         conductors = gens if same else list(cond.gens)
-    zero = Polynomial.zero(ring)
-    columns = []
-    for j, cj in enumerate(conductors):
-        if kind == "non_zero_divisor":
-            columns.append([g if k == j else zero for k in range(len(gens))])
-        else:
-            columns.append(lift(cj * g, gens))
+    if kind == "non_zero_divisor":
+        zero = Polynomial.zero(ring)
+        columns = [[g if k == j else zero for k in range(len(gens))] for j in range(len(gens))]
+    else:
+        columns = [lift(cj * g, gens) for cj in conductors]
     degrees = tuple(c.total_degree() for c in conductors)
-    row_twists = tuple(gi.total_degree() for gi in gens)
-    col_twists = tuple(C + dg for C in degrees)
-    content = graded_matrix_from_columns(ring, columns, row_twists, col_twists)
+    row_twists = [gi.total_degree() for gi in gens]
+    content = GradedMatrix(ring, columns, row_twists, [C + dg for C in degrees])
     return ConductorData(cond, kind, tuple(conductors), degrees, content)
 
 
@@ -278,9 +266,16 @@ def syzygy_basis(gens):
     columns.sort(key=itemgetter(0))
     rows = (d,) * len(gens)
     found = [columns[j] for j in _minimal_columns(columns, rows)]
-    return graded_matrix_from_columns(
-        ring, [col for _, col in found], rows, tuple(mu for mu, _ in found)
-    )
+    return GradedMatrix(ring, [col for _, col in found], rows, [mu for mu, _ in found])
+
+
+def _check_annihilates(columns, row, message):
+    """Raise StructuralError(message.format(j)) for the first column j whose
+    entries do not annihilate `row`: sum row_i * column_i != 0."""
+    zero = Polynomial.zero(row[0].ring)
+    for j, col in enumerate(columns):
+        if not sum((r * e for r, e in zip(row, col)), zero).is_zero():
+            raise StructuralError(message.format(j))
 
 
 def mapping_cone_matrix(I_gens, phi, f, g, conductor):
@@ -289,36 +284,22 @@ def mapping_cone_matrix(I_gens, phi, f, g, conductor):
     Columns are verified to annihilate the row (g_0 f, ..., g_n f, g);
     phi columns must be syzygies of the g_i.
     """
-    ring = f.ring
     gens = list(I_gens)
+    _check_annihilates(phi.columns, gens, "phi column {} is not a syzygy of the g_i")
+    zero = Polynomial.zero(f.ring)
+    content = conductor.content
+    columns = [col + (zero,) for col in phi.columns] + [
+        col + (-(f * cj),) for col, cj in zip(content.columns, conductor.conductors)
+    ]
     row = [gi * f for gi in gens] + [g]
-    zero = Polynomial.zero(ring)
     df = f.total_degree()
-    # verify phi columns
-    for j in range(phi.ncols):
-        col = phi.column(j)
-        acc = zero
-        for gi, e in zip(gens, col):
-            acc = acc + gi * e
-        if not acc.is_zero():
-            raise StructuralError(f"phi column {j} is not a syzygy of the g_i")
-    columns = []
-    col_twists = []
-    for j in range(phi.ncols):
-        columns.append(tuple(phi.column(j)) + (zero,))
-        col_twists.append(phi.col_twists[j] + df)
-    for j, cj in enumerate(conductor.conductors):
-        col = tuple(conductor.content.column(j)) + (-(f * cj),)
-        columns.append(col)
-        col_twists.append(conductor.degrees[j] + g.total_degree() + df)
-    row_twists = tuple(r.total_degree() for r in row)
-    psi = graded_matrix_from_columns(ring, columns, row_twists, tuple(col_twists))
-    for j in range(psi.ncols):
-        acc = zero
-        for ri, e in zip(row, psi.column(j)):
-            acc = acc + ri * e
-        if not acc.is_zero():
-            raise StructuralError(f"Psi column {j} fails to annihilate (If, g)")
+    psi = GradedMatrix(
+        f.ring,
+        columns,
+        [r.total_degree() for r in row],
+        [t + df for t in phi.col_twists + content.col_twists],
+    )
+    _check_annihilates(psi.columns, row, "Psi column {} fails to annihilate (If, g)")
     return psi
 
 
@@ -504,11 +485,6 @@ class BoundCheck:
     reason: str = ""
 
 
-def _check(name, lhs, rhs, relation):
-    ok = relation(lhs, rhs)
-    return BoundCheck(name, "holds" if ok else "fails", lhs, rhs)
-
-
 BOUND_NAMES = (
     "resolution_minimality_predicate",
     "two_branch_formula_vs_oracle",
@@ -522,155 +498,67 @@ BOUND_NAMES = (
 
 
 def regularity_bound_checks(P, I, conductor, report, budget=None):
-    """Evaluate the applicable regularity bounds and equalities exactly.
+    """Evaluate the regularity bounds and equalities exactly, one row each.
 
     `I` is the base ideal of `P`, `conductor` its `conductor_data` with
     `P.g`, and `report` the `regularity_dim1` report of `I` (None when
-    dim(R/I) > 1).  Regularities are computed with the local-cohomology
-    oracle; checks whose dimension preconditions fail are reported as
-    skipped.
+    dim(R/I) > 1).  The regularities are computed first, with the
+    local-cohomology oracle.  Then each name of BOUND_NAMES is one row
+    (name, hypotheses, lhs, relation, rhs), a hypothesis a pair (holds,
+    reason): the row is skipped with the reason of its first hypothesis
+    that fails, and otherwise holds or fails as relation(lhs, rhs).
     """
     budget = budget or Budget()
-    ring = P.source
-    n = len(ring) - 1
-    d = P.cremona.degree
-    df = P.f.total_degree()
-    dg = P.g.total_degree()
-    J = P.ideal_J()
-    checks = []
-
     dim_I, _ = dim_and_codim(I, budget)
     if dim_I > 1:
         reason = f"dim(R/I) = {dim_I} > 1"
         return [BoundCheck(name, "skipped", reason=reason) for name in BOUND_NAMES]
-
+    n, d = P.n, P.cremona.degree
+    df, dg = P.f.total_degree(), P.g.total_degree()
+    kind = conductor.kind
     reg_I = report.reg
-    checks.append(
-        _check("resolution_minimality_predicate", reg_I, d + df - 2, lambda a, b: a <= b)
-    )
-    checks.append(
-        BoundCheck(
-            "two_branch_formula_vs_oracle",
-            "holds" if report.formula_matches_oracle else "fails",
-            report.formula_value,
-            reg_I,
-        )
-    )
-    if d >= 2 and dim_I == 1:
-        checks.append(
-            _check(
-                "cremona_base_regularity_bound", reg_I, n * (d - 1) - 1, lambda a, b: a <= b
-            )
-        )
-    else:
-        checks.append(
-            BoundCheck(
-                "cremona_base_regularity_bound",
-                "skipped",
-                reason="needs deg(G) >= 2 and a nonempty base locus",
-            )
-        )
-
+    J = P.ideal_J()
     dim_J, _ = dim_and_codim(J, budget)
-    reg_J = None
-    if dim_J <= 1:
-        reg_J = regularity_oracle(J, budget)
-        checks.append(
-            _check(
-                "jonquieres_ideal_regularity_bound", reg_J, reg_I + df + dg - 1, lambda a, b: a <= b
-            )
-        )
-        if conductor.kind == "non_zero_divisor":
-            checks.append(
-                _check(
-                    "jonquieres_ideal_regularity_equality_nzd",
-                    reg_J,
-                    reg_I + df + dg - 1,
-                    lambda a, b: a == b,
-                )
-            )
-        else:
-            checks.append(
-                BoundCheck(
-                    "jonquieres_ideal_regularity_equality_nzd",
-                    "skipped",
-                    reason="g is a zero-divisor on R/I",
-                )
-            )
-    else:
-        reason = f"dim(R/(If,g)) = {dim_J} > 1"
-        checks.append(BoundCheck("jonquieres_ideal_regularity_bound", "skipped", reason=reason))
-        checks.append(BoundCheck("jonquieres_ideal_regularity_equality_nzd", "skipped", reason=reason))
-
-    reg_cond = None
-    if conductor.kind == "inclusion":
-        checks.append(
-            BoundCheck(
-                "conductor_regularity_bound",
-                "skipped",
-                reason="I:(g) is the unit ideal (g in I)",
-            )
-        )
-    else:
+    reg_J = regularity_oracle(J, budget) if dim_J <= 1 else None
+    dim_c = reg_c = None
+    if kind != "inclusion":
         dim_c, _ = dim_and_codim(conductor.ideal, budget)
-        if conductor.kind == "non_zero_divisor":
-            reg_cond = reg_I  # I:(g) = I
+        if kind == "non_zero_divisor":
+            reg_c = reg_I  # I:(g) = I
         elif dim_c <= 1:
-            reg_cond = regularity_oracle(conductor.ideal, budget)
-        if reg_I <= dg - 2:
-            if reg_cond is not None:
-                checks.append(
-                    _check(
-                        "conductor_regularity_bound", reg_cond, reg_I, lambda a, b: a <= b
-                    )
-                )
-            else:
-                checks.append(
-                    BoundCheck(
-                        "conductor_regularity_bound",
-                        "skipped",
-                        reason=f"dim(R/(I:g)) = {dim_c} > 1",
-                    )
-                )
-        else:
-            checks.append(
-                BoundCheck(
-                    "conductor_regularity_bound",
-                    "skipped",
-                    reason=f"hypothesis reg(R/I) <= deg(g)-2 fails ({reg_I} > {dg - 2})",
-                )
-            )
+            reg_c = regularity_oracle(conductor.ideal, budget)
 
-    if reg_J is not None and reg_cond is not None:
-        checks.append(
-            _check(
-                "mapping_cone_regularity_bound",
-                reg_J,
-                max(reg_I + df, reg_cond + d + 2 * df - 1),
-                lambda a, b: a <= b,
-            )
-        )
-        if reg_I <= d + df - 2:
-            checks.append(
-                _check(
-                    "mapping_cone_regularity_equality",
-                    reg_J,
-                    reg_cond + d + 2 * df - 1,
-                    lambda a, b: a == b,
-                )
-            )
+    base_locus = (d >= 2 and dim_I == 1, "needs deg(G) >= 2 and a nonempty base locus")
+    known_J = (reg_J is not None, f"dim(R/(If,g)) = {dim_J} > 1")
+    nzd = (kind == "non_zero_divisor", "g is a zero-divisor on R/I")
+    proper = (kind != "inclusion", "I:(g) is the unit ideal (g in I)")
+    small = (reg_I <= dg - 2, f"hypothesis reg(R/I) <= deg(g)-2 fails ({reg_I} > {dg - 2})")
+    known_c = (reg_c is not None, f"dim(R/(I:g)) = {dim_c} > 1")
+    unavailable = "regularity of R/(If,g) or R/(I:g) unavailable at dim > 1"
+    cone = ((reg_J is not None, unavailable), proper, (reg_c is not None, unavailable))
+    minimal = (reg_I <= d + df - 2, "minimality predicate reg(R/I) <= d+deg(f)-2 fails")
+    J_rhs = reg_I + df + dg - 1
+    cone_rhs = None if reg_c is None else reg_c + d + 2 * df - 1
+    cone_max = None if reg_c is None else max(reg_I + df, cone_rhs)
+
+    def matches(formula, reg):  # the report's own verdict on formula == reg
+        return report.formula_matches_oracle
+
+    rows = (
+        ("resolution_minimality_predicate", (), reg_I, le, d + df - 2),
+        ("two_branch_formula_vs_oracle", (), report.formula_value, matches, reg_I),
+        ("cremona_base_regularity_bound", (base_locus,), reg_I, le, n * (d - 1) - 1),
+        ("jonquieres_ideal_regularity_bound", (known_J,), reg_J, le, J_rhs),
+        ("jonquieres_ideal_regularity_equality_nzd", (known_J, nzd), reg_J, eq, J_rhs),
+        ("conductor_regularity_bound", (proper, small, known_c), reg_c, le, reg_I),
+        ("mapping_cone_regularity_bound", cone, reg_J, le, cone_max),
+        ("mapping_cone_regularity_equality", (*cone, minimal), reg_J, eq, cone_rhs),
+    )
+    checks = []
+    for name, hypotheses, lhs, relation, rhs in rows:
+        skip = next((reason for holds, reason in hypotheses if not holds), None)
+        if skip:
+            checks.append(BoundCheck(name, "skipped", reason=skip))
         else:
-            checks.append(
-                BoundCheck(
-                    "mapping_cone_regularity_equality",
-                    "skipped",
-                    reason="minimality predicate reg(R/I) <= d+deg(f)-2 fails",
-                )
-            )
-    else:
-        reason = "regularity of R/(If,g) or R/(I:g) unavailable at dim > 1"
-        if reg_J is not None and conductor.kind == "inclusion":
-            reason = "I:(g) is the unit ideal (g in I)"
-        checks.append(BoundCheck("mapping_cone_regularity_bound", "skipped", reason=reason))
-        checks.append(BoundCheck("mapping_cone_regularity_equality", "skipped", reason=reason))
+            checks.append(BoundCheck(name, "holds" if relation(lhs, rhs) else "fails", lhs, rhs))
     return checks

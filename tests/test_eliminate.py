@@ -272,6 +272,16 @@ def test_eliminate_widens_its_fields(monkeypatch):
     assert (Block(3, (0,)), 32) in made
 
 
+def test_reduced_basis_starts_at_the_width_of_the_run(monkeypatch):
+    # the Block run overflows 16-bit fields and finishes at 32; its kept
+    # elements are interreduced at 32 at once, not repacked at 16 first
+    made = []
+    packing = ring._packing
+    monkeypatch.setattr(ring, "_packing", lambda *key: made.append(key) or packing(*key))
+    eliminate(_wide_ideal(), ("x0",), budget=Budget())
+    assert made == [(Block(3, (0,)), 16), (Block(3, (0,)), 32), (Block(3, (0,)), 32)]
+
+
 def test_one_packing_bases_identical_across_backends(compiled_kernel_path):
     body = (
         f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"

@@ -463,7 +463,7 @@ class TestSeededBases:
     """Eliminations hand on the t-free part of their basis as a degrevlex basis."""
 
     def assert_seeded(self, handle):
-        cached = handle._cache[DegRevLex(len(handle.ring)).signature()]
+        (cached,) = handle._cache
         assert cached.generators == buchberger(handle.gens, ring=handle.ring).generators
         assert handle.gb() is cached
 
@@ -487,6 +487,13 @@ class TestSeededBases:
         pres = rees_ideal([p("x1*x2"), p("x0*x2"), p("x0*x1")])
         assert pres.ideal.gens == pres.generators
         self.assert_seeded(pres.ideal)
+
+    def test_only_a_degrevlex_basis_is_cached(self):
+        I = ideal("x0^2*x1 - x2^3", "x0*x2^2")
+        block = buchberger(I.gens, Block(3, (0,)), ring=I.ring)
+        with pytest.raises(StructuralError):
+            IdealHandle.of_basis(block)
+        assert IdealHandle.of_basis(I.gb()).gb() is I.gb()
 
 
 class TestEliminate:

@@ -33,9 +33,9 @@ from jonq.ring import (
     random_form,
 )
 from jonq.syzygies import (
+    GradedMatrix,
     _minimal_columns,
     conductor_data,
-    graded_matrix_from_columns,
     lift,
     mapping_cone_matrix,
     regularity_dim1,
@@ -243,7 +243,7 @@ def _shifted_by_syzygies(I, data):
             m = 3 * x0 ** (twist - phi.col_twists[k])
             col = tuple(h + m * s for h, s in zip(col, phi.column(k)))
         columns.append(col)
-    moved = graded_matrix_from_columns(I.ring, columns, content.row_twists, content.col_twists)
+    moved = GradedMatrix(I.ring, columns, content.row_twists, content.col_twists)
     return dataclasses.replace(data, content=moved)
 
 
@@ -287,12 +287,12 @@ class TestNoKeyDependsOnTheLift:
 class TestGradedMatrix:
     def test_twist_validation(self):
         with pytest.raises(StructuralError):
-            graded_matrix_from_columns(
+            GradedMatrix(
                 R, [(p("x0"), p("x1^2"))], (1, 1), (2,)
             )
 
     def test_column_access(self):
-        m = graded_matrix_from_columns(R, [(p("x0"), p("x1"))], (1, 1), (2,))
+        m = GradedMatrix(R, [(p("x0"), p("x1"))], (1, 1), (2,))
         assert m.column(0) == (p("x0"), p("x1"))
 
 
@@ -370,7 +370,7 @@ class TestMappingCone:
 
     def test_bad_phi_rejected(self, plane_instance):
         I = plane_instance.base_ideal_I()
-        bad_phi = graded_matrix_from_columns(
+        bad_phi = GradedMatrix(
             R, [(p("x1"), p("0"), p("0"))], (2, 2, 2), (3,)
         )
         data = conductor_data(I, plane_instance.g)
@@ -413,7 +413,7 @@ class TestSyzygyVerification:
         )
         # drop the last column
         cols = [psi.column(j) for j in range(psi.ncols - 1)]
-        crippled = graded_matrix_from_columns(
+        crippled = GradedMatrix(
             R, cols, psi.row_twists, psi.col_twists[:-1]
         )
         ver = verify_syzygy_generation(
@@ -439,7 +439,7 @@ class TestSyzygyVerification:
                 keep = range(psi.ncols - 1)
             else:
                 keep = [*range(psi.ncols), 0]
-            psi = graded_matrix_from_columns(
+            psi = GradedMatrix(
                 psi.ring,
                 [psi.column(j) for j in keep],
                 psi.row_twists,
