@@ -38,8 +38,8 @@ def monoid_ring_for(target, source):
 class JonquieresData:
     """A de Jonquieres parametrization (g_0 f : ... : g_n f : g).
 
-    The evaluations at the inverse map and their gcds are derived once, on
-    first use, and shared by every report of the instance.
+    The coordinates, the evaluations at the inverse map and their gcds are
+    derived once, on first use, and shared by every report of the instance.
     """
 
     cremona: VerifiedCremona
@@ -79,6 +79,10 @@ class JonquieresData:
 
     def coordinates(self):
         """The parametrizing forms (g_0 f, ..., g_n f, g)."""
+        return self._coordinates
+
+    @cached_property
+    def _coordinates(self):
         return tuple(gi * self.f for gi in self.cremona.forward.coords) + (self.g,)
 
     def base_ideal_I(self):

@@ -4,10 +4,13 @@ Polynomials are immutable maps {exponent tuple -> nonzero coefficient}
 attached to a :class:`VariableSet`.  Coefficients are Python ints or
 `fractions.Fraction`; nothing is ever floating point.  The text grammar
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
-used by the CLI and the golden tests.  Division (`exact_quotient`) runs
-on `_Accumulator`, the packed-monomial heap that the Groebner engine
-shares.  Results the library builds from already clean terms skip the
-public constructor's checks through `Polynomial._clean`, and
+used by the CLI and the golden tests.  Exact division (`exact_quotient`)
+shifts exponents for a one-term divisor, checks a one-term quotient of a
+dividend as long as the divisor term by term, and otherwise divides in
+Z[x] on `_Accumulator`, the packed-monomial heap that the Groebner engine
+shares, stopping at the first lead that does not divide.  Results the
+library builds from already clean terms skip the public constructor's
+checks through `Polynomial._clean`, and
 `substitute_all` expands a batch of polynomials over images packed once,
 sharing each product of image powers between the terms that need it.
 `poly_gcd` has no algebra of its own: a mod-p coprimality certificate, an
@@ -704,24 +707,72 @@ class _Accumulator:
 # -- division, gcd ---------------------------------------------------------
 
 
+def _ratio(a, b):
+    """a/b for exact rationals a, b != 0: an int when it is one."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _lower(Fraction(a, b))
+
+
 def exact_quotient(p, d):
     """p / d as a Polynomial when the polynomial d divides p exactly, else
     None (d = 0 included).
 
-    Each lead of the running remainder must be divisible by d's degrevlex
-    lead; the first that is not ends the division, since p = q*d leaves
-    every remainder a multiple of d.
+    Three steps, each a proof; the division loop builds no Fraction:
+
+    - A one-term d = c*x^m divides p iff x^m divides every monomial of p;
+      the quotient shifts p's exponents down by m and divides by c.
+    - When |p| = |d|, let x^m and r be the quotients of the lex leads (the
+      max exponent tuples) and of their coefficients.  Leads multiply
+      under any monomial order, so a quotient has lead x^m, and a
+      negative entry of m proves that d does not divide p.  If p[u + m] =
+      r*c for every term c*x^u of d, then p = r*x^m*d: the shift u -> u + m
+      is injective and p has no other term.  Equal lengths do not force a
+      one-term quotient (x^2 - y^2 = (x - y)(x + y)), so a mismatch falls
+      through to the loop.
+    - The loop divides L*p by d0 in Z[x], where L clears p's denominators
+      and d = s*d0 with s rational and d0 primitive in Z[x].  If d0
+      divides L*p over Q, the quotient lies in Z[x] (Gauss's lemma), and
+      p = q*d leaves every remainder a multiple of d0, so each remainder
+      lead is an integer multiple of a monomial multiple of d0's
+      degrevlex lead.  The first lead that is not ends the division.  The
+      integer quotient is scaled by 1/(L*s) once, at the end.
     """
     p._check_ring(d)
-    if d.is_zero():
+    dt = d._terms
+    pt = p._terms
+    if not dt:
         return None
-    if p.is_zero():
+    if not pt:
         return p
+    sub = operator.sub
+    if len(dt) == 1:
+        ((m, c),) = dt.items()
+        quot = {tuple(map(sub, u, m)): a if c == 1 else _ratio(a, c) for u, a in pt.items()}
+        if min(map(min, quot)) < 0:
+            return None
+        return Polynomial._clean(p.ring, quot)
+    if len(pt) == len(dt):
+        up, ud = max(pt), max(dt)
+        m = tuple(map(sub, up, ud))
+        if min(m) < 0:
+            return None
+        a, b = pt[up], dt[ud]
+        add = operator.add
+        if all(pt.get(tuple(map(add, u, m)), 0) * b == a * c for u, c in dt.items()):
+            return Polynomial._clean(p.ring, {m: _ratio(a, b)})
     order = DegRevLex(len(p.ring))
     key = order.key
-    dterms = sorted(((key(m), c) for m, c in d._terms.items()), reverse=True)
+    lp = p.denominator_lcm()
+    ld = d.denominator_lcm()
+    dints = [(key(u), c.numerator * (ld // c.denominator)) for u, c in dt.items()]
+    content = int_gcd(*(c for _, c in dints))
+    dterms = sorted(((k, c // content) for k, c in dints), reverse=True)
     lc = dterms[0][1]
-    pterms = [(key(m), c) for m, c in p._terms.items()]
+    pterms = [(key(u), c.numerator * (lp // c.denominator)) for u, c in pt.items()]
+    # d = (content / ld) * d0, so p/d = ((lp * p) / d0) * ld / (lp * content)
 
     def run(packing):
         guard = packing.guard
@@ -731,13 +782,15 @@ def exact_quotient(p, d):
         quot = {}
         while rem:
             k, c = rem.pop_lead()
-            if (k - lm) & guard:
+            qc, r = divmod(c, lc)
+            if r or (k - lm) & guard:
                 return None
-            qc = Fraction(c, 1) / lc
             quot[k - lm] = qc
             rem.add_shifted(k, tail, -qc)
         exponents = packing.exponents
-        return Polynomial._clean(p.ring, {exponents(q): _lower(c) for q, c in quot.items()})
+        return Polynomial._clean(
+            p.ring, {exponents(q): _ratio(c * ld, lp * content) for q, c in quot.items()}
+        )
 
     return _with_wide_keys(run, order)
 
@@ -745,7 +798,9 @@ def exact_quotient(p, d):
 def divide_exact(p, d):
     """Quotient q with q*d = p; raises DivisibilityError otherwise."""
     if not isinstance(d, Polynomial):
-        return p * (Fraction(1, 1) / d)
+        if d:
+            return p * (Fraction(1, 1) / d)
+        d = Polynomial.zero(p.ring)
     q = exact_quotient(p, d)
     if q is None:
         if d.is_zero():

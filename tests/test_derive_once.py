@@ -174,3 +174,12 @@ def test_poly_gcd_calls_pinned(fixture, calls, capsys):
         assert main([command, fixture_path(fixture), *flags, "--machine"]) == 0
         counts[command] = len(calls["poly_gcd"]) - start
     assert counts == POLY_GCD_CALLS[fixture]
+
+
+@pytest.mark.parametrize("fixture", ["identity", "space"])
+def test_coordinates_are_derived_once(fixture):
+    P = load_fixture(fixture).jonquieres()
+    coords = P.coordinates()
+    assert P.coordinates() is coords
+    assert P.ideal_J().gens == coords
+    assert coords == tuple(gi * P.f for gi in P.cremona.forward.coords) + (P.g,)

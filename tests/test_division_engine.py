@@ -199,14 +199,86 @@ def test_reduce_matches_merge_loop_past_content_passes():
         assert sum(hits) > 64
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_polys, rational_polys, st.one_of(st.none(), polys))
+# `exact_quotient` answers a one-term divisor, a one-term quotient of an
+# equal-length p and the general loop on different paths; the inputs reach
+# each of them, the loop also with a divisor of integer content
+one_term_polys = st.builds(
+    lambda m, c: Polynomial(R, {m: c}), monos, st.builds(Fraction, coeffs, st.integers(1, 4))
+)
+content_polys = st.builds(lambda q, k: q * k, polys, st.integers(2, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(rational_polys, one_term_polys),
+    st.one_of(rational_polys, one_term_polys, content_polys),
+    st.one_of(st.none(), polys),
+)
 def test_divide_exact_matches_max_loop(a, b, extra):
     p = a * b if extra is None else a * b + extra
     got = _outcome(divide_exact, p, b)
     assert got == _outcome(reference_divide_exact, p, b)
     if extra is None:
         assert got == ("ok", a)
+
+
+def _p(text):
+    return parse_polynomial(text, R)
+
+
+@pytest.mark.parametrize(
+    "p, d, want",
+    [
+        # equal lengths with a two-term quotient: the one-term check falls through
+        ("x0^2 - x1^2", "x0 + x1", "x0 - x1"),
+        # 2*x0 does not divide the integer lead x0: the exit in Z[x]
+        ("x0 + x1", "2*x0 + x1", None),
+        ("x0 + x1", "x0 + x2", None),
+        # equal lengths, and the lex lead x0 of d does not divide p's, x1^2
+        ("x1^2 + x2", "x0 + x1", None),
+        ("x0*x1 + x1^2", "3*x0*x2", None),
+        ("x0*x1", "x0*x2 + x1", None),
+        ("1/3*x0^2 - 1/4*x1^2 + 5/6*x0*x2", "2/5*x0 - 3/7*x1", None),
+        ("1/6*x0^2 + 1/3*x0*x1 - 1/4*x0*x2 - 1/2*x1*x2", "2/3*x0 - x2", "1/4*x0 + 1/2*x1"),
+        ("6*x0^2*x1 + 4*x0*x1*x2", "3*x0 + 2*x2", "2*x0*x1"),
+        ("3/4*x0^2*x1^3", "-3/2*x0*x1", "-1/2*x0*x1^2"),
+        ("x0*x1 + 2*x1^2", "x0 + 2*x1", "x1"),
+    ],
+)
+def test_divide_exact_pinned(p, d, want):
+    p, d = _p(p), _p(d)
+    got = _outcome(divide_exact, p, d)
+    assert got == _outcome(reference_divide_exact, p, d)
+    assert got[0] == ("error" if want is None else "ok")
+    if want is not None:
+        assert got[1] == _p(want)
+
+
+def test_divide_exact_with_big_coefficients():
+    big = 2**70
+    x0, x1, x2 = Polynomial.gens(R)
+    a = big * x0 + 3 * x1 - Fraction(1, big) * x2
+    b = x0 * x1 - big * x2**2 + (big + 1) * x1
+    assert divide_exact(a * b, b) == a
+    assert divide_exact(a * b, big * b) == a * Fraction(1, big)
+    for p, d in ((a * b, b), (a * b + x2, b), (a * b, a * (big + 1))):
+        assert _outcome(divide_exact, p, d) == _outcome(reference_divide_exact, p, d)
+
+
+def test_divide_exact_quotient_widens_its_fields(monkeypatch):
+    """A quotient whose exponents do not fit 16-bit fields is found at 32."""
+    from jonq import ring
+
+    made = []
+    packing = ring._packing
+    monkeypatch.setattr(ring, "_packing", lambda *key: made.append(key[1]) or packing(*key))
+    x0, x1, x2 = Polynomial.gens(R)
+    q = x0**3000 * x1 - 2 * x2**5
+    d = 2 * x0 - x1 + 5 * x2**2
+    assert divide_exact(q * d, d) == q
+    with pytest.raises(DivisibilityError):
+        divide_exact(q * d + x1, d)
+    assert made == [16, 32, 16, 32]
 
 
 # -- keys beyond the narrow fields --------------------------------------------

@@ -376,6 +376,11 @@ class TestGcdDivision:
         with pytest.raises(DivisibilityError):
             divide_exact(p("x0^2 + x1"), p("x0 + x1"))
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), Polynomial.zero(R)])
+    def test_divide_by_zero(self, zero):
+        with pytest.raises(DivisibilityError, match="division by the zero polynomial"):
+            divide_exact(p("x0 + 1"), zero)
+
     @settings(max_examples=20, deadline=None)
     @given(
         poly_strategy(max_terms=3, max_deg=2),
