@@ -5,9 +5,8 @@ attached to a :class:`VariableSet`.  Coefficients are Python ints or
 `fractions.Fraction`; nothing is ever floating point.  The text grammar
 implemented by :func:`parse_polynomial` / ``str()`` is the exchange format
 used by the CLI and the golden tests.  Exact division (`exact_quotient`)
-shifts exponents for a one-term divisor, checks a one-term quotient of a
-dividend as long as the divisor term by term, and otherwise divides in
-Z[x] on `_Accumulator`, the packed-monomial heap that the Groebner engine
+shifts exponents for a one-term divisor and otherwise divides in Z[x] on
+`_Accumulator`, the packed-monomial heap that the Groebner engine
 shares, stopping at the first lead that does not divide.  Results the
 library builds from already clean terms skip the public constructor's
 checks through `Polynomial._clean`, and
@@ -720,23 +719,15 @@ def exact_quotient(p, d):
     """p / d as a Polynomial when the polynomial d divides p exactly, else
     None (d = 0 included).
 
-    Three steps, each a proof; the division loop builds no Fraction:
+    Two steps, each a proof; the division loop builds no Fraction:
 
     - A one-term d = c*x^m divides p iff x^m divides every monomial of p;
       the quotient shifts p's exponents down by m and divides by c.
-    - When |p| = |d|, let x^m and r be the quotients of the lex leads (the
-      max exponent tuples) and of their coefficients.  Leads multiply
-      under any monomial order, so a quotient has lead x^m, and a
-      negative entry of m proves that d does not divide p.  If p[u + m] =
-      r*c for every term c*x^u of d, then p = r*x^m*d: the shift u -> u + m
-      is injective and p has no other term.  Equal lengths do not force a
-      one-term quotient (x^2 - y^2 = (x - y)(x + y)), so a mismatch falls
-      through to the loop.
-    - The loop divides L*p by d0 in Z[x], where L clears p's denominators
-      and d = s*d0 with s rational and d0 primitive in Z[x].  If d0
-      divides L*p over Q, the quotient lies in Z[x] (Gauss's lemma), and
-      p = q*d leaves every remainder a multiple of d0, so each remainder
-      lead is an integer multiple of a monomial multiple of d0's
+    - Otherwise the loop divides L*p by d0 in Z[x], where L clears p's
+      denominators and d = s*d0 with s rational and d0 primitive in Z[x].
+      If d0 divides L*p over Q, the quotient lies in Z[x] (Gauss's lemma),
+      and p = q*d leaves every remainder a multiple of d0, so each
+      remainder lead is an integer multiple of a monomial multiple of d0's
       degrevlex lead.  The first lead that is not ends the division.  The
       integer quotient is scaled by 1/(L*s) once, at the end.
     """
@@ -747,22 +738,13 @@ def exact_quotient(p, d):
         return None
     if not pt:
         return p
-    sub = operator.sub
     if len(dt) == 1:
         ((m, c),) = dt.items()
+        sub = operator.sub
         quot = {tuple(map(sub, u, m)): a if c == 1 else _ratio(a, c) for u, a in pt.items()}
         if min(map(min, quot)) < 0:
             return None
         return Polynomial._clean(p.ring, quot)
-    if len(pt) == len(dt):
-        up, ud = max(pt), max(dt)
-        m = tuple(map(sub, up, ud))
-        if min(m) < 0:
-            return None
-        a, b = pt[up], dt[ud]
-        add = operator.add
-        if all(pt.get(tuple(map(add, u, m)), 0) * b == a * c for u, c in dt.items()):
-            return Polynomial._clean(p.ring, {m: _ratio(a, b)})
     order = DegRevLex(len(p.ring))
     key = order.key
     lp = p.denominator_lcm()
