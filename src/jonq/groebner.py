@@ -5,13 +5,15 @@ and the Hilbert-Poincare numerator of the lead ideal (dimension,
 graded pieces).  Intersection, colon and saturation run on `eliminate`,
 which interreduces only the Block basis elements free of the dropped
 variables and caches the result, the reduced degrevlex basis, on its
-handle.  Saturation by the variables (`saturate_by_variables`) is
-saturation by one certified linear form, in the ideal's own coordinates:
-by x_n it is read off the ideal's cached basis; another form that the
-Hilbert numerator certifies a nonzerodivisor leaves the ideal as it is,
-and a zero divisor takes one `saturate` elimination.  Generators are
-integer-primitive term lists keyed by additive order keys (see
-`jonq.orders`), sorted descending, with positive lead.  Pairs are pruned
+handle; `block_run` is its Block run alone, for a caller that reads
+those elements as they are.  Saturation by the variables
+(`saturate_by_variables`) is saturation by one certified linear form,
+in the ideal's own coordinates: by x_n it is read off the ideal's
+cached basis; another form that the Hilbert numerator certifies a
+nonzerodivisor leaves the ideal as it is, and a zero divisor takes one
+`saturate` elimination.  Generators are integer-primitive term lists
+keyed by additive order keys (see `jonq.orders`), sorted descending,
+with positive lead.  Pairs are pruned
 by Gebauer-Moeller and chosen by normal selection (lcm degree, sugar
 tie-break).  Reduced bases are unique per (ideal, order).
 
@@ -519,6 +521,17 @@ def _buchberger_packed(inputs, order, budget, packing, hilbert=None):
     return G
 
 
+def _minimal(G):
+    """The elements whose leads no other lead divides, by ascending lead."""
+    minimal = []
+    for e in sorted(G, key=lambda e: e.lm_okey):
+        if not any(
+            all(a <= b for a, b in zip(m.lm_exps, e.lm_exps)) for m in minimal
+        ):
+            minimal.append(e)
+    return minimal
+
+
 def _reduced_basis(G, order):
     """Minimalize then tail-reduce: the unique reduced basis (primitive).
 
@@ -530,13 +543,7 @@ def _reduced_basis(G, order):
     """
     if not G:
         return []
-    elems = sorted(G, key=lambda e: e.lm_okey)
-    minimal = []
-    for e in elems:
-        if not any(
-            all(a <= b for a, b in zip(m.lm_exps, e.lm_exps)) for m in minimal
-        ):
-            minimal.append(e)
+    minimal = _minimal(G)
 
     def run(packing):
         reduced = []
@@ -948,34 +955,45 @@ def saturate_by_variables(I, budget=None):
     return IdealHandle.of_basis(GroebnerBasis(polys, order, ring, elems))
 
 
-def eliminate(I, drop_names, budget=None, hilbert=None):
-    """I intersect k[remaining variables], via a block order.
+def block_run(I, drop_names, budget=None, hilbert=None):
+    """The Block run of an elimination: its elements free of the dropped variables.
 
-    Block basis elements with leads (so all terms) free of the dropped
-    variables form a Groebner basis of the result, keyed by degrevlex past
-    the dropped block; only they are interreduced, and cached on the handle.
-    Their Block keys are zeros over the dropped block followed by the
-    degrevlex key of the rest, so order and divisibility among them are
-    degrevlex: they are interreduced as they are, in the packing the run
-    ended in, and each reduced element is re-keyed once.
-    `hilbert` is `_buchberger_core`'s: the caller's promise of weights that
-    make the generators homogeneous and of the Hilbert series they give.
+    One Buchberger run under `Block` with the dropped variables first.  The
+    elements whose leads (so all terms) are free of them form a Groebner
+    basis of I intersect k[remaining variables]; their Block keys are zeros
+    over the dropped block followed by the degrevlex key of the rest.
+    Returns them as the run left them, neither minimal nor reduced, with
+    the Block order.  `hilbert` is `_buchberger_core`'s: the caller's
+    promise of weights that make the generators homogeneous and of the
+    Hilbert series they give.
     """
-    drop = tuple(drop_names)
-    if not drop:
-        return I
     ring = I.ring
-    drop_idx = tuple(ring.index(n) for n in drop)
+    drop_idx = tuple(ring.index(n) for n in drop_names)
     if len(drop_idx) >= len(ring):
         raise StructuralError("cannot eliminate every variable")
     block = Block(len(ring), drop_idx)
     G = _buchberger_core(
         [_to_internal(g, block) for g in I.gens], block, budget or Budget(), hilbert=hilbert
     )
-    small = VariableSet(tuple(n for n in ring.names if n not in drop))
-    order = DegRevLex(len(small))
     cut = len(drop_idx)  # a Block key: the dropped block's key, then the kept one's
-    kept = [e for e in G if not any(e.lm_okey[:cut])]
+    return [e for e in G if not any(e.lm_okey[:cut])], block
+
+
+def eliminate(I, drop_names, budget=None, hilbert=None):
+    """I intersect k[remaining variables], via a block order.
+
+    The elements `block_run` keeps are interreduced, and the reduced basis
+    is cached on the handle.  Order and divisibility among them are
+    degrevlex: they are interreduced as they are, in the packing the run
+    ended in, and each reduced element is re-keyed once.
+    """
+    drop = tuple(drop_names)
+    if not drop:
+        return I
+    kept, block = block_run(I, drop, budget, hilbert)
+    small = VariableSet(tuple(n for n in I.ring.names if n not in drop))
+    order = DegRevLex(len(small))
+    cut = len(drop)
     elems = [
         _GBPoly([(okey[cut:], c) for okey, c in e.terms], order)
         for e in _reduced_basis(kept, block)

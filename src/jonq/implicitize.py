@@ -7,7 +7,9 @@ map, and the independent elimination oracle.  The oracle reads only the
 coordinates c_i: they share one degree, so the x-free part of their Rees
 ideal (y_i - t*c_i) intersect k[x, y] is the implicit ideal, one
 elimination of t (Cox, "The moving curve ideal and the Rees algebra",
-TCS 392, 2008).
+TCS 392, 2008).  F is read off that elimination's one Block run, and no
+reduced basis of the Rees ideal is built (`oracle_implicitize` proves
+the read-off).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from itertools import combinations
 
 from jonq.birational import RationalMapData, VerifiedCremona, verify_cremona
 from jonq.errors import HypothesisViolation, StructuralError
-from jonq.groebner import IdealHandle
-from jonq.rees import eliminate_rees_parameter, implicit_generator
+from jonq.groebner import IdealHandle, block_run
+from jonq.rees import rees_relations, x_free_generator
 from jonq.ring import Polynomial, VariableSet, divide_exact, exact_quotient, poly_gcd
 
 
@@ -383,7 +385,27 @@ def oracle_implicitize(coords, target_ring=None, budget=None):
     Eliminates t from (y_i - t*coord_i), so a zero coordinate gives y_i,
     and reads the x-free part of the result; requires the image to be a
     hypersurface (principal nonzero x-free part) and returns its canonical
-    generator.
+    generator.  It is read off the one Block run (`block_run`) with no
+    reduced basis built:
+
+    * With x of bidegree (1, 0), y_i of (0, 1) and t of (-d, 1), d the
+      coordinates' degree, every y_i - t*c_i is bihomogeneous, and so is
+      every element of the run: S-polynomials and reduction steps of
+      bihomogeneous elements are.  The Block order puts t first, so an
+      element of the run with a t-free lead is t-free, and one whose lead
+      is also x-free is a form in y alone.
+    * The run's t-free elements are a Groebner basis of the bihomogeneous
+      ideal J = (y_i - t*c_i) intersect k[x, y].  An element f of J
+      intersect k[y] has components of bidegree (0, b) in J; a lead of the
+      run divides the lead of each, and so is x-free.  The elements with
+      x-free leads are thus a Groebner basis of the x-free part, which is
+      (F) for a hypersurface.
+    * Those of them whose leads no other such lead divides are a minimal
+      basis, with the leads of the reduced basis (Cox, Little and O'Shea,
+      Ideals, Varieties, and Algorithms, ch. 2 sec. 7): their count is the
+      reduced basis's, and one element of (F) with lead lm(F) is c*F.
+
+    The S-pairs charged are the run's, as when a reduced basis was built.
     """
     if not coords:
         raise StructuralError("no coordinates")
@@ -400,11 +422,14 @@ def oracle_implicitize(coords, target_ring=None, budget=None):
             if not c.is_homogeneous():
                 raise StructuralError("coordinates must be homogeneous")
             degs.add(c.total_degree())
+    if not degs:
+        raise StructuralError("all coordinates are zero")
     if len(degs) != 1:
         raise StructuralError("coordinates of unequal degrees")
     if target_ring is None:
         target_ring = VariableSet([f"y{i}" for i in range(len(coords))])
     if len(target_ring) != len(coords):
         raise StructuralError("target ring size must match coordinate count")
-    rees = eliminate_rees_parameter(coords, target_ring.names, budget)
-    return implicit_generator(rees, ring.names, target_ring, budget)
+    rel, tname, hilbert = rees_relations(coords, target_ring.names)
+    kept, order = block_run(rel, (tname,), budget, hilbert)
+    return x_free_generator(kept, order, rel.ring, ring.names, target_ring)

@@ -10,7 +10,11 @@ ideal, whose kernel K has no basis built, is tested by one substitution
 y_i -> t*g_i of all its generators.  For forms of one degree, the x-free
 part of the Rees ideal is the implicit ideal of their image (Cox, "The
 moving curve ideal and the Rees algebra", TCS 392, 2008);
-`implicit_generator` reads it off the cached basis.
+`x_free_generator` reads its generator off a Groebner basis of the Rees
+ideal: the cached reduced basis (the monoid's, in `monoid_association`),
+or the elements of the elimination's Block run (the elimination oracle
+of `jonq.implicitize`, which builds the relations and their Hilbert
+series with `rees_relations`, as `eliminate_rees_parameter` does).
 
 A Rees ideal is prime (a kernel into the domain k[x, t]) and holds no
 nonzero x-only form, so the saturation identities I_F = I_M(G) : C^inf
@@ -32,7 +36,9 @@ from jonq.errors import HypothesisViolation, StructuralError
 from jonq.groebner import (
     Budget,
     IdealHandle,
+    _minimal,
     _shifted_sum,
+    _to_polynomial,
     buchberger,
     dim_and_codim,
     eliminate,
@@ -91,16 +97,16 @@ class ReesPresentation:
         return tuple(self.ambient.index(n) for n in self.x_names)
 
 
-def eliminate_rees_parameter(gens, y_names, budget=None):
-    """(y_i - t*g_i) intersect k[x, y] over the x then the y variables.
+def rees_relations(gens, y_names):
+    """The ideal (y_i - t*g_i) over the x, the y and a fresh t, with t and its series.
 
-    One elimination of t; a zero g_i contributes y_i.  The handle caches
-    its reduced degrevlex basis.  The y names must be new.  When the g_i
-    are forms, weight 1 on x and t and deg(g_i) + 1 on y_i makes each
-    y_i - t*g_i homogeneous, and k[x, y, t]/(y_i - t*g_i) = k[x, t], so they
-    form a regular sequence and the Hilbert series of their ideal is
-    prod_i (1 - s^(deg(g_i) + 1)) / prod_v (1 - s^w_v).  The elimination
-    gets that series and drops the pairs it rules out.
+    Returns (handle, name of t, `hilbert`); a zero g_i contributes y_i.
+    When the g_i are forms, weight 1 on x and t and deg(g_i) + 1 on y_i
+    makes each y_i - t*g_i homogeneous, and k[x, y, t]/(y_i - t*g_i) =
+    k[x, t], so they form a regular sequence and the Hilbert series of
+    their ideal is prod_i (1 - s^(deg(g_i) + 1)) / prod_v (1 - s^w_v):
+    `hilbert` is those weights and that numerator (`_buchberger_core`'s),
+    else None.  The y names must be new.
     """
     xring = gens[0].ring
     ambient = xring.union(VariableSet(y_names))
@@ -120,24 +126,41 @@ def eliminate_rees_parameter(gens, y_names, budget=None):
             weights[big.index(nm)] = w
             numerator = _shifted_sum(numerator, numerator, w, -1)
         hilbert = (weights, numerator)
-    return eliminate(IdealHandle(big, rel), (tname,), budget=budget, hilbert=hilbert)
+    return IdealHandle(big, rel), tname, hilbert
 
 
-def implicit_generator(ideal, x_names, y_ring, budget=None):
-    """The canonical generator of `ideal` intersect k[y], which must be principal.
+def eliminate_rees_parameter(gens, y_names, budget=None):
+    """(y_i - t*g_i) intersect k[x, y] over the x then the y variables.
 
-    The reduced basis of a bihomogeneous ideal is bihomogeneous, so a
-    basis element with an x-free lead is x-free, and the x-free elements
-    are the reduced basis of the x-free part.
+    One elimination of t, told the Hilbert series of `rees_relations`,
+    which drops the pairs it rules out.  The handle caches its reduced
+    degrevlex basis.
     """
-    x_idx = tuple(ideal.ring.index(nm) for nm in x_names)
-    free = [h for h in ideal.gb(budget=budget).generators if h.degree_in(x_idx) == 0]
-    if len(free) != 1:
+    rel, tname, hilbert = rees_relations(gens, y_names)
+    return eliminate(rel, (tname,), budget=budget, hilbert=hilbert)
+
+
+def x_free_generator(elems, order, ring, x_names, y_ring):
+    """The canonical generator of the x-free part of an ideal, which must be principal.
+
+    `elems` are basis elements (`_GBPoly` under `order` over `ring`) of a
+    Groebner basis of an ideal generated by forms bihomogeneous in x and y,
+    with leads free of every other variable.  The elements with x-free
+    leads whose leads no other such lead divides are counted; the count is
+    the number of generators of the reduced basis of the x-free part, and
+    one such element is a scalar multiple of its generator (see
+    `oracle_implicitize`).  On a reduced basis these are its x-free
+    elements: the reduced basis of a bihomogeneous ideal is bihomogeneous,
+    so an element with an x-free lead is x-free.
+    """
+    x_idx = tuple(ring.index(nm) for nm in x_names)
+    minimal = _minimal([e for e in elems if not any(e.lm_exps[i] for i in x_idx)])
+    if len(minimal) != 1:
         raise HypothesisViolation(
             "the image is not a hypersurface: elimination ideal is not "
-            f"principal ({len(free)} generators)"
+            f"principal ({len(minimal)} generators)"
         )
-    return free[0].restrict_to(y_ring).canonical()
+    return _to_polynomial(minimal[0].terms, order, ring).restrict_to(y_ring).canonical()
 
 
 def rees_ideal(gens, y_names=None, budget=None):
@@ -475,7 +498,8 @@ def monoid_association(P, monoid, budget=None):
     if I_M is None:
         I_M = rees_ideal(coords, y_names=P.monoid_ring.names, budget=budget)
     M = MonoidParametrization(h_delta, h_dm1, coords, sign, I_M)
-    F2 = implicit_generator(I_M.ideal, xring.names, P.monoid_ring, budget)
+    gb = I_M.ideal.gb(budget=budget)
+    F2 = x_free_generator(gb._elems, gb.order, gb.ring, xring.names, P.monoid_ring)
     same_F = F2.proportional_to(monoid.F)
 
     M_map = RationalMapData(xring, P.monoid_ring, coords)

@@ -1,9 +1,9 @@
 """Each derived object of an instance is computed once per command.
 
 Counting wrappers replace `saturate_by_variables`, `colon`, `eliminate`,
-`regularity_dim1`, `conductor_data`, `implicitize`, `oracle_implicitize`,
-`rees_ideal`, `rees._monoid_rees`, `buchberger` and `poly_gcd` in every
-`jonq.*` module that binds them; the commands then run through the CLI
+`block_run`, `_reduced_basis`, `regularity_dim1`, `conductor_data`,
+`implicitize`, `oracle_implicitize`, `rees_ideal`, `rees._monoid_rees`,
+`buchberger` and `poly_gcd` in every `jonq.*` module that binds them; the commands then run through the CLI
 entry point.
 """
 
@@ -14,7 +14,14 @@ import pytest
 from jonq import cli
 from jonq.cli import main  # imports every layer module
 from jonq.fixtures import fixture_path, load_fixture
-from jonq.groebner import buchberger, colon, eliminate, saturate_by_variables
+from jonq.groebner import (
+    _reduced_basis,
+    block_run,
+    buchberger,
+    colon,
+    eliminate,
+    saturate_by_variables,
+)
 from jonq.implicitize import implicitize, oracle_implicitize
 from jonq.rees import _monoid_rees, rees_ideal
 from jonq.ring import poly_gcd
@@ -24,6 +31,8 @@ COUNTED = {
     "saturate_by_variables": saturate_by_variables,
     "colon": colon,
     "eliminate": eliminate,
+    "block_run": block_run,
+    "_reduced_basis": _reduced_basis,
     "regularity_dim1": regularity_dim1,
     "conductor_data": conductor_data,
     "implicitize": implicitize,
@@ -117,18 +126,20 @@ def test_rees_builds_each_rees_ideal_once(fixture, tuples, calls, monkeypatch, c
 
 @pytest.mark.parametrize("fixture", ["plane", "nzd"])
 def test_oracle_is_one_elimination_of_one_variable(fixture, calls, monkeypatch, capsys):
+    # one Block run, dropping t; F is read off it, with no reduced basis built
     spans = []
     oracle = cli.oracle_implicitize
 
     def spanning(*args, **kwargs):
-        start = len(calls["eliminate"])
+        start = len(calls["block_run"]), len(calls["_reduced_basis"])
         out = oracle(*args, **kwargs)
-        spans.append([len(a[1]) for a in calls["eliminate"][start:]])
+        runs = [len(a[1]) for a in calls["block_run"][start[0]:]]
+        spans.append((runs, len(calls["_reduced_basis"]) - start[1]))
         return out
 
     monkeypatch.setattr(cli, "oracle_implicitize", spanning)
     assert main(["implicitize", fixture_path(fixture), "--oracle", "--machine"]) == 0
-    assert spans == [[1]]
+    assert spans == [([1], 0)]
 
 
 def _calls_inside(monkeypatch, calls, name, counted):

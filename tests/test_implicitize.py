@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jonq.birational import RationalMapData, verify_cremona
 from jonq.cli import main
-from jonq.errors import HypothesisViolation
+from jonq.errors import HypothesisViolation, StructuralError
 from jonq.fixtures import fixture_path
 from jonq.groebner import IdealHandle, eliminate
 from jonq.implicitize import (
@@ -405,6 +405,12 @@ class TestOracle:
         else:
             assert oracle_implicitize(coords) == parse_polynomial(want, Y)
         assert _outcome(oracle_implicitize, coords) == _outcome(_graph_oracle, coords)
+
+    def test_all_coordinates_zero(self):
+        # no degree to read, as for a map: not "unequal degrees"
+        zero = Polynomial.zero(VariableSet(["x0", "x1"]))
+        with pytest.raises(StructuralError, match="^all coordinates are zero$"):
+            oracle_implicitize([zero] * 3)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
