@@ -1,8 +1,8 @@
 """Monomial orders: degrevlex and a two-block elimination order.
 
-Every basis the library reads is a reduced degrevlex basis; `Block`
-serves `groebner.eliminate`, which keeps the basis elements free of the
-first block.  Every order maps an exponent vector to an integer tuple
+Every reduced basis the library builds is degrevlex; `Block` serves
+`groebner.block_run`, the Block run of an elimination, which keeps the
+basis elements free of the first block.  Every order maps an exponent vector to an integer tuple
 (`key`) such that the order relation is lexicographic comparison of keys
 and keys are *additive*: key(m1*m2) = key(m1) + key(m2) componentwise.
 Additivity is what lets the Groebner engine shift whole term lists by
