@@ -402,8 +402,9 @@ def oracle_implicitize(coords, target_ring=None, budget=None):
       (F) for a hypersurface.
     * Those of them whose leads no other such lead divides are a minimal
       basis, with the leads of the reduced basis (Cox, Little and O'Shea,
-      Ideals, Varieties, and Algorithms, ch. 2 sec. 7): their count is the
-      reduced basis's, and one element of (F) with lead lm(F) is c*F.
+      Ideals, Varieties, and Algorithms, ch. 2 sec. 7): their count is
+      that of the x-free elements of J's reduced basis, and one element
+      of (F) with lead lm(F) is c*F.
 
     The S-pairs charged are the run's, as when a reduced basis was built.
     """
